@@ -35,27 +35,29 @@ class StabChoice:
 
 
 def tau(choice, a, mu, h, dt):
-    """Stabilization coefficient for one element."""
-    if mu <= 0.0 or h <= 0.0 or dt <= 0.0:
+    """Stabilization coefficient, elementwise over arrays of a and h."""
+    a_abs = np.abs(np.asarray(a, dtype=float))
+    h = np.asarray(h, dtype=float)
+    if mu <= 0.0 or np.any(h <= 0.0) or dt <= 0.0:
         raise ValueError("mu, h and dt must be positive")
-    a_abs = abs(a)
     P = a_abs * h / (2.0 * mu)
-    if choice.kind == "OneD":
-        # mu/a^2 (P coth P - 1); series limit P^2/3 for tiny P
-        if P < 1e-4:
-            return h ** 2 / (12.0 * mu)
-        return mu / a_abs ** 2 * (P / np.tanh(P) - 1.0)
-    if choice.kind == "Codina":
-        return 1.0 / np.hypot(4.0 * mu / h ** 2, 2.0 * a_abs / h)
-    if choice.kind == "Hauke":
-        candidates = [h ** 2 / (24.24 * mu), dt]
-        if a_abs > 0.0:
-            candidates.append(h / (np.sqrt(3.0) * a_abs))
-        return min(candidates)
-    # Franca: (h/|a|) min(P, Pbar); the P branch equals h^2/(2 mu)
-    if P <= choice.franca_threshold:
-        return h ** 2 / (2.0 * mu)
-    return h / a_abs * choice.franca_threshold
+    # the branch not taken may divide by a = 0; np.where discards it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if choice.kind == "OneD":
+            # mu/a^2 (P coth P - 1); series limit P^2/3 for tiny P
+            out = np.where(P < 1e-4, h ** 2 / (12.0 * mu),
+                           mu / a_abs ** 2 * (P / np.tanh(P) - 1.0))
+        elif choice.kind == "Codina":
+            out = 1.0 / np.hypot(4.0 * mu / h ** 2, 2.0 * a_abs / h)
+        elif choice.kind == "Hauke":
+            # the advective candidate is inf at a = 0 and drops out
+            out = np.minimum(np.minimum(h ** 2 / (24.24 * mu), dt),
+                             h / (np.sqrt(3.0) * a_abs))
+        else:
+            # Franca: (h/|a|) min(P, Pbar); the P branch equals h^2/(2 mu)
+            out = np.where(P <= choice.franca_threshold, h ** 2 / (2.0 * mu),
+                           h / a_abs * choice.franca_threshold)
+    return out[()]
 
 
 def cfl_bound(P):
@@ -66,22 +68,12 @@ def cfl_bound(P):
     return P / (3.0 * (1.0 - P))
 
 
-def assemble_stab_matrix(mesh):
-    """M_s: element block (1/h) [[1, -1], [-1, 1]]."""
-    m = TriDiag.zeros(mesh.n_nodes)
-    for k, h in enumerate(mesh.h):
-        m.add_element(k, np.array([[1.0, -1.0], [-1.0, 1.0]]) / h)
-    return m
-
-
-def _stab_term(mesh, a_elem, mu, dt, choice):
-    """Per-element a_K^2 tau_K scaling of the M_s blocks."""
-    m = TriDiag.zeros(mesh.n_nodes)
-    for k, h in enumerate(mesh.h):
-        a = a_elem[k]
-        coeff = a * a * tau(choice, a, mu, h, dt)
-        m.add_element(k, coeff / h * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    return m
+def assemble_stab_matrix(mesh, coeff=1.0):
+    """M_s with per-element weights: element block (coeff_K / h)
+    [[1, -1], [-1, 1]]."""
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=float), (mesh.n_elems,))
+    return TriDiag.from_blocks((coeff / mesh.h)[:, None, None]
+                               * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def step_galerkin(u_prev, a_elem, mu, mesh, dt, f=None, bc=None, t_new=None):
@@ -102,13 +94,14 @@ def step_stabilized(u_prev, choice, a_elem, mu, mesh, dt, f=None, bc=None,
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
     m = assemble_mass(mesh)
+    coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
     lhs = m + dt * assemble_stiffness(mesh, a_elem, mu) \
-        + dt * _stab_term(mesh, a_elem, mu, dt, choice)
+        + dt * assemble_stab_matrix(mesh, coeff)
     rhs = m.matvec(u_prev) + dt * assemble_load(mesh, f, t_new)
     return solve_tridiag(apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t_new))
 
 
-def _run(stepper, mesh, tgrid, velocity, mu, initial, f, bc, rule):
+def _run(stepper, mesh, tgrid, velocity, initial, rule):
     velocity = velocity if isinstance(velocity, VelocityField) \
         else VelocityField(velocity)
     u = np.zeros(mesh.n_nodes) if initial is None \
@@ -128,8 +121,7 @@ def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None,
     def stepper(u, a_elem, t1):
         return step_galerkin(u, a_elem, mu, mesh, tgrid.dt, f, bc, t1)
 
-    return _run(stepper, mesh, tgrid, velocity, mu, initial, f, bc,
-                velocity_rule)
+    return _run(stepper, mesh, tgrid, velocity, initial, velocity_rule)
 
 
 def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
@@ -138,5 +130,4 @@ def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
         return step_stabilized(u, choice, a_elem, mu, mesh, tgrid.dt, f,
                                bc, t1)
 
-    return _run(stepper, mesh, tgrid, velocity, mu, initial, f, bc,
-                velocity_rule)
+    return _run(stepper, mesh, tgrid, velocity, initial, velocity_rule)

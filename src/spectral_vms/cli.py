@@ -36,7 +36,10 @@ def _load_config_defaults(argv, parser):
     """Apply --config JSON values as parser defaults (flags still win)."""
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ValidationError("--config needs a file name")
+    path = argv[at]
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -26,6 +26,7 @@ __all__ = [
     "ModeKernels",
     "FAMILIES",
     "element_params",
+    "distinct_element_params",
     "beta",
     "eigenvalue",
     "mode_value",
@@ -69,6 +70,18 @@ def element_params(a, h, mu, dt):
     S = dt * mu / h ** 2
     return ElementParams(P=P, S=S, sign_a=(-1.0 if a < 0.0 else 1.0),
                          h=h, mu=mu, a=float(a), dt=dt)
+
+
+def distinct_element_params(a_elem, h, mu, dt):
+    """ElementParams once per distinct (a, h) pair of a mesh's elements.
+
+    Returns (params, index): element k has the parameters params[index[k]].
+    """
+    keys, index = np.unique(
+        np.stack([np.asarray(a_elem, dtype=float), h], axis=1), axis=0,
+        return_inverse=True)
+    return ([element_params(a, hk, mu, dt) for a, hk in keys],
+            index.reshape(-1))
 
 
 @dataclass(frozen=True)

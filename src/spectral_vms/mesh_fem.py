@@ -21,6 +21,7 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_load",
+    "sum_element_vectors",
     "solve_tridiag",
     "apply_dirichlet",
 ]
@@ -143,6 +144,12 @@ _GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
 _GAUSS_W = 0.5 * _GAUSS_W
 
 
+def _at_points(f, x, t):
+    """Scalar callable f(x, t) evaluated at every point of an array."""
+    return np.array([f(xi, t) for xi in x.ravel()],
+                    dtype=float).reshape(x.shape)
+
+
 def project_velocity(a, mesh, t=0.0, rule="midpoint"):
     """Per-element constant velocities a_K.
 
@@ -154,12 +161,10 @@ def project_velocity(a, mesh, t=0.0, rule="midpoint"):
     if a.is_constant:
         return np.full(mesh.n_elems, a.constant)
     if rule == "midpoint":
-        vals = np.array([a(x, t) for x in mesh.midpoints], dtype=float)
+        vals = _at_points(a, mesh.midpoints, t)
     elif rule == "average":
-        vals = np.zeros(mesh.n_elems)
-        for k in range(mesh.n_elems):
-            xq = mesh.nodes[k] + mesh.h[k] * _GAUSS_X
-            vals[k] = sum(w * a(x, t) for x, w in zip(xq, _GAUSS_W))
+        xq = mesh.nodes[:-1, None] + mesh.h[:, None] * _GAUSS_X
+        vals = np.sum(_at_points(a, xq, t) * _GAUSS_W, axis=1)
     else:
         raise ValueError("unknown projection rule %r" % rule)
     if not np.all(np.isfinite(vals)):
@@ -177,10 +182,6 @@ class TriDiag:
         n = self.diag.size
         if self.sub.size != n - 1 or self.sup.size != n - 1:
             raise ValueError("band lengths inconsistent with diagonal")
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
 
     @property
     def n(self):
@@ -203,12 +204,14 @@ class TriDiag:
 
     __rmul__ = __mul__
 
-    def add_element(self, k, local):
-        """Accumulate a 2x2 element block (rows/cols k, k+1)."""
-        self.diag[k] += local[0, 0]
-        self.diag[k + 1] += local[1, 1]
-        self.sup[k] += local[0, 1]
-        self.sub[k] += local[1, 0]
+    @classmethod
+    def from_blocks(cls, blocks):
+        """Sum of (n_elems, 2, 2) element blocks, block k on rows and
+        columns k, k+1."""
+        blocks = np.asarray(blocks, dtype=float)
+        return cls(blocks[:, 1, 0].copy(),
+                   sum_element_vectors(blocks[:, [0, 1], [0, 1]]),
+                   blocks[:, 0, 1].copy())
 
     def matvec(self, x):
         y = self.diag * x
@@ -238,7 +241,8 @@ class TriDiagSystem:
 
 
 def solve_tridiag(sys):
-    """Thomas elimination; raises SingularSystemError on tiny pivots."""
+    """Thomas elimination; raises SingularSystemError on tiny pivots and
+    FloatingPointError when the solution is not finite."""
     a, d, c = sys.matrix.sub, sys.matrix.diag, sys.matrix.sup
     n = d.size
     scale = sys.matrix.max_abs()
@@ -259,15 +263,21 @@ def solve_tridiag(sys):
     x[n - 1] = rr[n - 1] / dd[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (rr[i] - c[i] * x[i + 1]) / dd[i]
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("tridiagonal solve produced non-finite "
+                                 "values")
     return x
+
+
+def sum_element_vectors(local):
+    """Node vector summing (n_elems, 2) element vectors onto nodes k, k+1."""
+    return np.pad(local[:, 0], (0, 1)) + np.pad(local[:, 1], (1, 0))
 
 
 def assemble_mass(mesh):
     """P1 mass matrix: element block (h/6) [[2, 1], [1, 2]]."""
-    m = TriDiag.zeros(mesh.n_nodes)
-    for k, h in enumerate(mesh.h):
-        m.add_element(k, (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]))
-    return m
+    return TriDiag.from_blocks(
+        (mesh.h / 6.0)[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 def assemble_stiffness(mesh, a_elem, mu):
@@ -278,25 +288,22 @@ def assemble_stiffness(mesh, a_elem, mu):
     if mu <= 0.0:
         raise ValueError("diffusion coefficient must be positive")
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float), (mesh.n_elems,))
-    r = TriDiag.zeros(mesh.n_nodes)
-    for k, h in enumerate(mesh.h):
-        adv = (a_elem[k] / 2.0) * np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        dif = (mu / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        r.add_element(k, adv + dif)
-    return r
+    adv = (a_elem / 2.0)[:, None, None] * np.array([[-1.0, 1.0],
+                                                    [-1.0, 1.0]])
+    dif = (mu / mesh.h)[:, None, None] * np.array([[1.0, -1.0],
+                                                   [-1.0, 1.0]])
+    return TriDiag.from_blocks(adv + dif)
 
 
 def assemble_load(mesh, f, t):
     """P1 load vector (f(., t), phi_l) by 4-point Gauss per element."""
-    rhs = np.zeros(mesh.n_nodes)
     if f is None:
-        return rhs
-    for k, h in enumerate(mesh.h):
-        xq = mesh.nodes[k] + h * _GAUSS_X
-        fq = np.array([f(x, t) for x in xq])
-        rhs[k] += h * np.sum(_GAUSS_W * fq * (1.0 - _GAUSS_X))
-        rhs[k + 1] += h * np.sum(_GAUSS_W * fq * _GAUSS_X)
-    return rhs
+        return np.zeros(mesh.n_nodes)
+    xq = mesh.nodes[:-1, None] + mesh.h[:, None] * _GAUSS_X
+    fq = _at_points(f, xq, t)
+    local = np.stack([np.sum(_GAUSS_W * fq * (1.0 - _GAUSS_X), axis=1),
+                      np.sum(_GAUSS_W * fq * _GAUSS_X, axis=1)], axis=1)
+    return sum_element_vectors(mesh.h[:, None] * local)
 
 
 def apply_dirichlet(sys, bc, t):

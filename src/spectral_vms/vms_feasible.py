@@ -68,7 +68,8 @@ class NullKernelProvider:
 
 @dataclass
 class FeasibleMatrices:
-    """Subgrid matrices of one velocity snapshot, physical units."""
+    """Subgrid matrices of one velocity snapshot, physical units;
+    element k has the parameters params[index[k]]."""
 
     A1: TriDiag
     A2: TriDiag
@@ -82,25 +83,31 @@ class FeasibleMatrices:
     stiff: TriDiag
     a_elem: np.ndarray
     params: list
+    index: np.ndarray
 
 
-def _element_kernels(provider, P, S, fam_names):
+def _kernels_by_element(provider, params, index, fam_names):
+    """{family: kernels stacked over elements, indexed [k, m, l], [k, m],
+    [k, l] or [k]}, with one provider query per distinct (P, S)."""
+    keys, key_of = np.unique([(p.P, p.S) for p in params], axis=0,
+                             return_inverse=True)
+    gather = key_of.reshape(-1)[index]
     out = {}
     for name in fam_names:
-        fam = FAMILIES[name]
-        if fam.index_kind == "ml":
-            out[name] = np.array(
-                [[provider.kernel(name, m, l, P, S) for l in (0, 1)]
-                 for m in (0, 1)])
-        elif fam.index_kind == "m":
-            out[name] = np.array(
-                [provider.kernel(name, m, 0, P, S) for m in (0, 1)])
-        elif fam.index_kind == "l":
-            out[name] = np.array(
-                [provider.kernel(name, 0, l, P, S) for l in (0, 1)])
-        else:
-            out[name] = provider.kernel(name, 0, 0, P, S)
+        kind = FAMILIES[name].index_kind
+        entries = [(m, l) for m in ((0, 1) if "m" in kind else (0,))
+                   for l in ((0, 1) if "l" in kind else (0,))]
+        vals = np.array([[provider.kernel(name, m, l, float(P), float(S))
+                          for m, l in entries] for P, S in keys])
+        out[name] = vals.reshape((len(keys),) + (2,) * len(kind))[gather]
     return out
+
+
+def _mirror(local, a_elem):
+    """Flip the local indices of the elements with a < 0."""
+    axes = tuple(range(1, local.ndim))
+    return np.where(np.expand_dims(a_elem < 0.0, axes),
+                    np.flip(local, axes), local)
 
 
 def assemble_matrices(mesh, a_elem, mu, dt, provider):
@@ -109,72 +116,58 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     For a < 0 the element is mirrored: the positive-velocity block is
     built with |a| and flipped in both local indices.
     """
-    fam_names = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"]
-    mats = {name: TriDiag.zeros(mesh.n_nodes) for name in fam_names}
-    params = []
-    cache = {}
-    for k in range(mesh.n_elems):
-        h = mesh.h[k]
-        a = float(a_elem[k])
-        p = kernels.element_params(a, h, mu, dt)
-        params.append(p)
-        key = (p.P, p.S)
-        if key not in cache:
-            cache[key] = _element_kernels(provider, p.P, p.S, fam_names)
-        kern = cache[key]
-        a_abs = abs(a)
-        for prefix in ("A", "B"):
-            k1 = kern[prefix + "1"]  # (m, l)
-            k2 = kern[prefix + "2"]  # (l,)
-            k3 = kern[prefix + "3"]  # (m,)
-            k4 = kern[prefix + "4"]  # scalar
-            blocks = {
-                "1": 2.0 * h * k1.T,
-                "2": 2.0 * a_abs * _SIGN[None, :] * k2[:, None],
-                "3": -2.0 * a_abs * _SIGN[:, None] * k3[None, :],
-                "4": -(2.0 * a_abs ** 2 / h)
-                     * np.outer(_SIGN, _SIGN) * k4,
-            }
-            for idx, block in blocks.items():
-                if a < 0.0:
-                    block = block[::-1, ::-1]
-                mats[prefix + idx].add_element(k, block)
+    a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
+                             (mesh.n_elems,))
+    params, index = kernels.distinct_element_params(a_elem, mesh.h, mu, dt)
+    kern = _kernels_by_element(provider, params, index,
+                               ["A1", "A2", "A3", "A4",
+                                "B1", "B2", "B3", "B4"])
+    h = mesh.h[:, None, None]
+    a_abs = np.abs(a_elem)[:, None, None]
+    mats = {}
+    for prefix in ("A", "B"):
+        k1 = kern[prefix + "1"]  # (n_elems, m, l)
+        k2 = kern[prefix + "2"]  # (n_elems, l)
+        k3 = kern[prefix + "3"]  # (n_elems, m)
+        k4 = kern[prefix + "4"]  # (n_elems,)
+        blocks = {
+            "1": 2.0 * h * k1.transpose(0, 2, 1),
+            "2": 2.0 * a_abs * _SIGN[None, :] * k2[:, :, None],
+            "3": -2.0 * a_abs * _SIGN[:, None] * k3[:, None, :],
+            "4": -(2.0 * a_abs ** 2 / h)
+                 * np.outer(_SIGN, _SIGN) * k4[:, None, None],
+        }
+        for idx, block in blocks.items():
+            mats[prefix + idx] = TriDiag.from_blocks(_mirror(block, a_elem))
     return FeasibleMatrices(
-        A1=mats["A1"], A2=mats["A2"], A3=mats["A3"], A4=mats["A4"],
-        B1=mats["B1"], B2=mats["B2"], B3=mats["B3"], B4=mats["B4"],
-        mass=assemble_mass(mesh),
+        **mats, mass=assemble_mass(mesh),
         stiff=assemble_stiffness(mesh, a_elem, mu),
-        a_elem=np.asarray(a_elem, dtype=float), params=params)
+        a_elem=a_elem, params=params, index=index)
 
 
-def _force_vectors(mesh, params, provider, f, t):
+_FORCE_FAMILIES = {"F1": "Fd0", "F2": "Fe0", "F3": "Fbd0", "F4": "Fbe0"}
+
+
+def _force_vectors(mesh, mats, provider, f, t):
     """Subgrid force vectors F1, F2 (beta weights) and F3, F4 (beta^2).
 
     The source is projected to its element-midpoint value, matching the
     element-constant kernel reduction.
     """
-    n = mesh.n_nodes
-    out = {name: np.zeros(n) for name in ("F1", "F2", "F3", "F4")}
     if f is None:
-        return out
-    fam_of = {"F1": "Fd0", "F2": "Fe0", "F3": "Fbd0", "F4": "Fbe0"}
-    for k in range(mesh.n_elems):
-        p = params[k]
-        h, a_abs = p.h, abs(p.a)
-        f_k = f(mesh.nodes[k] + 0.5 * h, t)
-        for name in out:
-            fam = FAMILIES[fam_of[name]]
-            if fam.index_kind == "l":
-                vec = np.array([
-                    2.0 * h * f_k
-                    * provider.kernel(fam.name, 0, l, p.P, p.S)
-                    for l in (0, 1)])
-            else:
-                k4 = provider.kernel(fam.name, 0, 0, p.P, p.S)
-                vec = -2.0 * a_abs * f_k * _SIGN * k4
-            if p.a < 0.0:
-                vec = vec[::-1]
-            out[name][k:k + 2] += vec
+        return {name: np.zeros(mesh.n_nodes) for name in _FORCE_FAMILIES}
+    f_mid = np.array([f(x, t) for x in mesh.nodes[:-1] + 0.5 * mesh.h],
+                     dtype=float)[:, None]
+    kern = _kernels_by_element(provider, mats.params, mats.index,
+                               list(_FORCE_FAMILIES.values()))
+    a_abs = np.abs(mats.a_elem)[:, None]
+    out = {}
+    for name, fam in _FORCE_FAMILIES.items():
+        if FAMILIES[fam].index_kind == "l":
+            vec = 2.0 * mesh.h[:, None] * f_mid * kern[fam]
+        else:
+            vec = -2.0 * a_abs * f_mid * _SIGN * kern[fam][:, None]
+        out[name] = mesh_fem.sum_element_vectors(_mirror(vec, mats.a_elem))
     return out
 
 
@@ -227,13 +220,13 @@ def step_feasible(state, sys_new, sys_old, config, first=False):
     rhs = m.matvec(state.u)
     rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(state.u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
-    fv_new = _force_vectors(config.mesh, sys_new.params, config.provider,
+    fv_new = _force_vectors(config.mesh, sys_new, config.provider,
                             config.source, t1)
     rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
     if not first:
         rhs -= (sys_old.A1 + dt * sys_old.A2).matvec(state.u)
         rhs += sys_old.A1.matvec(state.u_prev)
-        fv_old = _force_vectors(config.mesh, sys_old.params, config.provider,
+        fv_old = _force_vectors(config.mesh, sys_old, config.provider,
                                 config.source, t0)
         rhs += dt * fv_old["F1"]
         if config.g_pairing == "main":

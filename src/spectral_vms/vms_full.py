@@ -8,13 +8,14 @@ vms_feasible.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels, mesh_fem
-from .mesh_fem import (DirichletBC, TriDiagSystem, VelocityField,
+from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
                        apply_dirichlet, assemble_load, assemble_mass,
-                       assemble_stiffness, solve_tridiag)
+                       assemble_stiffness, solve_tridiag, sum_element_vectors)
 
 __all__ = ["FullVmsConfig", "SubgridState", "FullVmsResult", "init_state",
            "step_full", "run_full", "approximate_subgrid_state"]
@@ -57,28 +58,54 @@ class SubgridState:
         return SubgridState(self.amplitudes.copy())
 
 
-class _ElementContexts:
-    """Cached per-element nondimensional data for one velocity snapshot."""
+class _Snapshot:
+    """Element data of one velocity snapshot, stacked over elements.
 
-    def __init__(self, mesh, a_elem, mu, dt, n_modes):
-        self.params = []
-        self.arrays = []
-        cache = {}
-        for k in range(mesh.n_elems):
-            key = (float(a_elem[k]), float(mesh.h[k]))
-            if key not in cache:
-                p = kernels.element_params(a_elem[k], mesh.h[k], mu, dt)
-                cache[key] = (p, kernels.element_mode_arrays(p, n_modes))
-            p, arr = cache[key]
-            self.params.append(p)
-            self.arrays.append(arr)
+    The kernels.element_mode_arrays entries become (n_elems, 2, J) arrays
+    and beta an (n_elems, J) array, computed once per distinct (a, h);
+    element k has the parameters params[index[k]].
+    """
+
+    def __init__(self, config, t):
+        self.config = config
+        self.a_elem = mesh_fem.project_velocity(
+            config.velocity, config.mesh, t, config.velocity_rule)
+        self.params, self.index = kernels.distinct_element_params(
+            self.a_elem, config.mesh.h, config.mu, config.tgrid.dt)
+        per_key = [kernels.element_mode_arrays(p, config.n_modes)
+                   for p in self.params]
+        for name in ("mass_phi_pz", "mass_z_phi", "adv_phi_pz", "adv_z_phi",
+                     "beta"):
+            setattr(self, name,
+                    np.stack([arr[name] for arr in per_key])[self.index])
+        # (z_j, phi_l) + dt b(z_j, phi_l)
+        self.test_b = self.mass_z_phi + config.tgrid.dt * self.adv_z_phi
+
+    @cached_property
+    def matrices(self):
+        """(lhs, mass): M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4), and M."""
+        mesh, dt = self.config.mesh, self.config.tgrid.dt
+        mass = assemble_mass(mesh)
+        trial = self.mass_phi_pz + dt * self.adv_phi_pz
+        closure = np.einsum("kj,kmj,klj->klm", self.beta, trial, self.test_b)
+        lhs = mass + dt * assemble_stiffness(mesh, self.a_elem,
+                                             self.config.mu) \
+            - TriDiag.from_blocks(closure)
+        return lhs, mass
+
+    def source_modes(self, t):
+        """(n_elems, J) source projections <f, p z_j>, one call per
+        element because the source is a scalar callable."""
+        c = self.config
+        return np.array([
+            kernels.source_mode_projection(c.source, t, self.params[i],
+                                           x_left, c.n_modes, c.source_gauss)
+            for i, x_left in zip(self.index, c.mesh.nodes[:-1])])
 
 
-def _contexts(config, t):
-    a_elem = mesh_fem.project_velocity(config.velocity, config.mesh, t,
-                                       config.velocity_rule)
-    return a_elem, _ElementContexts(config.mesh, a_elem, config.mu,
-                                    config.tgrid.dt, config.n_modes)
+def _pair(arr, u):
+    """(n_elems, J) sums over m of arr[k, m, j] u[k + m] for a nodal u."""
+    return np.einsum("kmj,km->kj", arr, np.stack([u[:-1], u[1:]], axis=1))
 
 
 def init_state(config):
@@ -97,9 +124,10 @@ def init_state(config):
     if config.project_initial_subgrid and config.initial is not None:
         a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0,
                                            config.velocity_rule)
+        params, index = kernels.distinct_element_params(
+            a_elem, mesh.h, config.mu, config.tgrid.dt)
         for k in range(mesh.n_elems):
-            p = kernels.element_params(a_elem[k], mesh.h[k], config.mu,
-                                       config.tgrid.dt)
+            p = params[index[k]]
             xl, ul, ur = mesh.nodes[k], u0[k], u0[k + 1]
 
             def bubble(x, t, xl=xl, h=mesh.h[k], ul=ul, ur=ur):
@@ -111,65 +139,37 @@ def init_state(config):
     return u0, state
 
 
-def _step_matrix(config, ctx):
-    """LHS matrix M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4)."""
-    mesh, dt = config.mesh, config.tgrid.dt
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, [p.a for p in ctx.params], config.mu)
-    lhs = mass + dt * stiff
-    for k in range(mesh.n_elems):
-        arr = ctx.arrays[k]
-        trial = arr["mass_phi_pz"] + dt * arr["adv_phi_pz"]  # (2, J)
-        test_b = arr["mass_z_phi"] + dt * arr["adv_z_phi"]
-        block = np.einsum("j,mj,lj->lm", arr["beta"], trial, test_b)
-        lhs.add_element(k, -block)
-    return lhs, mass
-
-
 def step_full(u_prev, state, n, config, ctx=None):
-    """One backward-Euler spectral step; returns (u_next, state_next)."""
+    """One backward-Euler spectral step; returns (u_next, state_next).
+
+    ctx is the _Snapshot of the velocity at the new time level; passing
+    the same one to every step reuses its assembled matrices.
+    """
     mesh, dt = config.mesh, config.tgrid.dt
     t1 = (n + 1) * dt
     if ctx is None:
-        _, ctx = _contexts(config, t1)
-    lhs, mass = _step_matrix(config, ctx)
-    rhs = mass.matvec(u_prev)
-    rhs += dt * assemble_load(mesh, config.source, t1)
-
-    # per-element subgrid carry-over and forcing
-    known = np.empty_like(state.amplitudes)
-    for k in range(mesh.n_elems):
-        arr = ctx.arrays[k]
-        b = arr["beta"]
-        u_loc = u_prev[k:k + 2]
-        proj_u = arr["mass_phi_pz"].T @ u_loc
-        k_j = state.amplitudes[k] + proj_u
-        if config.source is not None:
-            f_mode = kernels.source_mode_projection(
-                config.source, t1, ctx.params[k], mesh.nodes[k],
-                config.n_modes, config.source_gauss)
-            k_j = k_j + dt * f_mode
-            test_b = arr["mass_z_phi"] + dt * arr["adv_z_phi"]
-            rhs[k:k + 2] -= test_b @ (b * dt * f_mode)
-        known[k] = k_j
-        carry = ((1.0 - b) * state.amplitudes[k]) @ arr["mass_z_phi"].T \
-            - (b * (state.amplitudes[k] * dt)) @ arr["adv_z_phi"].T
-        rhs[k:k + 2] += carry
-        # the (u^n, p z_j)-driven part of the closure
-        drive = (b * proj_u) @ (arr["mass_z_phi"] + dt * arr["adv_z_phi"]).T
-        rhs[k:k + 2] -= drive
+        ctx = _Snapshot(config, t1)
+    lhs, mass = ctx.matrices
+    c, b, test_b = state.amplitudes, ctx.beta, ctx.test_b
+    proj_u = _pair(ctx.mass_phi_pz, u_prev)
+    known = c + proj_u
+    # per-element subgrid carry-over, minus the (u^n, p z_j)-driven part
+    # of the closure
+    local = np.einsum("kj,klj->kl", (1.0 - b) * c, ctx.mass_z_phi) \
+        - np.einsum("kj,klj->kl", b * (c * dt), ctx.adv_z_phi) \
+        - np.einsum("kj,klj->kl", b * proj_u, test_b)
+    if config.source is not None:
+        f_mode = ctx.source_modes(t1)
+        known += dt * f_mode
+        local -= np.einsum("kj,klj->kl", b * dt * f_mode, test_b)
+    rhs = mass.matvec(u_prev) + dt * assemble_load(mesh, config.source, t1) \
+        + sum_element_vectors(local)
 
     sys = apply_dirichlet(TriDiagSystem(lhs, rhs), config.bc, t1)
     u_next = solve_tridiag(sys)
-
-    new_state = SubgridState.zeros(mesh.n_elems, config.n_modes)
-    for k in range(mesh.n_elems):
-        arr = ctx.arrays[k]
-        u_loc = u_next[k:k + 2]
-        resid = known[k] - arr["mass_phi_pz"].T @ u_loc \
-            - dt * (arr["adv_phi_pz"].T @ u_loc)
-        new_state.amplitudes[k] = arr["beta"] * resid
-    return u_next, new_state
+    resid = known - _pair(ctx.mass_phi_pz, u_next) \
+        - dt * _pair(ctx.adv_phi_pz, u_next)
+    return u_next, SubgridState(b * resid)
 
 
 def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx=None):
@@ -178,21 +178,15 @@ def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx=None):
     Feeding these into step_full reproduces the tabulated method's
     one-level history exactly (constant-in-time velocity).
     """
-    mesh, dt = config.mesh, config.tgrid.dt
+    dt = config.tgrid.dt
     t0 = n * dt
     if ctx is None:
-        _, ctx = _contexts(config, t0)
-    state = SubgridState.zeros(mesh.n_elems, config.n_modes)
-    for k in range(mesh.n_elems):
-        arr = ctx.arrays[k]
-        resid = arr["mass_phi_pz"].T @ (u_prevprev[k:k + 2] - u_prev[k:k + 2])
-        resid -= dt * (arr["adv_phi_pz"].T @ u_prev[k:k + 2])
-        if config.source is not None:
-            resid += dt * kernels.source_mode_projection(
-                config.source, t0, ctx.params[k], mesh.nodes[k],
-                config.n_modes, config.source_gauss)
-        state.amplitudes[k] = arr["beta"] * resid
-    return state
+        ctx = _Snapshot(config, t0)
+    resid = _pair(ctx.mass_phi_pz, u_prevprev - u_prev) \
+        - dt * _pair(ctx.adv_phi_pz, u_prev)
+    if config.source is not None:
+        resid += dt * ctx.source_modes(t0)
+    return SubgridState(ctx.beta * resid)
 
 
 @dataclass
@@ -203,22 +197,21 @@ class FullVmsResult:
 
     def sample(self, step, points_per_elem=8):
         """Dense samples of nodal-plus-subgrid field at one time step."""
-        mesh = self.config.mesh
-        u = self.history[step]
+        c = self.config
+        mesh, u = c.mesh, self.history[step]
         amps = self.amplitude_history[step]
-        a_elem = mesh_fem.project_velocity(
-            self.config.velocity, mesh, step * self.config.tgrid.dt,
-            self.config.velocity_rule)
-        xs, vals = [], []
+        a_elem = mesh_fem.project_velocity(c.velocity, mesh,
+                                           step * c.tgrid.dt, c.velocity_rule)
+        params, index = kernels.distinct_element_params(
+            a_elem, mesh.h, c.mu, c.tgrid.dt)
         xhat = np.linspace(0.0, 1.0, points_per_elem)
-        for k in range(mesh.n_elems):
-            p = kernels.element_params(a_elem[k], mesh.h[k], self.config.mu,
-                                       self.config.tgrid.dt)
-            lin = u[k] * (1.0 - xhat) + u[k + 1] * xhat
-            sub = kernels.reconstruct_subgrid(amps[k], p, xhat)
-            xs.append(mesh.nodes[k] + mesh.h[k] * xhat)
-            vals.append(lin + sub)
-        return np.concatenate(xs), np.concatenate(vals)
+        j = np.arange(1, amps.shape[1] + 1)[:, None]
+        modes = np.stack([kernels.mode_value(j, p, xhat)
+                          for p in params])[index]  # (n_elems, J, points)
+        sub = np.einsum("kj,kjx->kx", amps, modes) / np.sqrt(mesh.h)[:, None]
+        lin = u[:-1, None] * (1.0 - xhat) + u[1:, None] * xhat
+        xs = mesh.nodes[:-1, None] + mesh.h[:, None] * xhat
+        return xs.ravel(), (lin + sub).ravel()
 
 
 def run_full(config):
@@ -227,14 +220,11 @@ def run_full(config):
     history = np.empty((config.tgrid.n_steps + 1, config.mesh.n_nodes))
     history[0] = u
     amp_hist = [state.amplitudes.copy()]
-    ctx = None
-    if config.velocity.is_constant:
-        _, ctx = _contexts(config, 0.0)
+    # a constant velocity has one snapshot, so one left-hand side per run
+    ctx = _Snapshot(config, 0.0) if config.velocity.is_constant else None
     for n in range(config.tgrid.n_steps):
-        step_ctx = ctx
-        if step_ctx is None:
-            _, step_ctx = _contexts(config, (n + 1) * config.tgrid.dt)
+        step_ctx = ctx or _Snapshot(config, (n + 1) * config.tgrid.dt)
         u, state = step_full(u, state, n, config, step_ctx)
         history[n + 1] = u
-        amp_hist.append(state.amplitudes.copy())
+        amp_hist.append(state.amplitudes)
     return FullVmsResult(config, history, amp_hist)

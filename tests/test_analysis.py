@@ -161,3 +161,14 @@ def test_cfl_preset_oscillation_thresholds():
                        initial=pre.initial(), bc=pre.dirichlet())
     assert spectral.min() >= -1e-4
     assert gal.min() < -1e-3
+
+
+@pytest.mark.parametrize("method", ["spectral-full", "spectral-feasible"])
+def test_large_peclet_raises_instead_of_non_finite(method):
+    # P = 1000, S = 2.5: the closure overflows; the run must fail loudly
+    # rather than return a NaN/inf history
+    mesh = build_uniform_mesh(0.0, 1.0, 50)
+    a = 2.0 * 1000.0 * 1.0 / 0.02
+    with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
+        A.run_method(method, mesh, TimeGrid.from_dt(1e-3, 2), a, 1.0,
+                     initial=A.hat_profile, n_modes=50)

@@ -121,6 +121,11 @@ def test_config_file_must_be_object(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
+def test_config_flag_without_file_exits_2(capsys):
+    assert main(["solve", "--config"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_convergence_writes_studies(tmp_path, capsys, monkeypatch):
     import spectral_vms.cli as cli
 

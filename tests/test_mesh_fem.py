@@ -185,3 +185,39 @@ def test_dirichlet_elimination_consistency():
     u_int = np.linalg.solve(dense[1:-1, 1:-1], rhs_int)
     np.testing.assert_allclose(u_full[interior], u_int, rtol=1e-12)
     assert u_full[0] == gl and u_full[-1] == gr
+
+
+def test_from_blocks_equals_dense_scatter():
+    # element blocks of a non-uniform mesh with velocities of both signs,
+    # plus random perturbations so that no entry is structured
+    rng = np.random.default_rng(21)
+    mesh = Mesh1D(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 10)),
+                                  [1.0]]))
+    a_elem = rng.uniform(-5.0, 5.0, mesh.n_elems)
+    assert (a_elem < 0).any() and (a_elem > 0).any()
+    assert np.ptp(mesh.h) > 0.01
+    blocks = (a_elem / 2.0)[:, None, None] * np.array([[-1.0, 1.0],
+                                                       [-1.0, 1.0]]) \
+        + (0.7 / mesh.h)[:, None, None] * np.array([[1.0, -1.0],
+                                                    [-1.0, 1.0]]) \
+        + rng.standard_normal((mesh.n_elems, 2, 2))
+    dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for k, block in enumerate(blocks):
+        dense[k:k + 2, k:k + 2] += block
+    np.testing.assert_array_equal(TriDiag.from_blocks(blocks).to_dense(),
+                                  dense)
+    # the stiffness matrix is the same scatter of its element blocks
+    stiff = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for k, (a, h) in enumerate(zip(a_elem, mesh.h)):
+        stiff[k:k + 2, k:k + 2] += (a / 2.0) * np.array(
+            [[-1.0, 1.0], [-1.0, 1.0]]) + (0.7 / h) * np.array(
+            [[1.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_allclose(
+        assemble_stiffness(mesh, a_elem, 0.7).to_dense(), stiff,
+        rtol=1e-14, atol=0.0)
+
+
+def test_non_finite_solution_raises():
+    m = TriDiag([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0])
+    with pytest.raises(FloatingPointError):
+        solve_tridiag(TriDiagSystem(m, [1.0, np.inf, 1.0]))

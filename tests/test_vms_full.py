@@ -12,7 +12,8 @@ from spectral_vms.mesh_fem import (DirichletBC, Mesh1D, build_uniform_mesh,
                                    project_velocity)
 
 
-@pytest.mark.parametrize("case", ["uniform", "nonuniform_negative"])
+@pytest.mark.parametrize("case", ["uniform", "nonuniform_negative",
+                                  "nonuniform_mixed_sign_source"])
 def test_step_matches_monolithic_oracle(case):
     if case == "uniform":
         mesh = build_uniform_mesh(0.0, 1.0, 6)
@@ -24,7 +25,7 @@ def test_step_matches_monolithic_oracle(case):
 
         def u_init(x):
             return np.sin(np.pi * x)
-    else:
+    elif case == "nonuniform_negative":
         mesh = Mesh1D([0.0, 0.17, 0.31, 0.55, 0.8, 1.0])
         a, mu, dt, J = -1.4, 0.2, 0.02, 5
         bc = DirichletBC(lambda t: 0.3 * t, lambda t: 1.0 + t)
@@ -32,6 +33,24 @@ def test_step_matches_monolithic_oracle(case):
 
         def u_init(x):
             return x * (1.0 - x) + 0.5
+    else:
+        # the velocity changes sign across elements and repeats on the
+        # two elements of width 0.25, so the step mixes distinct and
+        # shared (P, S) with both mirror branches and a source
+        mesh = Mesh1D([0.0, 0.125, 0.375, 0.625, 0.7, 0.875, 1.0])
+        mu, dt, J = 0.25, 0.03, 4
+        speeds = [(0.125, 2.2), (0.625, -1.7), (0.875, 3.1), (1.0, -0.6)]
+
+        def a(x, t):
+            return next(v for right, v in speeds if x <= right)
+
+        bc = DirichletBC(lambda t: 0.2, lambda t: -0.1 + t)
+
+        def f(x, t):
+            return np.cos(3.0 * x) - 2.0 * t
+
+        def u_init(x):
+            return np.exp(-x) * (1.0 + x)
 
     config = V.FullVmsConfig(
         mesh=mesh, tgrid=type("T", (), {"dt": dt, "n_steps": 1,
@@ -253,3 +272,39 @@ def test_gauss_rule_built_once_per_layout(monkeypatch):
     layouts = set(projections)
     assert len(projections) > len(layouts)
     assert sorted(built) == sorted(n_gauss for n_gauss, _ in layouts)
+
+
+def test_run_full_time_dependent_velocity_matches_fresh_steps():
+    # every step of a time-dependent run must use the matrices of its own
+    # velocity snapshot, not a left-hand side cached from an earlier one
+    from spectral_vms.mesh_fem import TimeGrid
+    mesh = Mesh1D([0.0, 0.1, 0.25, 0.45, 0.6, 0.8, 1.0])
+    config = V.FullVmsConfig(
+        mesh=mesh, tgrid=TimeGrid(0.08, 4), mu=0.3,
+        velocity=lambda x, t: (1.0 + 25.0 * t) * np.cos(4.0 * x),
+        initial=lambda x: np.sin(np.pi * x) + x, n_modes=5,
+        bc=DirichletBC(0.0, 1.0), project_initial_subgrid=True)
+    res = V.run_full(config)
+    u, state = V.init_state(config)
+    for n in range(config.tgrid.n_steps):
+        u, state = V.step_full(u, state, n, config)
+        np.testing.assert_array_equal(res.history[n + 1], u)
+        np.testing.assert_array_equal(res.amplitude_history[n + 1],
+                                      state.amplitudes)
+
+
+def test_constant_velocity_assembles_once(monkeypatch):
+    calls = []
+    assemble = V.assemble_stiffness
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(V, "assemble_stiffness", counting)
+    from spectral_vms.mesh_fem import TimeGrid
+    config = V.FullVmsConfig(mesh=build_uniform_mesh(0.0, 1.0, 10),
+                             tgrid=TimeGrid(0.05, 5), mu=1.0, velocity=-4.0,
+                             initial=lambda x: x * (1.0 - x), n_modes=6)
+    V.run_full(config)
+    assert len(calls) == 1
