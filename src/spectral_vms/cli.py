@@ -32,14 +32,10 @@ class ValidationError(Exception):
     pass
 
 
-def _load_config_defaults(argv, parser):
-    """Apply --config JSON values as parser defaults (flags still win)."""
-    if "--config" not in argv:
-        return
-    at = argv.index("--config") + 1
-    if at == len(argv):
+def _load_config_defaults(path, parser):
+    """Apply the JSON object in `path` as parser defaults (flags still win)."""
+    if not path:
         raise ValidationError("--config needs a file name")
-    path = argv[at]
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -65,7 +61,6 @@ def build_parser():
     off.add_argument("--workers", type=int, default=1)
     off.add_argument("--progress", action="store_true")
     off.add_argument("--out")
-    off.add_argument("--config")
 
     sol = sub.add_parser("solve", help="run one method")
     sol.add_argument("--method", choices=METHOD_CHOICES)
@@ -89,7 +84,6 @@ def build_parser():
                      default="main")
     sol.add_argument("--franca-pbar", type=float, default=1.0)
     sol.add_argument("--out")
-    sol.add_argument("--config")
 
     cmp_ = sub.add_parser("compare", help="run a preset's method set")
     cmp_.add_argument("--preset", choices=sorted(PRESETS))
@@ -100,19 +94,20 @@ def build_parser():
     cmp_.add_argument("--refine", type=int, default=64)
     cmp_.add_argument("--out",
                       help="output directory (report.csv, solutions.csv)")
-    cmp_.add_argument("--config")
 
     conv = sub.add_parser("convergence", help="test1 refinement studies")
     conv.add_argument("--preset", choices=("test1",), default="test1")
     conv.add_argument("--out",
                       help="output directory (dt_study.csv, h_study.csv)")
-    conv.add_argument("--config")
 
     info = sub.add_parser("table-info", help="inspect a table file")
     info.add_argument("--table")
-    info.add_argument("--config")
     parser.sub_map = {"offline": off, "solve": sol, "compare": cmp_,
                       "convergence": conv, "table-info": info}
+    for sub_parser in parser.sub_map.values():
+        # a bare --config binds "" so that it is reported, not ignored
+        sub_parser.add_argument("--config", nargs="?", const="",
+                                help="JSON file of option defaults")
     return parser
 
 
@@ -267,8 +262,10 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _load_config_defaults(argv, parser)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            _load_config_defaults(args.config, parser)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValidationError, ValueError, OSError,
             table_mod.TableFormatError) as exc:

@@ -86,7 +86,8 @@ def distinct_element_params(a_elem, h, mu, dt):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Series cutoff: stop at the first term with |term| < epsilon."""
+    """Series cutoff: stop at the first mode j with |term| < epsilon for
+    both j and j + 1."""
 
     epsilon: float = 1e-10
     j_max: int = 5000
@@ -233,6 +234,11 @@ def bilinear_couplings(j, p):
 # index kind tells which local indices the value depends on.
 
 
+_INDEX_PAIRS = {"ml": ((0, 0), (0, 1), (1, 0), (1, 1)),
+                "m": ((0, 0), (1, 0)), "l": ((0, 0), (0, 1)),
+                "": ((0, 0),)}
+
+
 @dataclass(frozen=True)
 class Family:
     name: str
@@ -242,8 +248,13 @@ class Family:
     index_kind: str  # "ml", "m", "l" or ""
 
     @property
+    def index_pairs(self):
+        """Local indices (m, l) of the flat entries, in entry order."""
+        return _INDEX_PAIRS[self.index_kind]
+
+    @property
     def n_entries(self):
-        return {"ml": 4, "m": 2, "l": 2, "": 1}[self.index_kind]
+        return len(self.index_pairs)
 
     def entry(self, m, l):
         """Flat entry index for local indices (m, l)."""
@@ -277,35 +288,51 @@ FAMILY_ORDER = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4",
                 "Fd0", "Fe0", "Fbd0", "Fbe0"]
 
 
-def _family_sides(fam, m, l, j, P):
-    a0s, a1s, d0s, c0s, c1s, e0s = shifted_sides(j, P)
+def _entry_sides(fam, m, l, sides):
+    """side1 * side2 of one (family, m, l) entry from shifted_sides(j, P)."""
+    a0s, a1s, d0s, c0s, c1s, e0s = sides
     s1 = d0s if fam.side1 == "d" else (a0s, a1s)[m]
     s2 = e0s if fam.side2 == "e" else (c0s, c1s)[l]
     return s1 * s2
 
 
 def sum_series_multi(entries, P, s_values, policy):
-    """Several kernel series for one P and many S values at once.
+    """Several kernel series over many (P, S) points at once.
 
-    entries is a sequence of (family, m, l).  The damping-weight blocks
-    are shared across entries, and block sizes grow geometrically so
-    short series stay cheap.  Returns (values, counts, overflowed), each
-    a dict keyed by entry, where counts hold the stopping mode index per
-    S (the first sub-epsilon term is included in the sum, as are all
-    terms when the j_max cap is hit).
+    entries is a sequence of (family, m, l).  P is one Peclet number for
+    every S value, or an array paired elementwise with s_values.  Each
+    block of modes builds the six shifted sides and the damping weights
+    once and shares them across the entries, and block sizes grow
+    geometrically so short series stay cheap.  Returns (values, counts,
+    overflowed), each a dict keyed by entry of arrays over the points,
+    where counts hold the stopping mode index: the first mode j whose
+    term and the next term are both below epsilon.  Terms up to j are
+    summed, or all terms to j_max when the cap is hit.  One small term is
+    not enough, because the d and e sides nearly vanish for every even j
+    when P is small.
     """
     entries = [(FAMILIES[f] if isinstance(f, str) else f, m, l)
                for f, m, l in entries]
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     ns = s_values.size
-    values = {i: np.zeros(ns) for i in range(len(entries))}
-    counts = {i: np.zeros(ns, dtype=np.int64) for i in range(len(entries))}
-    done = {i: np.zeros(ns, dtype=bool) for i in range(len(entries))}
+    P = np.asarray(P, dtype=float)
+    # a scalar P keeps the sides one column wide; a P array lays one
+    # point per column, like the weights
+    p_row = P if P.ndim == 0 else np.broadcast_to(P, (ns,))[None, :]
+    # C pow, as scalar float arithmetic squares P; array ** 2 multiplies
+    # instead and can differ in the last bit
+    p_sq = np.float_power(p_row, 2)
+    values = [np.zeros(ns) for _ in entries]
+    counts = [np.zeros(ns, dtype=np.int64) for _ in entries]
+    done = [np.zeros(ns, dtype=bool) for _ in entries]
     j0 = 1
     block = 32
-    while j0 <= policy.j_max and not all(d.all() for d in done.values()):
+    while j0 <= policy.j_max and not all(d.all() for d in done):
         jb = np.arange(j0, min(j0 + block, policy.j_max + 1))
-        w1 = 1.0 / (1.0 + np.outer(P ** 2 + np.pi ** 2 * jb ** 2, s_values))
+        # one mode past the block, so the stopping test can see term j + 1
+        jc = np.append(jb, jb[-1] + 1)[:, None]
+        sides = shifted_sides(jc, p_row)
+        w1 = 1.0 / (1.0 + (p_sq + np.pi ** 2 * jc ** 2) * s_values)
         w2 = None
         for i, (fam, m, l) in enumerate(entries):
             if done[i].all():
@@ -313,12 +340,12 @@ def sum_series_multi(entries, P, s_values, policy):
             if fam.weight_power == 2 and w2 is None:
                 w2 = w1 * w1
             w = w1 if fam.weight_power == 1 else w2
-            g = _family_sides(fam, m, l, jb, P)
-            terms = w * g[:, None]
+            terms = w * _entry_sides(fam, m, l, sides)
             small = np.abs(terms) < policy.epsilon
-            hit = small.any(axis=0)
-            first = small.argmax(axis=0)
-            csum = np.cumsum(terms, axis=0)
+            stop = small[:-1] & small[1:]
+            hit = stop.any(axis=0)
+            first = stop.argmax(axis=0)
+            csum = np.cumsum(terms[:-1], axis=0)
             contrib = np.where(hit, np.take_along_axis(
                 csum, first[None, :], axis=0)[0], csum[-1, :])
             act = ~done[i]
@@ -328,17 +355,17 @@ def sum_series_multi(entries, P, s_values, policy):
         j0 = jb[-1] + 1
         block = min(2 * block, 512)
     out_v, out_c, out_o = {}, {}, {}
-    any_overflow = False
+    capped = np.zeros(ns, dtype=bool)
     for i, (fam, m, l) in enumerate(entries):
         key = (fam.name, m, l)
-        out_v[key], out_c[key] = values[i], counts[i]
-        out_o[key] = ~done[i]
-        any_overflow = any_overflow or out_o[key].any()
-    if any_overflow:
+        out_v[key], out_c[key], out_o[key] = values[i], counts[i], ~done[i]
+        capped |= ~done[i]
+    if capped.any():
         warnings.warn(
             "series cap j_max=%d reached before epsilon=%g at P=%g"
-            % (policy.j_max, policy.epsilon, P), TruncationOverflowWarning,
-            stacklevel=2)
+            % (policy.j_max, policy.epsilon,
+               np.broadcast_to(P, (ns,))[capped].max()),
+            TruncationOverflowWarning, stacklevel=2)
     return out_v, out_c, out_o
 
 
@@ -361,14 +388,22 @@ def sum_series(family, m, l, p, policy):
 
 
 def sum_series_fixed(family, m, l, P, S, n_modes):
-    """Kernel series summed over exactly n_modes terms."""
+    """Kernel series summed over exactly n_modes terms.
+
+    P and S are scalars, or arrays paired elementwise; the result has
+    their broadcast shape (a float for scalars).
+    """
     fam = FAMILIES[family] if isinstance(family, str) else family
+    P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
+                               np.asarray(S, dtype=float))
+    P, S = P[..., None], S[..., None]
     j = np.arange(1, n_modes + 1)
-    g = _family_sides(fam, m, l, j, P)
-    w = 1.0 / (1.0 + S * (P ** 2 + np.pi ** 2 * j ** 2))
+    g = _entry_sides(fam, m, l, shifted_sides(j, P))
+    w = 1.0 / (1.0 + S * (np.float_power(P, 2) + np.pi ** 2 * j ** 2))
     if fam.weight_power == 2:
         w *= w
-    return float(np.sum(w * g))
+    out = np.sum(w * g, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def required_modes(p, policy):

@@ -66,16 +66,11 @@ class KernelTable:
         return [name for name in FAMILY_ORDER if name in self.values]
 
 
-_INDEX_PAIRS = {"ml": [(0, 0), (0, 1), (1, 0), (1, 1)],
-                "m": [(0, 0), (1, 0)], "l": [(0, 0), (0, 1)],
-                "": [(0, 0)]}
-
-
 def _compute_row(args):
     """All kernel entries for one P row; pure function for worker pools."""
     P, s_axis, policy, family_names = args
     wanted = [(name, m, l) for name in family_names
-              for (m, l) in _INDEX_PAIRS[FAMILIES[name].index_kind]]
+              for (m, l) in FAMILIES[name].index_pairs]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vals, _, over = sum_series_multi(wanted, P, s_axis, policy)
@@ -85,7 +80,7 @@ def _compute_row(args):
         fam = FAMILIES[name]
         entries = np.empty((fam.n_entries, s_axis.size))
         ovf = np.zeros(s_axis.size, dtype=bool)
-        for m, l in _INDEX_PAIRS[fam.index_kind]:
+        for m, l in fam.index_pairs:
             entries[fam.entry(m, l)] = vals[(name, m, l)]
             ovf |= over[(name, m, l)]
         row[name] = entries
@@ -212,27 +207,32 @@ def load_table(path):
 def interpolate(table, family, m, l, P, S, count_clamps=True):
     """Area-weighted bilinear value of one kernel entry at (P, S).
 
-    Each cell corner is weighted by the area of the sub-rectangle
-    diagonally opposite the query point, normalised by the cell area.
-    Out-of-range queries clamp the cell index, which linearly
-    extrapolates the boundary cell.
+    P and S are scalars, or arrays paired elementwise.  Each cell corner
+    is weighted by the area of the sub-rectangle diagonally opposite the
+    query point, normalised by the cell area.  Out-of-range queries clamp
+    the cell index, which linearly extrapolates the boundary cell; the
+    table's clamp_count grows by one per clamped point.
     """
     grid = table.grid
     name = family if isinstance(family, str) else family.name
     fam = FAMILIES[name]
     arr = table.values[name][fam.entry(m, l)]
     delta = grid.delta
+    P = np.asarray(P, dtype=float)
+    S = np.asarray(S, dtype=float)
+    if not (np.isfinite(P).all() and np.isfinite(S).all()):
+        raise ValueError("P and S must be finite")
 
     def cell_index(v):
         # nudge queries sitting an ulp below a grid line onto it
-        i = int(np.floor(v / delta + 1e-12))
-        clamped = i < 1 or i > grid.m - 1
-        return min(max(i, 1), grid.m - 1), clamped
+        i = np.floor(v / delta + 1e-12)
+        clamped = (i < 1) | (i > grid.m - 1)
+        return np.clip(i, 1, grid.m - 1).astype(np.int64), clamped
 
     i, clamp_p = cell_index(P)
     j, clamp_s = cell_index(S)
-    if count_clamps and (clamp_p or clamp_s):
-        table.clamp_count += 1
+    if count_clamps:
+        table.clamp_count += int(np.count_nonzero(clamp_p | clamp_s))
     p0, p1 = delta * i, delta * (i + 1)
     s0, s1 = delta * j, delta * (j + 1)
     q = delta * delta

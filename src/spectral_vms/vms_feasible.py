@@ -33,20 +33,19 @@ class DirectKernelProvider:
             raise ValueError("give exactly one of policy or n_modes")
         self.policy = policy
         self.n_modes = n_modes
-        self._cache = {}
+
+    def kernels(self, entries, P, S):
+        """Values of each (family name, m, l) entry at the points
+        (P[k], S[k]), as an (n_entries, n_points) array."""
+        if self.n_modes is not None:
+            return np.array([kernels.sum_series_fixed(name, m, l, P, S,
+                                                      self.n_modes)
+                             for name, m, l in entries])
+        vals, _, _ = kernels.sum_series_multi(entries, P, S, self.policy)
+        return np.array([vals[key] for key in entries])
 
     def kernel(self, family, m, l, P, S):
-        key = (family, m, l, P, S)
-        if key not in self._cache:
-            if self.n_modes is not None:
-                val = kernels.sum_series_fixed(family, m, l, P, S,
-                                               self.n_modes)
-            else:
-                vals, _, _ = kernels.sum_series_batch(family, m, l, P, [S],
-                                                      self.policy)
-                val = float(vals[0])
-            self._cache[key] = val
-        return self._cache[key]
+        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
 
 
 class TableKernelProvider:
@@ -55,21 +54,29 @@ class TableKernelProvider:
     def __init__(self, table):
         self.table = table
 
+    def kernels(self, entries, P, S):
+        """Values of each (family name, m, l) entry at the points
+        (P[k], S[k]), as an (n_entries, n_points) array."""
+        return np.array([table_mod.interpolate(self.table, name, m, l, P, S)
+                         for name, m, l in entries])
+
     def kernel(self, family, m, l, P, S):
-        return table_mod.interpolate(self.table, family, m, l, P, S)
+        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
 
 
 class NullKernelProvider:
     """All kernels zero: reduces every step to plain Galerkin."""
 
+    def kernels(self, entries, P, S):
+        return np.zeros((len(entries), np.size(P)))
+
     def kernel(self, family, m, l, P, S):
-        return 0.0
+        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
 
 
 @dataclass
 class FeasibleMatrices:
-    """Subgrid matrices of one velocity snapshot, physical units;
-    element k has the parameters params[index[k]]."""
+    """Subgrid matrices of one velocity snapshot, physical units."""
 
     A1: TriDiag
     A2: TriDiag
@@ -82,24 +89,29 @@ class FeasibleMatrices:
     mass: TriDiag
     stiff: TriDiag
     a_elem: np.ndarray
-    params: list
-    index: np.ndarray
+    element_kernels: dict  # A/B family -> kernels stacked over elements
 
 
-def _kernels_by_element(provider, params, index, fam_names):
-    """{family: kernels stacked over elements, indexed [k, m, l], [k, m],
-    [k, l] or [k]}, with one provider query per distinct (P, S)."""
+_MATRIX_FAMILIES = ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
+_MATRIX_ENTRIES = [(name, m, l) for name in _MATRIX_FAMILIES
+                   for m, l in FAMILIES[name].index_pairs]
+
+
+def _kernels_by_element(provider, params, index):
+    """{family: A/B kernels stacked over elements, indexed [k, m, l],
+    [k, m], [k, l] or [k]}, from one provider query over the distinct
+    (P, S) of the elements."""
     keys, key_of = np.unique([(p.P, p.S) for p in params], axis=0,
                              return_inverse=True)
+    vals = provider.kernels(_MATRIX_ENTRIES, keys[:, 0], keys[:, 1])
     gather = key_of.reshape(-1)[index]
-    out = {}
-    for name in fam_names:
-        kind = FAMILIES[name].index_kind
-        entries = [(m, l) for m in ((0, 1) if "m" in kind else (0,))
-                   for l in ((0, 1) if "l" in kind else (0,))]
-        vals = np.array([[provider.kernel(name, m, l, float(P), float(S))
-                          for m, l in entries] for P, S in keys])
-        out[name] = vals.reshape((len(keys),) + (2,) * len(kind))[gather]
+    out, row = {}, 0
+    for name in _MATRIX_FAMILIES:
+        fam = FAMILIES[name]
+        stacked = vals[row:row + fam.n_entries].T
+        out[name] = stacked.reshape(
+            (len(keys),) + (2,) * len(fam.index_kind))[gather]
+        row += fam.n_entries
     return out
 
 
@@ -119,9 +131,7 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
     params, index = kernels.distinct_element_params(a_elem, mesh.h, mu, dt)
-    kern = _kernels_by_element(provider, params, index,
-                               ["A1", "A2", "A3", "A4",
-                                "B1", "B2", "B3", "B4"])
+    kern = _kernels_by_element(provider, params, index)
     h = mesh.h[:, None, None]
     a_abs = np.abs(a_elem)[:, None, None]
     mats = {}
@@ -142,13 +152,15 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     return FeasibleMatrices(
         **mats, mass=assemble_mass(mesh),
         stiff=assemble_stiffness(mesh, a_elem, mu),
-        a_elem=a_elem, params=params, index=index)
+        a_elem=a_elem, element_kernels=kern)
 
 
-_FORCE_FAMILIES = {"F1": "Fd0", "F2": "Fe0", "F3": "Fbd0", "F4": "Fbe0"}
+# The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
+# power of A2, A4, B2 and B4, so they are read from the matrix kernels.
+_FORCE_FAMILIES = {"F1": "A2", "F2": "A4", "F3": "B2", "F4": "B4"}
 
 
-def _force_vectors(mesh, mats, provider, f, t):
+def _force_vectors(mesh, mats, f, t):
     """Subgrid force vectors F1, F2 (beta weights) and F3, F4 (beta^2).
 
     The source is projected to its element-midpoint value, matching the
@@ -158,8 +170,7 @@ def _force_vectors(mesh, mats, provider, f, t):
         return {name: np.zeros(mesh.n_nodes) for name in _FORCE_FAMILIES}
     f_mid = np.array([f(x, t) for x in mesh.nodes[:-1] + 0.5 * mesh.h],
                      dtype=float)[:, None]
-    kern = _kernels_by_element(provider, mats.params, mats.index,
-                               list(_FORCE_FAMILIES.values()))
+    kern = mats.element_kernels
     a_abs = np.abs(mats.a_elem)[:, None]
     out = {}
     for name, fam in _FORCE_FAMILIES.items():
@@ -220,14 +231,12 @@ def step_feasible(state, sys_new, sys_old, config, first=False):
     rhs = m.matvec(state.u)
     rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(state.u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
-    fv_new = _force_vectors(config.mesh, sys_new, config.provider,
-                            config.source, t1)
+    fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
     rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
     if not first:
         rhs -= (sys_old.A1 + dt * sys_old.A2).matvec(state.u)
         rhs += sys_old.A1.matvec(state.u_prev)
-        fv_old = _force_vectors(config.mesh, sys_old, config.provider,
-                                config.source, t0)
+        fv_old = _force_vectors(config.mesh, sys_old, config.source, t0)
         rhs += dt * fv_old["F1"]
         if config.g_pairing == "main":
             rhs += (sys_new.B1 + dt * sys_new.B2 + dt * sys_new.B3
@@ -250,18 +259,22 @@ def first_step_policy(u0):
     return FeasibleState(u=u0.copy(), u_prev=u0.copy(), step=0)
 
 
-def _matrices_at(config, t, cache):
+def _matrices_at(config, t, previous):
+    """FeasibleMatrices of the velocity at time t; previous is reused when
+    the projected velocity has not changed."""
     a_elem = mesh_fem.project_velocity(config.velocity, config.mesh, t,
                                        config.velocity_rule)
-    key = a_elem.tobytes()
-    if key not in cache:
-        cache[key] = assemble_matrices(config.mesh, a_elem, config.mu,
-                                       config.tgrid.dt, config.provider)
-    return cache[key]
+    if previous is not None and np.array_equal(a_elem, previous.a_elem):
+        return previous
+    return assemble_matrices(config.mesh, a_elem, config.mu,
+                             config.tgrid.dt, config.provider)
 
 
 def run_feasible(config):
-    """March the feasible method; returns the (n_steps+1, n_nodes) history."""
+    """March the feasible method; returns the (n_steps+1, n_nodes) history.
+
+    Only the matrices of the two time levels of the current step are kept.
+    """
     mesh = config.mesh
     if config.initial is None:
         u0 = np.zeros(mesh.n_nodes)
@@ -270,13 +283,13 @@ def run_feasible(config):
     history = np.empty((config.tgrid.n_steps + 1, mesh.n_nodes))
     history[0] = u0
     state = first_step_policy(u0)
-    cache = {}
+    dt = config.tgrid.dt
+    sys_old = _matrices_at(config, 0.0, None)
     for n in range(config.tgrid.n_steps):
-        dt = config.tgrid.dt
-        sys_new = _matrices_at(config, (n + 1) * dt, cache)
-        sys_old = _matrices_at(config, n * dt, cache)
+        sys_new = _matrices_at(config, (n + 1) * dt, sys_old)
         u_next = step_feasible(state, sys_new, sys_old, config,
                                first=(n == 0))
         history[n + 1] = u_next
         state = FeasibleState(u=u_next, u_prev=state.u, step=n + 1)
+        sys_old = sys_new
     return history

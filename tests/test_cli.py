@@ -115,6 +115,16 @@ def test_config_file_defaults_and_override(tmp_path):
     assert (tmp_path / "override.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [["--config={cfg}"], ["--conf", "{cfg}"]])
+def test_config_file_read_in_every_argparse_spelling(tmp_path, flag):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "from_config.csv"
+    cfg.write_text(json.dumps({"method": "galerkin", "h": 0.5, "dt": 0.1,
+                               "steps": 1, "a": 0.0, "out": str(out)}))
+    assert main(["solve"] + [f.format(cfg=cfg) for f in flag]) == 0
+    assert out.exists()
+
+
 def test_config_file_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")

@@ -214,7 +214,8 @@ def test_sum_series_scale_invariance():
 
 
 def test_sum_series_stopping_rule():
-    # the first omitted term is below epsilon whenever no overflow fired
+    # the last summed term and the first omitted one are both below
+    # epsilon whenever no overflow fired
     policy = K.TruncationPolicy(epsilon=1e-10, j_max=5000)
     p = K.element_params(40.0, 0.05, 1.0, 0.4)
     with warnings.catch_warnings():
@@ -223,12 +224,28 @@ def test_sum_series_stopping_rule():
                                                 policy)
     assert not over[0]
     jstop = int(counts[0])
-    term = K.sum_series_fixed("A1", 0, 0, p.P, p.S, jstop) \
-        - K.sum_series_fixed("A1", 0, 0, p.P, p.S, jstop - 1)
-    assert abs(term) < policy.epsilon
-    # ... and the value includes everything up to that term
+    partial = [K.sum_series_fixed("A1", 0, 0, p.P, p.S, n)
+               for n in (jstop - 1, jstop, jstop + 1)]
+    assert abs(partial[1] - partial[0]) < policy.epsilon
+    assert abs(partial[2] - partial[1]) < policy.epsilon
+    # ... and the value includes everything up to the last summed term
     assert vals[0] == pytest.approx(
         K.sum_series_fixed("A1", 0, 0, p.P, p.S, jstop), rel=1e-13)
+
+
+@pytest.mark.parametrize("P", [0.0, 1e-5, 1e-3])
+def test_sum_series_small_p_not_cut_by_parity(P):
+    # the d and e sides nearly vanish for every even mode when P is
+    # small, so a single sub-epsilon term must not end the series
+    policy = K.TruncationPolicy()
+    entries = [("A2", 0, 0), ("A3", 0, 0), ("A4", 0, 0), ("B2", 0, 0),
+               ("B4", 0, 0)]
+    vals, _, over = K.sum_series_multi(entries, P, [10.0], policy)
+    for key in entries:
+        ref = K.sum_series_fixed(*key, P, 10.0, 20000)
+        assert not over[key][0]
+        # the omitted tail is a small multiple of epsilon (terms ~ j^-4)
+        assert abs(vals[key][0] - ref) <= 50.0 * policy.epsilon, key
 
 
 def test_sum_series_overflow_warning():

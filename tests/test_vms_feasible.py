@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,33 @@ def test_matrices_cached_for_constant_velocity(monkeypatch):
                            provider=F.DirectKernelProvider(n_modes=10))
     F.run_feasible(cfg)
     assert calls["n"] == 1
+
+
+def test_run_keeps_only_the_current_snapshots(monkeypatch):
+    # a time-dependent velocity gives a new snapshot every step; a step
+    # needs the new and old levels only, so no more than the previous
+    # snapshot may be alive when the next one is assembled
+    mesh = build_uniform_mesh(0.0, 1.0, 10)
+    alive_before = []
+    snapshots = []
+    orig = F.assemble_matrices
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        alive_before.append(sum(ref() is not None for ref in snapshots))
+        mats = orig(*args, **kwargs)
+        snapshots.append(weakref.ref(mats))
+        return mats
+
+    monkeypatch.setattr(F, "assemble_matrices", tracking)
+    n_steps = 30
+    cfg = F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.03, n_steps),
+                           mu=1.0, velocity=lambda x, t: 10.0 + 100.0 * t,
+                           initial=lambda x: x * (1 - x),
+                           provider=F.DirectKernelProvider(n_modes=10))
+    F.run_feasible(cfg)
+    assert len(snapshots) == n_steps + 1
+    assert max(alive_before) == 1
 
 
 def test_step_feasible_rejects_bad_pairing():
