@@ -149,9 +149,9 @@ def cmd_offline(args):
     table = table_mod.generate_table(grid, policy, workers=args.workers,
                                      progress=args.progress)
     table_mod.save_table(table, args.out)
-    n_over = sum(int(np.sum(v)) for v in table.overflow_cells.values())
     print("wrote %s (delta=%g, m=%d, %d families, %d capped cells)"
-          % (args.out, grid.delta, grid.m, len(table.families()), n_over))
+          % (args.out, grid.delta, grid.m, len(table.families()),
+             table.capped_cells()))
     return 0
 
 
@@ -250,6 +250,7 @@ def cmd_table_info(args):
     print("epsilon = %g" % table.policy.epsilon)
     print("j_max = %d" % table.policy.j_max)
     print("families: %s" % ", ".join(table.families()))
+    print("capped cells: %d" % table.capped_cells())
     return 0
 
 

@@ -277,15 +277,10 @@ FAMILIES = {
         Family("B2", 2, "d", "c", "l"),
         Family("B3", 2, "a", "e", "m"),
         Family("B4", 2, "d", "e", ""),
-        Family("Fd0", 1, "d", "c", "l"),
-        Family("Fe0", 1, "d", "e", ""),
-        Family("Fbd0", 2, "d", "c", "l"),
-        Family("Fbe0", 2, "d", "e", ""),
     ]
 }
 
-FAMILY_ORDER = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4",
-                "Fd0", "Fe0", "Fbd0", "Fbe0"]
+FAMILY_ORDER = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"]
 
 
 def _entry_sides(fam, m, l, sides):

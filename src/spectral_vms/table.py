@@ -1,12 +1,13 @@
 """Offline kernel tables over the (P, S) parameter grid.
 
 The dimensionless mode-series kernels are precomputed on a uniform grid
-P_i = delta*i, S_j = delta*j (i, j = 1..m), stored in a checksummed binary
-file and interpolated online with the area-weighted bilinear rule.
+P_i = delta*i, S_j = delta*j (i, j = 1..m), stored in a digest-checked
+binary file and interpolated online with the area-weighted bilinear rule.
 Queries outside the grid clamp to the boundary cell, which extrapolates
 linearly; a per-table counter records how often that happened.
 """
 
+import hashlib
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -21,10 +22,8 @@ __all__ = ["TableGrid", "KernelTable", "TableFormatError",
            "load_table", "interpolate"]
 
 MAGIC = b"SVMK"
-FORMAT_VERSION = 1
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+FORMAT_VERSION = 2
+DIGEST_SIZE = 8
 
 
 class TableFormatError(RuntimeError):
@@ -59,11 +58,17 @@ class KernelTable:
     grid: TableGrid
     policy: TruncationPolicy
     values: dict  # family name -> array (n_entries, m, m), P-major
+    # family name -> bool (m, m), cells whose series stopped at j_max
     overflow_cells: dict = field(default_factory=dict)
     clamp_count: int = 0
 
     def families(self):
         return [name for name in FAMILY_ORDER if name in self.values]
+
+    def capped_cells(self):
+        """Number of (family, cell) pairs whose series hit the mode cap."""
+        return sum(int(np.count_nonzero(mask))
+                   for mask in self.overflow_cells.values())
 
 
 def _compute_row(args):
@@ -120,17 +125,7 @@ def generate_table(grid, policy=None, families=None, workers=1,
                        overflow_cells=overflow)
 
 
-def _fnv1a(payload):
-    """64-bit FNV-1a over the payload bytes."""
-    h = _FNV_OFFSET
-    for b in payload:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def save_table(table, path):
-    """Write the table in the versioned little-endian binary format."""
-    names = table.families()
+def _header(table, names):
     header = bytearray()
     header += MAGIC
     header += struct.pack("<I", FORMAT_VERSION)
@@ -142,66 +137,100 @@ def save_table(table, path):
                               FAMILIES[name].n_entries)
     header += struct.pack("<d", table.policy.epsilon)
     header += struct.pack("<I", table.policy.j_max)
-    payload = bytearray()
-    for name in names:
-        arr = np.ascontiguousarray(table.values[name], dtype="<f8")
-        payload += arr.tobytes()
-    checksum = _fnv1a(bytes(payload))
+    # zero padding keeps the float64 payload 8-byte aligned when loaded
+    header += bytes(-len(header) % 8)
+    return header
+
+
+def save_table(table, path):
+    """Write the table in the versioned little-endian binary format.
+
+    Layout: header (magic, version, grid, families, truncation policy,
+    zero padding to 8 bytes), the values of each family, one packed
+    capped-cell mask per family, and an 8-byte BLAKE2b digest of every
+    byte before it.
+    """
+    names = table.families()
+    m = table.grid.m
+    digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<Q", checksum))
+        def emit(buf):
+            fh.write(buf)
+            digest.update(buf)
+
+        emit(_header(table, names))
+        for name in names:
+            emit(np.ascontiguousarray(table.values[name], dtype="<f8"))
+        for name in names:
+            mask = table.overflow_cells.get(name,
+                                            np.zeros((m, m), dtype=bool))
+            emit(np.packbits(mask))
+        fh.write(digest.digest())
 
 
-def _read(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
+def _unpack(fmt, blob, offset, what):
+    size = struct.calcsize(fmt)
+    if offset + size > len(blob):
         raise TableFormatError("truncated file while reading %s" % what)
-    return buf
+    return struct.unpack_from(fmt, blob, offset), offset + size
 
 
 def load_table(path):
-    """Read a table file, verifying magic, version and checksum."""
+    """Read a table file, verifying magic, version, length and digest.
+
+    The value arrays are read-only views into the bytes read from disk.
+    """
     with open(path, "rb") as fh:
-        if _read(fh, 4, "magic") != MAGIC:
-            raise TableFormatError("bad magic bytes")
-        (version,) = struct.unpack("<I", _read(fh, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(
-                "unsupported table format version %d" % version)
-        (delta,) = struct.unpack("<d", _read(fh, 8, "delta"))
-        (m,) = struct.unpack("<I", _read(fh, 4, "grid size"))
-        (n_fam,) = struct.unpack("<I", _read(fh, 4, "family count"))
-        names = []
-        entry_counts = []
-        for _ in range(n_fam):
-            raw, count = struct.unpack("<8sI", _read(fh, 12, "family"))
-            name = raw.rstrip(b"\0").decode("ascii")
-            if name not in FAMILIES:
-                raise TableFormatError("unknown kernel family %r" % name)
-            if count != FAMILIES[name].n_entries:
-                raise TableFormatError("entry count mismatch for %s" % name)
-            names.append(name)
-            entry_counts.append(count)
-        (epsilon,) = struct.unpack("<d", _read(fh, 8, "epsilon"))
-        (j_max,) = struct.unpack("<I", _read(fh, 4, "j_max"))
-        values = {}
-        payload = bytearray()
-        for name, count in zip(names, entry_counts):
-            nbytes = count * m * m * 8
-            buf = _read(fh, nbytes, "payload of %s" % name)
-            payload += buf
-            values[name] = np.frombuffer(buf, dtype="<f8").reshape(
-                count, m, m).copy()
-        (checksum,) = struct.unpack("<Q", _read(fh, 8, "checksum"))
-        if fh.read(1):
-            raise TableFormatError("trailing bytes after checksum")
-    if checksum != _fnv1a(bytes(payload)):
-        raise TableFormatError("payload checksum mismatch")
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise TableFormatError("bad magic bytes")
+    (version,), pos = _unpack("<I", blob, 4, "version")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            "unsupported table format version %d (this build reads "
+            "version %d); regenerate the table with `spectral-vms offline`"
+            % (version, FORMAT_VERSION))
+    (delta, m, n_fam), pos = _unpack("<dII", blob, pos, "grid")
+    names = []
+    for _ in range(n_fam):
+        (raw, count), pos = _unpack("<8sI", blob, pos, "family")
+        name = raw.rstrip(b"\0").decode("ascii", "replace")
+        if name not in FAMILIES:
+            raise TableFormatError("unknown kernel family %r" % name)
+        if count != FAMILIES[name].n_entries:
+            raise TableFormatError("entry count mismatch for %s" % name)
+        names.append(name)
+    (epsilon, j_max), pos = _unpack("<dI", blob, pos, "policy")
+    pos += -pos % 8
+    mask_bytes = -(-m * m // 8)
+    payload_bytes = sum(8 * FAMILIES[name].n_entries * m * m
+                        for name in names)
+    expected = pos + payload_bytes + len(names) * mask_bytes + DIGEST_SIZE
+    if len(blob) < expected:
+        raise TableFormatError("truncated file: %d of %d bytes"
+                               % (len(blob), expected))
+    if len(blob) > expected:
+        raise TableFormatError("trailing bytes after digest")
+    digest = hashlib.blake2b(memoryview(blob)[:-DIGEST_SIZE],
+                             digest_size=DIGEST_SIZE)
+    if digest.digest() != blob[-DIGEST_SIZE:]:
+        raise TableFormatError("table digest mismatch")
+    values = {}
+    for name in names:
+        count = FAMILIES[name].n_entries
+        values[name] = np.frombuffer(blob, "<f8", count=count * m * m,
+                                     offset=pos).reshape(count, m, m)
+        pos += 8 * count * m * m
+    overflow = {}
+    for name in names:
+        packed = np.frombuffer(blob, np.uint8, count=mask_bytes, offset=pos)
+        overflow[name] = np.unpackbits(packed, count=m * m).astype(
+            bool).reshape(m, m)
+        pos += mask_bytes
     return KernelTable(grid=TableGrid(delta=delta, m=int(m)),
                        policy=TruncationPolicy(epsilon=epsilon,
                                                j_max=int(j_max)),
-                       values=values)
+                       values=values, overflow_cells=overflow)
 
 
 def interpolate(table, family, m, l, P, S, count_clamps=True):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
-from .kernels import FAMILIES, TruncationPolicy
+from .kernels import FAMILIES, FAMILY_ORDER, TruncationPolicy
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
                        apply_dirichlet, assemble_load, assemble_mass,
                        assemble_stiffness, solve_tridiag)
@@ -92,8 +92,7 @@ class FeasibleMatrices:
     element_kernels: dict  # A/B family -> kernels stacked over elements
 
 
-_MATRIX_FAMILIES = ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
-_MATRIX_ENTRIES = [(name, m, l) for name in _MATRIX_FAMILIES
+_MATRIX_ENTRIES = [(name, m, l) for name in FAMILY_ORDER
                    for m, l in FAMILIES[name].index_pairs]
 
 
@@ -106,7 +105,7 @@ def _kernels_by_element(provider, params, index):
     vals = provider.kernels(_MATRIX_ENTRIES, keys[:, 0], keys[:, 1])
     gather = key_of.reshape(-1)[index]
     out, row = {}, 0
-    for name in _MATRIX_FAMILIES:
+    for name in FAMILY_ORDER:
         fam = FAMILIES[name]
         stacked = vals[row:row + fam.n_entries].T
         out[name] = stacked.reshape(

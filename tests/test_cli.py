@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -44,12 +45,26 @@ def test_offline_and_table_info_roundtrip(tmp_path, capsys):
     table = tmp_path / "t.bin"
     rc = main(["offline", "--delta", "10", "--m", "2", "--out", str(table)])
     assert rc == 0
+    capped = re.search(r"(\d+) capped cells", capsys.readouterr().out)
     rc = main(["table-info", "--table", str(table)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "delta = 10" in out
     assert "m = 2" in out
-    assert "A1" in out and "Fbe0" in out
+    assert "A1" in out and "B4" in out
+    assert "capped cells: %s\n" % capped.group(1) in out
+
+
+def test_table_info_rejects_version_1(tmp_path, capsys):
+    table = tmp_path / "t.bin"
+    assert main(["offline", "--delta", "10", "--m", "2", "--out",
+                 str(table)]) == 0
+    blob = bytearray(table.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")
+    table.write_bytes(bytes(blob))
+    assert main(["table-info", "--table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "version 1" in err and "spectral-vms offline" in err
 
 
 def test_table_info_missing_file():

@@ -1,8 +1,13 @@
-"""Property tests: the array kernel paths against their per-point calls."""
+"""Property tests: the array kernel paths against their per-point calls,
+and detection of any single-byte corruption of a saved table."""
 
+import functools
+import os
+import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_vms import kernels as K
@@ -101,3 +106,31 @@ def test_interpolate_exact_on_bilinear_data(inside, outside, coeffs):
     # boundary cells extrapolate linearly, so clamped points are exact too
     np.testing.assert_allclose(got, bilinear(P, S), rtol=0, atol=1e-10)
     assert table.clamp_count == len(outside)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_table_bytes():
+    """A saved one-family 3x3 table with some capped cells."""
+    grid = T.TableGrid(delta=0.5, m=3)
+    values = np.random.default_rng(11).standard_normal((1, 3, 3))
+    table = T.KernelTable(grid=grid, policy=K.TruncationPolicy(),
+                          values={"A4": values},
+                          overflow_cells={"A4": np.eye(3, dtype=bool)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "small.bin")
+        T.save_table(table, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@SETTINGS
+@given(data=st.data(), flip=st.integers(1, 255))
+def test_any_single_byte_corruption_is_detected(data, flip):
+    blob = bytearray(_small_table_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= flip
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corrupt.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(T.TableFormatError):
+            T.load_table(path)

@@ -91,15 +91,28 @@ def test_corrupted_payload_rejected(tmp_path):
         T.load_table(path)
 
 
-def test_version_bump_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_version_bump_rejected(tmp_path, version):
     table = small_table()
     path = tmp_path / "kernels.bin"
     T.save_table(table, path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(blob))
-    with pytest.raises(T.UnsupportedVersionError):
+    with pytest.raises(T.UnsupportedVersionError, match="version %d"
+                       % version) as exc:
         T.load_table(path)
+    assert "spectral-vms offline" in str(exc.value)
+
+
+def test_loaded_values_are_read_only(tmp_path):
+    path = tmp_path / "kernels.bin"
+    T.save_table(small_table(), path)
+    loaded = T.load_table(path)
+    for arr in loaded.values.values():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -202,7 +215,7 @@ def test_interpolation_error_against_direct_sums():
     assert np.max(rels) <= 2e-1
 
 
-def test_overflow_flags_recorded():
+def test_overflow_flags_recorded(tmp_path):
     import warnings
 
     grid = T.TableGrid(delta=10.0, m=2)
@@ -212,3 +225,13 @@ def test_overflow_flags_recorded():
                                                         j_max=20),
                                  families=("A1",))
     assert table.overflow_cells["A1"].all()
+    # the mask survives a save/load round trip, next to an empty one
+    table.overflow_cells["A1"][0, 1] = False
+    table.values["A4"] = np.zeros((1, 2, 2))
+    path = tmp_path / "capped.bin"
+    T.save_table(table, path)
+    loaded = T.load_table(path)
+    np.testing.assert_array_equal(loaded.overflow_cells["A1"],
+                                  table.overflow_cells["A1"])
+    assert not loaded.overflow_cells["A4"].any()
+    assert loaded.capped_cells() == 3
