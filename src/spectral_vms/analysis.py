@@ -13,7 +13,7 @@ import numpy as np
 
 from . import vms_feasible, vms_full
 from .baselines import StabChoice, run_galerkin, run_stabilized
-from .kernels import TruncationPolicy, element_params
+from .kernels import element_params
 from .mesh_fem import (DirichletBC, TimeGrid, assemble_mass,
                        assemble_stiffness, build_uniform_mesh)
 from .vms_feasible import (DirectKernelProvider, FeasibleConfig,
@@ -172,8 +172,7 @@ def run_method(method, mesh, tgrid, a, mu, initial=None, bc=None,
                                n_modes=n_modes)
         return run_full(config).history
     if method == "spectral-feasible":
-        provider = provider or DirectKernelProvider(
-            policy=TruncationPolicy())
+        provider = provider or DirectKernelProvider()
         config = FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                                 bc=bc, source=source, initial=initial,
                                 provider=provider, g_pairing=g_pairing)

@@ -19,7 +19,6 @@ from .analysis import (FLOAT_FMT, PRESETS, convergence_order,
                        mesh_independence_study, run_experiment, run_method,
                        test1_bc, time_convergence_study, write_report_csv,
                        write_solutions_csv)
-from .kernels import TruncationPolicy
 from .mesh_fem import (DirichletBC, SingularSystemError, TimeGrid,
                        build_uniform_mesh)
 from .vms_feasible import DirectKernelProvider, TableKernelProvider
@@ -56,8 +55,6 @@ def build_parser():
     off = sub.add_parser("offline", help="generate a kernel table")
     off.add_argument("--delta", type=float, default=0.02)
     off.add_argument("--m", type=int, default=1000)
-    off.add_argument("--epsilon", type=float, default=1e-10)
-    off.add_argument("--jmax", type=int, default=5000)
     off.add_argument("--workers", type=int, default=1)
     off.add_argument("--progress", action="store_true")
     off.add_argument("--out")
@@ -78,8 +75,6 @@ def build_parser():
     sol.add_argument("--provider", choices=("direct", "table"),
                      default="direct")
     sol.add_argument("--table")
-    sol.add_argument("--epsilon", type=float, default=1e-10)
-    sol.add_argument("--jmax", type=int, default=5000)
     sol.add_argument("--g-pairing", choices=("main", "appendix"),
                      default="main")
     sol.add_argument("--franca-pbar", type=float, default=1.0)
@@ -138,20 +133,17 @@ def _make_provider(args):
         if not args.table:
             raise ValidationError("--provider table requires --table")
         return TableKernelProvider(table_mod.load_table(args.table))
-    return DirectKernelProvider(policy=TruncationPolicy(
-        epsilon=args.epsilon, j_max=args.jmax))
+    return DirectKernelProvider()
 
 
 def cmd_offline(args):
     _require(args, "out")
     grid = table_mod.TableGrid(delta=args.delta, m=args.m)
-    policy = TruncationPolicy(epsilon=args.epsilon, j_max=args.jmax)
-    table = table_mod.generate_table(grid, policy, workers=args.workers,
+    table = table_mod.generate_table(grid, workers=args.workers,
                                      progress=args.progress)
     table_mod.save_table(table, args.out)
-    print("wrote %s (delta=%g, m=%d, %d families, %d capped cells)"
-          % (args.out, grid.delta, grid.m, len(table.families()),
-             table.capped_cells()))
+    print("wrote %s (delta=%g, m=%d, %d families)"
+          % (args.out, grid.delta, grid.m, len(table.families())))
     return 0
 
 
@@ -247,10 +239,7 @@ def cmd_table_info(args):
     table = table_mod.load_table(args.table)
     print("delta = %g" % table.grid.delta)
     print("m = %d (P, S up to %g)" % (table.grid.m, table.grid.p_max))
-    print("epsilon = %g" % table.policy.epsilon)
-    print("j_max = %d" % table.policy.j_max)
     print("families: %s" % ", ".join(table.families()))
-    print("capped cells: %d" % table.capped_cells())
     return 0
 
 

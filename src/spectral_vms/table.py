@@ -1,29 +1,34 @@
 """Offline kernel tables over the (P, S) parameter grid.
 
-The dimensionless mode-series kernels are precomputed on a uniform grid
+The A1 and B1 kernel blocks are precomputed on a uniform grid
 P_i = delta*i, S_j = delta*j (i, j = 1..m), stored in a digest-checked
-binary file and interpolated online with the area-weighted bilinear rule.
-Queries outside the grid clamp to the boundary cell, which extrapolates
-linearly; a per-table counter records how often that happened.
+binary file and interpolated online with the area-weighted bilinear rule;
+the other six families are sums of their entries.  Queries outside the
+grid clamp to the boundary cell, which extrapolates linearly; a per-table
+counter records how often that happened.
 """
 
 import hashlib
 import struct
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (FAMILIES, FAMILY_ORDER, TruncationPolicy,
-                      sum_series_multi)
+from .kernels import FAMILIES, green_blocks
+# Bound here, though the table no longer sums series, because the
+# benchmark's tracer (perfbench/tracing.py) wraps this binding and
+# perfbench/test_perfbench.py asserts that it does; it goes when the
+# benchmark is re-pointed (ROADMAP item 6).
+from .kernels import sum_series_multi  # noqa: F401
 
 __all__ = ["TableGrid", "KernelTable", "TableFormatError",
-           "UnsupportedVersionError", "generate_table", "save_table",
-           "load_table", "interpolate"]
+           "UnsupportedVersionError", "TABLE_FAMILIES", "generate_table",
+           "save_table", "load_table", "interpolate"]
 
 MAGIC = b"SVMK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DIGEST_SIZE = 8
+TABLE_FAMILIES = ("A1", "B1")
 
 
 class TableFormatError(RuntimeError):
@@ -56,73 +61,44 @@ class TableGrid:
 @dataclass
 class KernelTable:
     grid: TableGrid
-    policy: TruncationPolicy
     values: dict  # family name -> array (n_entries, m, m), P-major
-    # family name -> bool (m, m), cells whose series stopped at j_max
-    overflow_cells: dict = field(default_factory=dict)
     clamp_count: int = 0
 
     def families(self):
-        return [name for name in FAMILY_ORDER if name in self.values]
-
-    def capped_cells(self):
-        """Number of (family, cell) pairs whose series hit the mode cap."""
-        return sum(int(np.count_nonzero(mask))
-                   for mask in self.overflow_cells.values())
+        return [name for name in TABLE_FAMILIES if name in self.values]
 
 
 def _compute_row(args):
-    """All kernel entries for one P row; pure function for worker pools."""
-    P, s_axis, policy, family_names = args
-    wanted = [(name, m, l) for name in family_names
-              for (m, l) in FAMILIES[name].index_pairs]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals, _, over = sum_series_multi(wanted, P, s_axis, policy)
-    row = {}
-    overflow = {}
-    for name in family_names:
-        fam = FAMILIES[name]
-        entries = np.empty((fam.n_entries, s_axis.size))
-        ovf = np.zeros(s_axis.size, dtype=bool)
-        for m, l in fam.index_pairs:
-            entries[fam.entry(m, l)] = vals[(name, m, l)]
-            ovf |= over[(name, m, l)]
-        row[name] = entries
-        overflow[name] = ovf
-    return row, overflow
+    """A1 and B1 entries, (4, m) each, for one P row; pure function for
+    worker pools."""
+    P, s_axis = args
+    a1, b1 = green_blocks(P, s_axis)
+    return a1.reshape(4, -1), b1.reshape(4, -1)
 
 
-def generate_table(grid, policy=None, families=None, workers=1,
-                   progress=False):
-    """Tabulate the dimensionless kernels over the whole (P, S) grid.
+def generate_table(grid, workers=1, progress=False):
+    """Tabulate the A1 and B1 kernels over the whole (P, S) grid.
 
-    Rows (fixed P) are independent; with workers > 1 they are computed in
-    a process pool, assembled in order, so output does not depend on the
-    worker count.
+    Rows (fixed P) are evaluated one at a time, so temporaries stay
+    proportional to m; with workers > 1 they are computed in a process
+    pool, assembled in order, so output does not depend on the worker
+    count.
     """
-    policy = policy or TruncationPolicy()
-    family_names = list(families) if families else list(FAMILY_ORDER)
     axis = grid.axis()
-    values = {name: np.empty((FAMILIES[name].n_entries, grid.m, grid.m))
-              for name in family_names}
-    overflow = {name: np.zeros((grid.m, grid.m), dtype=bool)
-                for name in family_names}
-    tasks = [(P, axis, policy, family_names) for P in axis]
+    values = {name: np.empty((4, grid.m, grid.m)) for name in TABLE_FAMILIES}
+    tasks = [(P, axis) for P in axis]
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_compute_row, tasks, chunksize=8)
     else:
         results = map(_compute_row, tasks)
-    for i, (row, over) in enumerate(results):
-        for name in family_names:
-            values[name][:, i, :] = row[name]
-            overflow[name][i, :] = over[name]
+    for i, (a1, b1) in enumerate(results):
+        values["A1"][:, i, :] = a1
+        values["B1"][:, i, :] = b1
         if progress and (i + 1) % 50 == 0:
             print("table rows %d/%d" % (i + 1, grid.m), flush=True)
-    return KernelTable(grid=grid, policy=policy, values=values,
-                       overflow_cells=overflow)
+    return KernelTable(grid=grid, values=values)
 
 
 def _header(table, names):
@@ -135,8 +111,6 @@ def _header(table, names):
     for name in names:
         header += struct.pack("<8sI", name.encode("ascii"),
                               FAMILIES[name].n_entries)
-    header += struct.pack("<d", table.policy.epsilon)
-    header += struct.pack("<I", table.policy.j_max)
     # zero padding keeps the float64 payload 8-byte aligned when loaded
     header += bytes(-len(header) % 8)
     return header
@@ -145,13 +119,11 @@ def _header(table, names):
 def save_table(table, path):
     """Write the table in the versioned little-endian binary format.
 
-    Layout: header (magic, version, grid, families, truncation policy,
-    zero padding to 8 bytes), the values of each family, one packed
-    capped-cell mask per family, and an 8-byte BLAKE2b digest of every
-    byte before it.
+    Layout: header (magic, version, grid, family names and entry counts,
+    zero padding to 8 bytes), the values of each family, and an 8-byte
+    BLAKE2b digest of every byte before it.
     """
     names = table.families()
-    m = table.grid.m
     digest = hashlib.blake2b(digest_size=DIGEST_SIZE)
     with open(path, "wb") as fh:
         def emit(buf):
@@ -161,10 +133,6 @@ def save_table(table, path):
         emit(_header(table, names))
         for name in names:
             emit(np.ascontiguousarray(table.values[name], dtype="<f8"))
-        for name in names:
-            mask = table.overflow_cells.get(name,
-                                            np.zeros((m, m), dtype=bool))
-            emit(np.packbits(mask))
         fh.write(digest.digest())
 
 
@@ -195,17 +163,15 @@ def load_table(path):
     for _ in range(n_fam):
         (raw, count), pos = _unpack("<8sI", blob, pos, "family")
         name = raw.rstrip(b"\0").decode("ascii", "replace")
-        if name not in FAMILIES:
+        if name not in TABLE_FAMILIES:
             raise TableFormatError("unknown kernel family %r" % name)
         if count != FAMILIES[name].n_entries:
             raise TableFormatError("entry count mismatch for %s" % name)
         names.append(name)
-    (epsilon, j_max), pos = _unpack("<dI", blob, pos, "policy")
     pos += -pos % 8
-    mask_bytes = -(-m * m // 8)
     payload_bytes = sum(8 * FAMILIES[name].n_entries * m * m
                         for name in names)
-    expected = pos + payload_bytes + len(names) * mask_bytes + DIGEST_SIZE
+    expected = pos + payload_bytes + DIGEST_SIZE
     if len(blob) < expected:
         raise TableFormatError("truncated file: %d of %d bytes"
                                % (len(blob), expected))
@@ -221,20 +187,11 @@ def load_table(path):
         values[name] = np.frombuffer(blob, "<f8", count=count * m * m,
                                      offset=pos).reshape(count, m, m)
         pos += 8 * count * m * m
-    overflow = {}
-    for name in names:
-        packed = np.frombuffer(blob, np.uint8, count=mask_bytes, offset=pos)
-        overflow[name] = np.unpackbits(packed, count=m * m).astype(
-            bool).reshape(m, m)
-        pos += mask_bytes
-    return KernelTable(grid=TableGrid(delta=delta, m=int(m)),
-                       policy=TruncationPolicy(epsilon=epsilon,
-                                               j_max=int(j_max)),
-                       values=values, overflow_cells=overflow)
+    return KernelTable(grid=TableGrid(delta=delta, m=int(m)), values=values)
 
 
 def interpolate(table, family, m, l, P, S, count_clamps=True):
-    """Area-weighted bilinear value of one kernel entry at (P, S).
+    """Area-weighted bilinear value of one stored kernel entry at (P, S).
 
     P and S are scalars, or arrays paired elementwise.  Each cell corner
     is weighted by the area of the sub-rectangle diagonally opposite the

@@ -3,8 +3,9 @@
 Drops the deepest level of the subgrid history so each step becomes a
 two-level linear recursion on nodal values whose extra matrices depend
 only on the per-element parameters (P, S).  Those dimensionless kernels
-come from a provider: direct series summation, or interpolation of an
-offline table.
+come from a provider: closed forms from the element Green's function,
+series over a fixed number of modes, or interpolation of an offline
+table.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
-from .kernels import FAMILIES, FAMILY_ORDER, TruncationPolicy
+from .kernels import FAMILIES, FAMILY_ORDER
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
                        apply_dirichlet, assemble_load, assemble_mass,
                        assemble_stiffness, solve_tridiag)
@@ -26,11 +27,14 @@ _SIGN = np.array([-1.0, 1.0])
 
 
 class DirectKernelProvider:
-    """Kernels by series summation: policy-truncated or a fixed mode count."""
+    """Kernels evaluated directly: closed forms from the element Green's
+    function, or series summed over exactly n_modes modes.
+
+    policy is accepted and unused: the benchmark's online workload still
+    passes a TruncationPolicy (ROADMAP item 6 removes it).
+    """
 
     def __init__(self, policy=None, n_modes=None):
-        if (policy is None) == (n_modes is None):
-            raise ValueError("give exactly one of policy or n_modes")
         self.policy = policy
         self.n_modes = n_modes
 
@@ -41,15 +45,15 @@ class DirectKernelProvider:
             return np.array([kernels.sum_series_fixed(name, m, l, P, S,
                                                       self.n_modes)
                              for name, m, l in entries])
-        vals, _, _ = kernels.sum_series_multi(entries, P, S, self.policy)
-        return np.array([vals[key] for key in entries])
+        return kernels.closed_form_kernels(entries, P, S)
 
     def kernel(self, family, m, l, P, S):
         return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
 
 
 class TableKernelProvider:
-    """Kernels interpolated from an offline table."""
+    """Kernels interpolated from an offline table of the A1 and B1
+    blocks; the other families are sums of their entries."""
 
     def __init__(self, table):
         self.table = table
@@ -57,8 +61,13 @@ class TableKernelProvider:
     def kernels(self, entries, P, S):
         """Values of each (family name, m, l) entry at the points
         (P[k], S[k]), as an (n_entries, n_points) array."""
-        return np.array([table_mod.interpolate(self.table, name, m, l, P, S)
-                         for name, m, l in entries])
+        blocks = {}
+        for prefix in {name[0] for name, _, _ in entries}:
+            name = prefix + "1"
+            blocks[prefix] = np.array(
+                [[table_mod.interpolate(self.table, name, m, l, P, S)
+                  for l in (0, 1)] for m in (0, 1)])
+        return kernels.kernels_from_blocks(entries, blocks)
 
     def kernel(self, family, m, l, P, S):
         return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
@@ -207,7 +216,7 @@ class FeasibleConfig:
         if self.bc is None:
             self.bc = DirichletBC.homogeneous()
         if self.provider is None:
-            self.provider = DirectKernelProvider(policy=TruncationPolicy())
+            self.provider = DirectKernelProvider()
         if self.g_pairing not in ("main", "appendix"):
             raise ValueError("g_pairing must be 'main' or 'appendix'")
 

@@ -1,11 +1,13 @@
 """Shared quadrature and summation oracles used across test modules.
 
 Everything here is computed independently of the package's closed forms:
-integrals by (composite) Gauss rules, series by explicit summation.
+integrals by (composite) Gauss rules, series by explicit summation, and
+the Green's-function kernels in high-precision mpmath arithmetic.
 """
 
 from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
 from spectral_vms.kernels import FAMILIES
@@ -140,3 +142,102 @@ def monolithic_step_oracle(mesh, a_elem, mu, dt, f, bc, t1, u0, c0, J):
     rhs[nn - 1] = gr_val
     sol = np.linalg.solve(A, rhs)
     return sol[:nn], sol[nn:].reshape(ne, J)
+
+
+# --- Green's-function kernels in high precision ----------------------
+#
+# u_m = K^{-1} phi_m for K = I + S (2P d/dx - d^2/dx^2), u(0) = u(1) = 0,
+# written the textbook way: the polynomial particular solution
+# phi_m - 2 P S phi_m' plus the homogeneous solutions e^{(P - Q) x} and
+# e^{(P + Q)(x - 1)}, Q^2 = P^2 + 1/S.  Its terms cancel by many digits
+# at large P S, so it is evaluated with enough digits to spare.  A
+# function is a list of terms (coef, k, s) meaning coef x^k e^{s x}.
+
+
+def _green_terms(f0, f1, P, S):
+    """u = K^{-1} f for f = f0 (1 - x) + f1 x."""
+    Q = mp.sqrt(P * P + 1 / S)
+    lam, r = P + Q, P - Q
+    c = 2 * P * S * (f1 - f0)
+    decay = mp.exp(-lam)
+    # u(0) = f0 - c + A + B e^{-lam} = 0 and u(1) = f1 - c + A e^r + B = 0
+    det = 1 - decay * mp.exp(r)
+    A = (c - f0 - decay * (c - f1)) / det
+    B = (c - f1 - mp.exp(r) * (c - f0)) / det
+    return [(f0 - c, 0, 0), (f1 - f0, 1, 0), (A, 0, r),
+            (B * decay, 0, lam)]
+
+
+def _mirror(terms):
+    """Terms of v(x) = u(1 - x)."""
+    out = []
+    for c, k, s in terms:
+        c = c * mp.exp(s)
+        out.append((c, 0, -s))
+        if k == 1:
+            out.append((-c, 1, -s))
+    return out
+
+
+def _integral01(f, g):
+    """int_0^1 f g dx; int x^k e^{s x} = 1F1(k+1; k+2; s) / (k+1)."""
+    return mp.fsum(c1 * c2 * mp.hyp1f1(k1 + k2 + 1, k1 + k2 + 2, s1 + s2)
+                   / (k1 + k2 + 1)
+                   for c1, k1, s1 in f for c2, k2, s2 in g)
+
+
+def green_kernel_blocks(P, S, dps=100):
+    """A1[m][l] = 1/2 int phi_l u_m and B1[m][l] = 1/2 int u_{1-l}(1 - x)
+    u_m(x), as mpf 2 x 2 lists {"A": ..., "B": ...}."""
+    with mp.workdps(dps):
+        P, S = mp.mpf(P), mp.mpf(S)
+        u = [_green_terms(1, 0, P, S), _green_terms(0, 1, P, S)]
+        phi = [[(mp.mpf(1), 0, 0), (mp.mpf(-1), 1, 0)], [(mp.mpf(1), 1, 0)]]
+        return {
+            "A": [[_integral01(phi[l], u[m]) / 2 for l in (0, 1)]
+                  for m in (0, 1)],
+            "B": [[_integral01(_mirror(u[1 - l]), u[m]) / 2
+                   for l in (0, 1)] for m in (0, 1)],
+        }
+
+
+def green_kernels(entries, P, S, dps=100):
+    """Each (family, m, l) entry at one (P, S) as a float, summed from the
+    A1/B1 blocks in mpmath: a d side sums over m, an e side over l."""
+    blocks = green_kernel_blocks(P, S, dps)
+    out = []
+    for name, m, l in entries:
+        fam = FAMILIES[name]
+        ms = (0, 1) if fam.side1 == "d" else (m,)
+        ls = (0, 1) if fam.side2 == "e" else (l,)
+        with mp.workdps(dps):
+            out.append(float(mp.fsum(blocks[name[0]][i][j]
+                                     for i in ms for j in ls)))
+    return np.array(out)
+
+
+def nsum_kernel(family, m, l, P, S, dps=30):
+    """One kernel entry as the mode series, summed by mpmath.nsum over
+    even and odd modes separately (each is free of sign changes)."""
+    fam = FAMILIES[family]
+    with mp.workdps(dps):
+        P, S = mp.mpf(P), mp.mpf(S)
+
+        def term(j):
+            b, sigma = j * mp.pi, (-1) ** j
+
+            def i0(c):
+                return b * (1 - sigma * mp.exp(c)) / (c * c + b * b)
+
+            def i1(c):
+                d = c * c + b * b
+                return b * (-2 * c + sigma * mp.exp(c) * (2 * c - d)) / d ** 2
+
+            d0, a1, e0, c1 = i0(-P), i1(-P), i0(P), i1(P)
+            s1 = d0 if fam.side1 == "d" else (d0 - a1, a1)[m]
+            s2 = e0 if fam.side2 == "e" else (e0 - c1, c1)[l]
+            beta = 1 / (1 + S * (P * P + mp.pi ** 2 * j * j))
+            return beta ** fam.weight_power * s1 * s2
+
+        return (mp.nsum(lambda k: term(2 * k), [1, mp.inf])
+                + mp.nsum(lambda k: term(2 * k - 1), [1, mp.inf]))

@@ -27,7 +27,6 @@ from spectral_vms.analysis import (PRESETS, convergence_order,
                                    run_method, time_convergence_study)
 from spectral_vms.baselines import StabChoice, run_galerkin, step_galerkin, \
     step_stabilized
-from spectral_vms.kernels import TruncationPolicy
 from spectral_vms.mesh_fem import (DirichletBC, Mesh1D, TimeGrid,
                                    build_uniform_mesh, project_velocity)
 from spectral_vms.vms_feasible import (DirectKernelProvider,
@@ -45,8 +44,7 @@ def reduced_table():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t0 = time.perf_counter()
-        table = T.generate_table(T.TableGrid(delta=0.2, m=100),
-                                 TruncationPolicy())
+        table = T.generate_table(T.TableGrid(delta=0.2, m=100))
         table.build_seconds = time.perf_counter() - t0
     return table
 
@@ -56,8 +54,7 @@ def covering_table():
     # coarse grid whose box [1, 110]^2 contains all Test 3 parameters
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return T.generate_table(T.TableGrid(delta=1.0, m=110),
-                                TruncationPolicy())
+        return T.generate_table(T.TableGrid(delta=1.0, m=110))
 
 
 def test_criterion_1_kernel_closed_forms():
@@ -293,9 +290,8 @@ def test_criterion_8_small_time_steps():
 
 def test_criterion_9_offline_online(tmp_path, reduced_table,
                                     covering_table):
-    policy = TruncationPolicy()
     assert reduced_table.build_seconds < 60.0
-    # interpolation at exact grid nodes reproduces the direct series
+    # interpolation at exact grid nodes reproduces the closed forms
     worst_node = 0.0
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():
@@ -309,9 +305,8 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
                 for m in (0, 1):
                     for l in (0, 1):
                         got = T.interpolate(reduced_table, name, m, l, P, S)
-                        ref, _, _ = K.sum_series_batch(name, m, l, P, [S],
-                                                       policy)
-                        worst_node = max(worst_node, abs(got - ref[0]))
+                        ref = K.closed_form_kernels([(name, m, l)], P, S)
+                        worst_node = max(worst_node, abs(got - ref[0, 0]))
     assert worst_node <= 1e-10
     # bit-exact round trip
     path = tmp_path / "reduced.bin"
@@ -325,7 +320,7 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
     assert path.read_bytes() == path2.read_bytes()
 
     # provider fidelity: in-range lookups stay within 1e-3 of the direct
-    # series; the reduced grid ends at S=20, so the S=25 and S=100
+    # closed forms; the reduced grid ends at S=20, so the S=25 and S=100
     # presets extrapolate there and are reported informationally
     rels_covering = {}
     rels_reduced = {}
@@ -334,7 +329,7 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
         mesh, tg = pre.mesh(), pre.tgrid()
         direct = run_method("spectral-feasible", mesh, tg, pre.a, pre.mu,
                             initial=pre.initial(), bc=pre.dirichlet(),
-                            provider=DirectKernelProvider(policy=policy))
+                            provider=DirectKernelProvider())
         scale = np.max(np.abs(direct))
         for label, table, out in (
                 ("covering", covering_table, rels_covering),
@@ -359,12 +354,12 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
 
 
 @pytest.mark.skipif(os.environ.get("SPECTRAL_VMS_FULL_TABLE") != "1",
-                    reason="full default table (m=1000) takes minutes; "
+                    reason="full default table (m=1000) takes about 15 s; "
                            "set SPECTRAL_VMS_FULL_TABLE=1 to run")
 def test_criterion_9_full_default_table(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = T.generate_table(T.TableGrid(), TruncationPolicy(),
+        table = T.generate_table(T.TableGrid(),
                                  workers=os.cpu_count() or 1)
     path = tmp_path / "full.bin"
     T.save_table(table, path)
@@ -403,7 +398,7 @@ def test_criterion_10_reductions():
     assert np.all(bp == 0.0) and np.all(bz == 0.0)
     mats = assemble_matrices(
         build_uniform_mesh(0.0, 1.0, 4), np.zeros(4), 1.0, 0.01,
-        DirectKernelProvider(policy=TruncationPolicy()))
+        DirectKernelProvider())
     for name in ("A2", "A3", "A4", "B2", "B3", "B4"):
         assert getattr(mats, name).max_abs() == 0.0
     elapsed = time.perf_counter() - t0

@@ -163,12 +163,26 @@ def test_cfl_preset_oscillation_thresholds():
     assert gal.min() < -1e-3
 
 
-@pytest.mark.parametrize("method", ["spectral-full", "spectral-feasible"])
+@pytest.mark.parametrize("method", ["spectral-full"])
 def test_large_peclet_raises_instead_of_non_finite(method):
-    # P = 1000, S = 2.5: the closure overflows; the run must fail loudly
-    # rather than return a NaN/inf history
+    # P = 1000, S = 2.5: the J-mode closure overflows; the run must fail
+    # loudly rather than return a NaN/inf history
     mesh = build_uniform_mesh(0.0, 1.0, 50)
     a = 2.0 * 1000.0 * 1.0 / 0.02
     with pytest.raises(FloatingPointError), np.errstate(all="ignore"):
         A.run_method(method, mesh, TimeGrid.from_dt(1e-3, 2), a, 1.0,
                      initial=A.hat_profile, n_modes=50)
+
+
+@pytest.mark.parametrize("P", [64.0, 730.0, 1000.0])
+def test_feasible_runs_at_large_peclet(P):
+    # the README case (50 elements, dt = 1e-3, mu = 1, so S = 2.5): the
+    # closed-form kernels keep spectral-feasible finite and inside the
+    # bounds of the initial hat, where the truncated series broke down
+    # from P = 64
+    mesh = build_uniform_mesh(0.0, 1.0, 50)
+    a = 2.0 * P * 1.0 / 0.02
+    hist = A.run_method("spectral-feasible", mesh, TimeGrid.from_dt(1e-3, 5),
+                        a, 1.0, initial=A.hat_profile)
+    assert hist.min() >= -1e-8
+    assert hist.max() <= 1.0 + 1e-8

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import spectral_vms
 from spectral_vms import kernels as K
 
-from oracles import composite_gauss01, gauss01, quad_base_integrals
+from oracles import (composite_gauss01, gauss01, green_kernels,
+                     nsum_kernel, quad_base_integrals)
 
 
 def test_element_params_known_values():
@@ -393,3 +398,92 @@ def test_mode_value_rejects_outside_reference_element():
         K.mode_value(1, p, -0.1)
     with pytest.raises(ValueError):
         K.mode_value(1, p, np.array([0.5, 1.2]))
+
+
+ALL_ENTRIES = [(name, m, l) for name in K.FAMILY_ORDER
+               for m, l in K.FAMILIES[name].index_pairs]
+
+
+@pytest.mark.parametrize("P,S", [(0.5, 1.0), (3.5, 100.0), (0.0, 0.3)])
+def test_green_oracle_matches_mode_series(P, S):
+    # the high-precision Green's-function oracle against mpmath.nsum of
+    # the mode series itself, on the A1 and B1 blocks (the other families
+    # are their sums, see test_series_family_sums)
+    blocks = [(name, m, l) for name in ("A1", "B1")
+              for m, l in K.FAMILIES[name].index_pairs]
+    want = [float(nsum_kernel(*entry, P, S)) for entry in blocks]
+    got = green_kernels(blocks, P, S)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_series_block_symmetry():
+    # A1[0,0] = A1[1,1] and B1[0,0] = B1[1,1] term by term: mirroring the
+    # element maps a_0 to -sigma e^P c_1 and a_1 to -sigma e^{-P} c_0
+    rng = np.random.default_rng(23)
+    P = np.concatenate([[0.0, 1e-5, 1e-3], rng.uniform(0.0, 10.0, 20)])
+    S = rng.uniform(0.01, 100.0, P.size)
+    for name in ("A1", "B1"):
+        for n_modes in (1, 2, 7, 60):
+            d00 = K.sum_series_fixed(name, 0, 0, P, S, n_modes)
+            d11 = K.sum_series_fixed(name, 1, 1, P, S, n_modes)
+            np.testing.assert_allclose(d00, d11, rtol=1e-12, atol=0)
+
+
+def test_series_family_sums():
+    # d0 = a0 + a1 and e0 = c0 + c1 make every family a sum of A1 or B1
+    # entries, for any number of modes
+    rng = np.random.default_rng(29)
+    P = np.concatenate([[0.0, 1e-5, 1e-3], rng.uniform(0.0, 10.0, 20)])
+    S = rng.uniform(0.01, 100.0, P.size)
+    for n_modes in (1, 3, 40):
+        for name, m, l in ALL_ENTRIES:
+            fam = K.FAMILIES[name]
+            ms = (0, 1) if fam.side1 == "d" else (m,)
+            ls = (0, 1) if fam.side2 == "e" else (l,)
+            block = name[0] + "1"
+            want = sum(K.sum_series_fixed(block, i, j, P, S, n_modes)
+                       for i in ms for j in ls)
+            got = K.sum_series_fixed(name, m, l, P, S, n_modes)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
+
+
+def test_closed_form_kernels_agree_with_long_series():
+    # at moderate P the series converges; 20,000 modes leave a tail far
+    # below the tolerance
+    P = np.array([0.0, 0.5, 2.0, 6.0])
+    S = np.array([0.5, 3.0, 1.0, 10.0])
+    got = K.closed_form_kernels(ALL_ENTRIES, P, S)
+    want = np.array([K.sum_series_fixed(*entry, P, S, 20000)
+                     for entry in ALL_ENTRIES])
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("P,S", [(300.0, 1e-5), (1000.0, 1e-6),
+                                 (3.0, 1e-6), (1e5, 1e-8)])
+def test_closed_form_kernels_small_s(P, S):
+    # below S = 1e-3 the interior decay rate mu = Q - P can be large
+    # while still far below the layer rate P + Q; the panels follow both
+    got = K.closed_form_kernels(ALL_ENTRIES, P, S)[:, 0]
+    want = green_kernels(ALL_ENTRIES, P, S, dps=120)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_closed_form_kernels_shapes_and_validation():
+    got = K.closed_form_kernels([("A4", 0, 0), ("B1", 1, 0)], 2.0,
+                                [0.5, 1.0, 4.0])
+    assert got.shape == (2, 3)
+    assert np.all(got > 0.0)
+    for P, S in ((np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            K.closed_form_kernels([("A1", 0, 0)], P, S)
+
+
+def test_import_loads_no_development_only_packages():
+    code = ("import sys, spectral_vms.cli; "
+            "print(sorted(m for m in ('sympy', 'mpmath', 'scipy') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(spectral_vms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,53 +2,38 @@ import numpy as np
 import pytest
 
 from spectral_vms import table as T
-from spectral_vms.kernels import FAMILIES, FAMILY_ORDER, TruncationPolicy
-from spectral_vms.kernels import sum_series_batch
+from spectral_vms.kernels import FAMILIES, closed_form_kernels
 
 
-def small_table(delta=0.5, m=6, families=("A1", "A3", "A4")):
-    return T.generate_table(T.TableGrid(delta=delta, m=m),
-                            TruncationPolicy(), families=families)
+def small_table(delta=0.5, m=6):
+    return T.generate_table(T.TableGrid(delta=delta, m=m))
 
 
 def test_generate_matches_direct_sums():
     grid = T.TableGrid(delta=10.0, m=2)
-    policy = TruncationPolicy()
-    table = T.generate_table(grid, policy, families=("A1",))
-    fam = FAMILIES["A1"]
-    for i, P in enumerate(grid.axis()):
-        vals, _, _ = sum_series_batch(fam, 0, 1, P, grid.axis(), policy)
-        np.testing.assert_array_equal(table.values["A1"][fam.entry(0, 1), i],
-                                      vals)
+    table = T.generate_table(grid)
+    for name in T.TABLE_FAMILIES:
+        fam = FAMILIES[name]
+        for i, P in enumerate(grid.axis()):
+            vals = closed_form_kernels([(name, 0, 1)], P, grid.axis())
+            np.testing.assert_array_equal(
+                table.values[name][fam.entry(0, 1), i], vals[0])
 
 
 def test_generate_all_families_shapes():
-    table = T.generate_table(T.TableGrid(delta=1.0, m=3), TruncationPolicy())
-    assert table.families() == FAMILY_ORDER
-    for name in FAMILY_ORDER:
-        assert table.values[name].shape == (FAMILIES[name].n_entries, 3, 3)
+    table = T.generate_table(T.TableGrid(delta=1.0, m=3))
+    assert table.families() == ["A1", "B1"]
+    for name in table.families():
+        assert table.values[name].shape == (4, 3, 3)
         assert np.all(np.isfinite(table.values[name]))
 
 
 def test_worker_count_does_not_change_output():
     grid = T.TableGrid(delta=2.0, m=4)
-    t1 = T.generate_table(grid, TruncationPolicy(), families=("A1", "B3"))
-    t2 = T.generate_table(grid, TruncationPolicy(), families=("A1", "B3"),
-                          workers=2)
-    for name in ("A1", "B3"):
+    t1 = T.generate_table(grid)
+    t2 = T.generate_table(grid, workers=2)
+    for name in ("A1", "B1"):
         np.testing.assert_array_equal(t1.values[name], t2.values[name])
-
-
-def test_tightened_epsilon_changes_little():
-    grid = T.TableGrid(delta=1.0, m=4)
-    t1 = T.generate_table(grid, TruncationPolicy(epsilon=1e-10),
-                          families=("A1",))
-    t2 = T.generate_table(grid, TruncationPolicy(epsilon=1e-12),
-                          families=("A1",))
-    a, b = t1.values["A1"], t2.values["A1"]
-    # the omitted tail is a few multiples of epsilon in absolute terms
-    assert np.max(np.abs(a - b)) <= 5e-9
-    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-5
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -57,7 +42,6 @@ def test_save_load_roundtrip(tmp_path):
     T.save_table(table, path)
     loaded = T.load_table(path)
     assert loaded.grid == table.grid
-    assert loaded.policy == table.policy
     assert loaded.families() == list(table.families())
     for name in table.families():
         np.testing.assert_array_equal(loaded.values[name],
@@ -91,7 +75,7 @@ def test_corrupted_payload_rejected(tmp_path):
         T.load_table(path)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_version_bump_rejected(tmp_path, version):
     table = small_table()
     path = tmp_path / "kernels.bin"
@@ -129,8 +113,7 @@ def make_synthetic_table(func, delta=0.5, m=8, family="A1"):
     vals = np.empty((fam.n_entries, m, m))
     for e in range(fam.n_entries):
         vals[e] = func(axis[:, None], axis[None, :])
-    return T.KernelTable(grid=grid, policy=TruncationPolicy(),
-                         values={family: vals})
+    return T.KernelTable(grid=grid, values={family: vals})
 
 
 def test_interpolate_exact_at_nodes_and_bilinear():
@@ -154,22 +137,22 @@ def test_interpolate_exact_at_nodes_and_bilinear():
 def test_interpolate_node_value_is_stored_value():
     table = small_table()
     grid = table.grid
-    fam = FAMILIES["A3"]
+    fam = FAMILIES["B1"]
     for i in (0, 2, 5):
         for j in (1, 3, 4):
-            got = T.interpolate(table, "A3", 1, 0, grid.delta * (i + 1),
+            got = T.interpolate(table, "B1", 1, 0, grid.delta * (i + 1),
                                 grid.delta * (j + 1))
-            want = table.values["A3"][fam.entry(1, 0), i, j]
+            want = table.values["B1"][fam.entry(1, 0), i, j]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_interpolate_cell_center_mean():
-    table = small_table(families=("A4",))
+    table = small_table()
     grid = table.grid
-    arr = table.values["A4"][0]
+    arr = table.values["A1"][FAMILIES["A1"].entry(0, 1)]
     P = grid.delta * 2.5
     S = grid.delta * 3.5
-    got = T.interpolate(table, "A4", 0, 0, P, S)
+    got = T.interpolate(table, "A1", 0, 1, P, S)
     want = 0.25 * (arr[1, 2] + arr[1, 3] + arr[2, 2] + arr[2, 3])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -200,38 +183,39 @@ def test_interpolate_clamp_extrapolates_continuously():
 def test_interpolation_error_against_direct_sums():
     # sampled interpolation error on a coarse table: recorded bound
     grid = T.TableGrid(delta=0.2, m=20)  # P, S up to 4
-    policy = TruncationPolicy()
-    table = T.generate_table(grid, policy, families=("A1",))
+    table = T.generate_table(grid)
     rng = np.random.default_rng(3)
     rels = []
     for _ in range(60):
         P = rng.uniform(grid.delta, grid.p_max)
         S = rng.uniform(grid.delta, grid.p_max)
         got = T.interpolate(table, "A1", 0, 0, P, S)
-        ref, _, _ = sum_series_batch("A1", 0, 0, P, [S], policy)
-        rels.append(abs(got - ref[0]) / max(1e-12, abs(ref[0])))
+        ref = closed_form_kernels([("A1", 0, 0)], P, S)[0, 0]
+        rels.append(abs(got - ref) / max(1e-12, abs(ref)))
     rels = np.array(rels)
     assert np.median(rels) <= 1e-2  # coarse grid; the fine grid is ~1e-3
     assert np.max(rels) <= 2e-1
 
 
-def test_overflow_flags_recorded(tmp_path):
-    import warnings
+def test_table_provider_sums_interpolated_blocks():
+    # A2..A4 and B2..B4 are the sums of interpolated A1/B1 entries, and
+    # at grid nodes every family reproduces the closed forms
+    from spectral_vms.vms_feasible import TableKernelProvider
 
-    grid = T.TableGrid(delta=10.0, m=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        table = T.generate_table(grid, TruncationPolicy(epsilon=1e-30,
-                                                        j_max=20),
-                                 families=("A1",))
-    assert table.overflow_cells["A1"].all()
-    # the mask survives a save/load round trip, next to an empty one
-    table.overflow_cells["A1"][0, 1] = False
-    table.values["A4"] = np.zeros((1, 2, 2))
-    path = tmp_path / "capped.bin"
-    T.save_table(table, path)
-    loaded = T.load_table(path)
-    np.testing.assert_array_equal(loaded.overflow_cells["A1"],
-                                  table.overflow_cells["A1"])
-    assert not loaded.overflow_cells["A4"].any()
-    assert loaded.capped_cells() == 3
+    table = small_table()
+    provider = TableKernelProvider(table)
+    entries = [(name, m, l) for name in FAMILIES
+               for m, l in FAMILIES[name].index_pairs]
+    P = np.array([1.0, 1.7, 2.5])
+    S = np.array([0.5, 2.2, 3.0])
+    got = provider.kernels(entries, P, S)
+    for row, (name, m, l) in enumerate(entries):
+        fam = FAMILIES[name]
+        ms = (0, 1) if fam.side1 == "d" else (m,)
+        ls = (0, 1) if fam.side2 == "e" else (l,)
+        want = sum(T.interpolate(table, name[0] + "1", mi, li, P, S,
+                                 count_clamps=False)
+                   for mi in ms for li in ls)
+        np.testing.assert_allclose(got[row], want, rtol=1e-15, atol=0)
+    direct = closed_form_kernels(entries, P[[0, 2]], S[[0, 2]])
+    np.testing.assert_allclose(got[:, [0, 2]], direct, rtol=1e-14, atol=0)

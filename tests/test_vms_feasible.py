@@ -10,7 +10,6 @@ from spectral_vms import kernels as K
 from spectral_vms import vms_feasible as F
 from spectral_vms import vms_full as V
 from spectral_vms.baselines import run_galerkin
-from spectral_vms.kernels import TruncationPolicy
 from spectral_vms.mesh_fem import (DirichletBC, TimeGrid,
                                    build_uniform_mesh)
 
@@ -25,7 +24,7 @@ def test_zero_dynamics():
 
 def test_zero_velocity_kills_advective_families():
     mesh = build_uniform_mesh(0.0, 1.0, 5)
-    provider = F.DirectKernelProvider(policy=TruncationPolicy())
+    provider = F.DirectKernelProvider()
     mats = F.assemble_matrices(mesh, np.zeros(5), 1.0, 0.01, provider)
     for name in ("A2", "A3", "A4", "B2", "B3", "B4"):
         m = getattr(mats, name)
@@ -39,7 +38,7 @@ def test_entry_level_equivalence_brute_force():
     # double sum of the defining series
     mesh = build_uniform_mesh(0.0, 0.08, 2)  # h = 0.04
     a, mu, dt = 120.0, 1.0, 4e-4  # P = 2.4, S = 0.25
-    provider = F.DirectKernelProvider(policy=TruncationPolicy(1e-14, 20000))
+    provider = F.DirectKernelProvider()
     mats = F.assemble_matrices(mesh, [a, a], mu, dt, provider)
     h = 0.04
     P, S = 2.4, 0.25
@@ -151,7 +150,7 @@ def test_g_pairing_flag_changes_result_only_slightly():
     for pairing in ("main", "appendix"):
         cfg = F.FeasibleConfig(
             mesh=mesh, tgrid=tgrid, mu=mu, velocity=a, initial=hat,
-            provider=F.DirectKernelProvider(policy=TruncationPolicy()),
+            provider=F.DirectKernelProvider(),
             g_pairing=pairing)
         hists[pairing] = F.run_feasible(cfg)
     diff = np.max(np.abs(hists["main"] - hists["appendix"]))
