@@ -6,9 +6,8 @@ from .analysis import (ErrorReport, ExperimentPreset, PRESETS, error_norms,
                        convergence_order, reference_solution, run_experiment,
                        run_method)
 from .baselines import StabChoice, cfl_bound, run_galerkin, run_stabilized, tau
-from .kernels import (ElementParams, TruncationPolicy, closed_form_kernels,
-                      element_params, beta, eigenvalue, mode_value,
-                      sum_series)
+from .kernels import (ElementParams, closed_form_kernels, element_params,
+                      beta, eigenvalue, mode_value)
 from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,
                        VelocityField, build_uniform_mesh, solve_tridiag)
 from .table import (KernelTable, TableGrid, generate_table, interpolate,

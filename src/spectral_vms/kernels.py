@@ -14,8 +14,11 @@ overflow prematurely.
 
 The mode series of the feasible method's kernel families have closed
 forms as bilinear forms of the element Green's function
-(closed_form_kernels); the truncated series remain for the fixed-mode
-provider and for comparison.
+(closed_form_kernels).  sum_series_fixed sums exactly n modes for the
+fixed-mode provider.  No solver path uses the epsilon-truncated series
+(sum_series_multi, sum_series_batch, TruncationPolicy); they stay only
+while the benchmark's tracer and online workload name them (ROADMAP
+item 6).
 """
 
 import warnings
@@ -37,14 +40,12 @@ __all__ = [
     "mode_value",
     "base_integrals",
     "bilinear_couplings",
-    "sum_series",
     "sum_series_batch",
     "sum_series_multi",
     "sum_series_fixed",
     "green_blocks",
     "closed_form_kernels",
     "kernels_from_blocks",
-    "required_modes",
     "reconstruct_subgrid",
     "element_mode_arrays",
     "source_mode_projection",
@@ -384,12 +385,6 @@ def sum_series_batch(family, m, l, P, s_values, policy):
     return vals[key], counts[key], over[key]
 
 
-def sum_series(family, m, l, p, policy):
-    """Truncated dimensionless kernel series at the element's (P, S)."""
-    values, _, _ = sum_series_batch(family, m, l, p.P, [p.S], policy)
-    return float(values[0])
-
-
 def sum_series_fixed(family, m, l, P, S, n_modes):
     """Kernel series summed over exactly n_modes terms.
 
@@ -570,13 +565,6 @@ def closed_form_kernels(entries, P, S):
     """
     a1, b1 = green_blocks(P, S)
     return kernels_from_blocks(entries, {"A": a1, "B": b1})
-
-
-def required_modes(p, policy):
-    """Stopping index of the A1 (0,0) kernel series at the element's
-    parameters."""
-    _, counts, _ = sum_series_batch("A1", 0, 0, p.P, [p.S], policy)
-    return int(counts[0])
 
 
 def reconstruct_subgrid(amplitudes, p, xhat):

@@ -30,12 +30,14 @@ class DirectKernelProvider:
     """Kernels evaluated directly: closed forms from the element Green's
     function, or series summed over exactly n_modes modes.
 
-    policy is accepted and unused: the benchmark's online workload still
-    passes a TruncationPolicy (ROADMAP item 6 removes it).
+    policy is accepted and unused, but not together with n_modes: the
+    benchmark's online workload still passes a TruncationPolicy (ROADMAP
+    item 6 removes it).
     """
 
     def __init__(self, policy=None, n_modes=None):
-        self.policy = policy
+        if policy is not None and n_modes is not None:
+            raise ValueError("give at most one of policy or n_modes")
         self.n_modes = n_modes
 
     def kernels(self, entries, P, S):

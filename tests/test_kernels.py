@@ -184,13 +184,25 @@ def test_bilinear_couplings_zero_cases():
 from oracles import brute_series
 
 
+def _truncated(family, m, l, p, policy):
+    """Epsilon-truncated series value at the element's (P, S)."""
+    values, _, _ = K.sum_series_batch(family, m, l, p.P, [p.S], policy)
+    return float(values[0])
+
+
+def _required_modes(p, policy):
+    """Stopping index of the A1 (0, 0) series at the element's (P, S)."""
+    _, counts, _ = K.sum_series_batch("A1", 0, 0, p.P, [p.S], policy)
+    return int(counts[0])
+
+
 def test_sum_series_against_quadrature_summation():
     policy = K.TruncationPolicy(epsilon=1e-14, j_max=20000)
     for family, m, l in [("A1", 0, 0), ("A1", 1, 0), ("A3", 1, 0),
                          ("B2", 0, 1), ("A4", 0, 0)]:
         for (P, S) in [(0.5, 2.0), (3.0, 25.0)]:
             p = K.element_params(2 * P, 1.0, 1.0, S)
-            got = K.sum_series(family, m, l, p, policy)
+            got = _truncated(family, m, l, p, policy)
             ref = brute_series(family, m, l, P, S)
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
@@ -200,7 +212,7 @@ def test_sum_series_large_s_bounded():
     # agrees with an explicit 10000-term summation of the same series
     p = K.element_params(2.0, 1.0, 1.0, 500.0)
     policy = K.TruncationPolicy()
-    got = K.sum_series("A1", 0, 0, p, policy)
+    got = _truncated("A1", 0, 0, p, policy)
     ref = K.sum_series_fixed("A1", 0, 0, 1.0, 500.0, 10000)
     # the omitted tail is a small multiple of epsilon (terms decay ~ j^-4)
     assert abs(got - ref) <= 50.0 * policy.epsilon
@@ -213,8 +225,8 @@ def test_sum_series_scale_invariance():
     p1 = K.element_params(300.0, 0.02, 1.0, 1e-2)       # P=3, S=25
     p2 = K.element_params(6.0, 1.0, 1.0, 25.0)          # same (P, S)
     for family, m, l in [("A1", 0, 1), ("A2", 0, 0), ("B4", 0, 0)]:
-        v1 = K.sum_series(family, m, l, p1, policy)
-        v2 = K.sum_series(family, m, l, p2, policy)
+        v1 = _truncated(family, m, l, p1, policy)
+        v2 = _truncated(family, m, l, p2, policy)
         assert v1 == pytest.approx(v2, rel=1e-13)
 
 
@@ -257,26 +269,26 @@ def test_sum_series_overflow_warning():
     policy = K.TruncationPolicy(epsilon=1e-30, j_max=50)
     p = K.element_params(10.0, 1.0, 1.0, 0.01)
     with pytest.warns(K.TruncationOverflowWarning):
-        K.sum_series("A1", 0, 0, p, policy)
+        _truncated("A1", 0, 0, p, policy)
 
 
 def test_required_modes_monotone_in_epsilon():
     p = K.element_params(30.0, 0.1, 1.0, 0.05)
-    n1 = K.required_modes(p, K.TruncationPolicy(epsilon=1e-10))
-    n2 = K.required_modes(p, K.TruncationPolicy(epsilon=2e-10))
+    n1 = _required_modes(p, K.TruncationPolicy(epsilon=1e-10))
+    n2 = _required_modes(p, K.TruncationPolicy(epsilon=2e-10))
     assert n2 <= n1
 
 
 def test_required_modes_trends():
     # more terms as P grows, fewer as S grows
     policy = K.TruncationPolicy()
-    n_easy = K.required_modes(K.element_params(2 * 0.5, 1.0, 1.0, 20.0),
+    n_easy = _required_modes(K.element_params(2 * 0.5, 1.0, 1.0, 20.0),
                               policy)
     assert n_easy <= 64
-    counts_p = [K.required_modes(K.element_params(2 * P, 1.0, 1.0, 1.0),
+    counts_p = [_required_modes(K.element_params(2 * P, 1.0, 1.0, 1.0),
                                  policy) for P in (1.0, 5.0, 10.0, 19.98)]
     assert counts_p == sorted(counts_p)
-    counts_s = [K.required_modes(K.element_params(2 * 19.98, 1.0, 1.0, S),
+    counts_s = [_required_modes(K.element_params(2 * 19.98, 1.0, 1.0, S),
                                  policy) for S in (0.02, 0.5, 5.0, 20.0)]
     assert counts_s == sorted(counts_s, reverse=True)
     # the hardest corner of the parameter box needs by far the most terms

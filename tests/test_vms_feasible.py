@@ -33,6 +33,11 @@ def test_zero_velocity_kills_advective_families():
     assert mats.B1.max_abs() > 0.0
 
 
+def test_direct_provider_rejects_policy_with_n_modes():
+    with pytest.raises(ValueError, match="at most one"):
+        F.DirectKernelProvider(policy=K.TruncationPolicy(), n_modes=10)
+
+
 def test_entry_level_equivalence_brute_force():
     # every assembled entry equals the quadrature-plus-long-summation
     # double sum of the defining series
