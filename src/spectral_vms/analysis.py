@@ -32,7 +32,7 @@ FLOAT_FMT = "%.17g"
 
 def hat_profile(x):
     """Initial profile: 1 on |x - 0.45| <= 0.25, else 0."""
-    return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+    return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
 
 def test1_exact(x, t, a=1.0, mu=20.0):

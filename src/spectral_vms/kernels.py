@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import mesh_fem
+
 __all__ = [
     "ElementParams",
     "TruncationPolicy",
@@ -610,6 +612,12 @@ def element_mode_arrays(p, n_modes):
     }
 
 
+# Floats in the (block, n_modes, points) product that
+# source_mode_projection forms per element block: about 2 MB of scratch
+# whatever the mesh size.
+_PROJECTION_BLOCK_FLOATS = 1 << 18
+
+
 @lru_cache(maxsize=64)
 def _composite_gauss01(n_gauss, panels):
     """n_gauss-point Gauss rule on each of `panels` equal parts of [0, 1].
@@ -628,18 +636,40 @@ def _composite_gauss01(n_gauss, panels):
     return xg, wg
 
 
-def source_mode_projection(f, t, p, x_left, n_modes, n_gauss=32):
-    """Per-mode weighted source terms <f, p z_j> over one element.
+def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32,
+                           nodal=None):
+    """Per-mode weighted source terms <f, p z_j> on every element, as an
+    (n_elems, n_modes) array.
 
-    The weighted mode p z_j equals sqrt(2/h) exp(-sign(a) P xhat)
+    f(x, t) is an array callable; element k has the parameters
+    params[index[k]].  With nodal values u, the projected function is the
+    bubble f - I_h u, f minus the element's linear interpolant of u.  The
+    weighted mode p z_j equals sqrt(2/h) exp(-sign(a) P xhat)
     sin(j pi xhat).  An n_gauss Gauss rule is applied per panel, with
-    enough panels that the highest requested mode is resolved.
+    enough panels that the highest requested mode is resolved.  f is
+    called once per block of elements, each block holding at most
+    _PROJECTION_BLOCK_FLOATS products of mode and quadrature values.
     """
     panels = max(1, int(np.ceil(n_modes / 8.0)))
     xg, wg = _composite_gauss01(n_gauss, panels)
-    fx = np.array([f(x, t) for x in x_left + p.h * xg])
     j = np.arange(1, n_modes + 1)
-    expo = np.exp(-p.sign_a * p.P * xg)
     stable = np.sin(np.outer(j, np.pi * xg))
-    weight = p.h * np.sqrt(2.0 / p.h)
-    return weight * (stable * (expo * fx * wg)[None, :]).sum(axis=1)
+    expo = np.exp(np.array([-p.sign_a * p.P for p in params])[:, None] * xg)
+    x_left, h = mesh.nodes[:-1, None], mesh.h[:, None]
+    sums = np.empty((mesh.n_elems, n_modes))
+    block = max(1, _PROJECTION_BLOCK_FLOATS // stable.size)
+    for start in range(0, mesh.n_elems, block):
+        rows = slice(start, start + block)
+        x = x_left[rows] + h[rows] * xg
+        fx = mesh_fem.point_values(f, x, t, name="projected function")
+        if nodal is not None:
+            s = (x - x_left[rows]) / h[rows]
+            fx = fx - (nodal[:-1, None][rows] * (1.0 - s)
+                       + nodal[1:, None][rows] * s)
+        # elementwise product and .sum over the quadrature axis, not
+        # matmul or einsum: the arithmetic of a one-element projection, so
+        # the result does not move by roundoff with the block layout
+        g = expo[index[rows]] * fx * wg
+        sums[rows] = (stable * g[:, None, :]).sum(axis=2)
+    weight = h * np.sqrt(2.0 / h)
+    return weight * sums

@@ -17,6 +17,7 @@ __all__ = [
     "TriDiagSystem",
     "SingularSystemError",
     "build_uniform_mesh",
+    "point_values",
     "project_velocity",
     "assemble_mass",
     "assemble_stiffness",
@@ -60,8 +61,8 @@ class Mesh1D:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     def interpolate(self, f):
-        """Nodal (Lagrange) interpolant of a callable f(x)."""
-        return np.array([f(x) for x in self.nodes], dtype=float)
+        """Nodal (Lagrange) interpolant of an array callable f(x)."""
+        return point_values(f, self.nodes, name="interpolated function")
 
     def __repr__(self):
         return "Mesh1D(%g..%g, %d elems)" % (
@@ -144,8 +145,30 @@ _GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
 _GAUSS_W = 0.5 * _GAUSS_W
 
 
+def point_values(f, x, *args, name):
+    """f(x, *args) on the point array x, as a float array of x's shape.
+
+    User callables such as initial(x) and source(x, t) take an ndarray of
+    points and return an array of the same shape; a scalar result is
+    broadcast.  Raises ValueError on any other shape or on a non-finite
+    value.
+    """
+    vals = np.asarray(f(x, *args), dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(x.shape, vals)
+    elif vals.shape != x.shape:
+        raise ValueError(
+            "%s returned shape %s for points of shape %s: it must take an "
+            "array of points and return an array of the same shape"
+            % (name, vals.shape, x.shape))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("%s produced non-finite values" % name)
+    return vals
+
+
 def _at_points(f, x, t):
-    """Scalar callable f(x, t) evaluated at every point of an array."""
+    """Pointwise velocity a(x, t) evaluated at every point of an array;
+    unlike initial and source, velocity callables take one point."""
     return np.array([f(xi, t) for xi in x.ravel()],
                     dtype=float).reshape(x.shape)
 
@@ -300,7 +323,7 @@ def assemble_load(mesh, f, t):
     if f is None:
         return np.zeros(mesh.n_nodes)
     xq = mesh.nodes[:-1, None] + mesh.h[:, None] * _GAUSS_X
-    fq = _at_points(f, xq, t)
+    fq = point_values(f, xq, t, name="source")
     local = np.stack([np.sum(_GAUSS_W * fq * (1.0 - _GAUSS_X), axis=1),
                       np.sum(_GAUSS_W * fq * _GAUSS_X, axis=1)], axis=1)
     return sum_element_vectors(mesh.h[:, None] * local)

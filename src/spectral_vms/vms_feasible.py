@@ -178,8 +178,8 @@ def _force_vectors(mesh, mats, f, t):
     """
     if f is None:
         return {name: np.zeros(mesh.n_nodes) for name in _FORCE_FAMILIES}
-    f_mid = np.array([f(x, t) for x in mesh.nodes[:-1] + 0.5 * mesh.h],
-                     dtype=float)[:, None]
+    f_mid = mesh_fem.point_values(f, mesh.nodes[:-1] + 0.5 * mesh.h, t,
+                                  name="source")[:, None]
     kern = mats.element_kernels
     a_abs = np.abs(mats.a_elem)[:, None]
     out = {}

@@ -94,13 +94,11 @@ class _Snapshot:
         return lhs, mass
 
     def source_modes(self, t):
-        """(n_elems, J) source projections <f, p z_j>, one call per
-        element because the source is a scalar callable."""
+        """(n_elems, J) source projections <f, p z_j>."""
         c = self.config
-        return np.array([
-            kernels.source_mode_projection(c.source, t, self.params[i],
-                                           x_left, c.n_modes, c.source_gauss)
-            for i, x_left in zip(self.index, c.mesh.nodes[:-1])])
+        return kernels.source_mode_projection(
+            c.source, t, c.mesh, self.params, self.index, c.n_modes,
+            c.source_gauss)
 
 
 def _pair(arr, u):
@@ -120,23 +118,15 @@ def init_state(config):
         u0 = np.zeros(mesh.n_nodes)
     else:
         u0 = mesh.interpolate(config.initial)
-    state = SubgridState.zeros(mesh.n_elems, config.n_modes)
-    if config.project_initial_subgrid and config.initial is not None:
-        a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0,
-                                           config.velocity_rule)
-        params, index = kernels.distinct_element_params(
-            a_elem, mesh.h, config.mu, config.tgrid.dt)
-        for k in range(mesh.n_elems):
-            p = params[index[k]]
-            xl, ul, ur = mesh.nodes[k], u0[k], u0[k + 1]
-
-            def bubble(x, t, xl=xl, h=mesh.h[k], ul=ul, ur=ur):
-                s = (x - xl) / h
-                return config.initial(x) - (ul * (1.0 - s) + ur * s)
-
-            state.amplitudes[k] = kernels.source_mode_projection(
-                bubble, 0.0, p, xl, config.n_modes, n_gauss=64)
-    return u0, state
+    if not (config.project_initial_subgrid and config.initial is not None):
+        return u0, SubgridState.zeros(mesh.n_elems, config.n_modes)
+    a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0,
+                                       config.velocity_rule)
+    params, index = kernels.distinct_element_params(
+        a_elem, mesh.h, config.mu, config.tgrid.dt)
+    return u0, SubgridState(kernels.source_mode_projection(
+        lambda x, t: config.initial(x), 0.0, mesh, params, index,
+        config.n_modes, n_gauss=64, nodal=u0))
 
 
 def step_full(u_prev, state, n, config, ctx=None):

@@ -56,6 +56,25 @@ def brute_series(family, m, l, P, S, n_terms=600):
     return total
 
 
+def per_element_projection(f, t, p, x_left, n_modes, n_gauss):
+    """One element's source terms <f, p z_j>, with f called one point at
+    a time and the composite Gauss rule built anew on every call; the
+    reference for the all-element kernels.source_mode_projection."""
+    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
+    xg = 0.5 * (xg + 1.0)
+    wg = 0.5 * wg
+    panels = max(1, int(np.ceil(n_modes / 8.0)))
+    if panels > 1:
+        xg = ((np.arange(panels)[:, None] + xg[None, :]) / panels).ravel()
+        wg = np.tile(wg / panels, panels)
+    fx = np.array([f(x_left + p.h * xh, t) for xh in xg])
+    j = np.arange(1, n_modes + 1)
+    expo = np.exp(-p.sign_a * p.P * xg)
+    stable = np.sin(np.outer(j, np.pi * xg))
+    weight = p.h * np.sqrt(2.0 / p.h)
+    return weight * (stable * (expo * fx * wg)[None, :]).sum(axis=1)
+
+
 def monolithic_step_oracle(mesh, a_elem, mu, dt, f, bc, t1, u0, c0, J):
     """Dense coupled solve of one backward-Euler step over the space
     spanned by the nodal hats plus J weighted modes per element.

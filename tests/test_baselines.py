@@ -98,7 +98,7 @@ def test_galerkin_oscillates_big_peclet():
     tgrid = TimeGrid(9e-3, 9)
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     hist = run_galerkin(mesh, tgrid, 1000.0, 1.0, initial=hat)
     assert hist.min() < -1e-3 or hist.max() > 1.0 + 1e-3
@@ -134,7 +134,7 @@ def test_run_stabilized_smoke():
     tgrid = TimeGrid(0.03, 3)
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     hist = run_stabilized(StabChoice("Codina"), mesh, tgrid, 300.0, 1.0,
                           initial=hat)

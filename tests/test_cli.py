@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -96,6 +97,39 @@ def test_solve_ic_file(tmp_path):
                "0.1", "--steps", "1", "--ic", "file", "--ic-file",
                str(ic), "--out", str(out)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("method, module, stepper", [
+    ("galerkin", "baselines", "step_galerkin"),
+    ("spectral-full", "vms_full", "step_full"),
+    ("spectral-feasible", "vms_feasible", "step_feasible")])
+def test_solve_non_finite_ic_is_a_validation_error(tmp_path, capsys,
+                                                   monkeypatch, method,
+                                                   module, stepper):
+    # a NaN in the file stops the run before its first step, with exit
+    # code 2 instead of a numerical failure after the march
+    steps = []
+    mod = importlib.import_module("spectral_vms." + module)
+    original = getattr(mod, stepper)
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, stepper, counting)
+    ic = tmp_path / "ic.txt"
+    vals = np.linspace(0.0, 1.0, 5)
+    vals[2] = np.nan
+    np.savetxt(ic, vals)
+    out = tmp_path / "sol.csv"
+    rc = main(["solve", "--method", method, "--h", "0.25", "--dt", "0.1",
+               "--steps", "3", "--modes", "4", "--ic", "file", "--ic-file",
+               str(ic), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "numerical failure" not in err
+    assert steps == []
+    assert not out.exists()
 
 
 def test_compare_schema_and_determinism(tmp_path, capsys):

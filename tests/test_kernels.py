@@ -8,9 +8,11 @@ import pytest
 
 import spectral_vms
 from spectral_vms import kernels as K
+from spectral_vms.mesh_fem import Mesh1D
 
 from oracles import (composite_gauss01, gauss01, green_kernels,
-                     nsum_kernel, quad_base_integrals)
+                     nsum_kernel, per_element_projection,
+                     quad_base_integrals)
 
 
 def test_element_params_known_values():
@@ -314,7 +316,9 @@ def test_subgrid_projection_roundtrip():
         s = (x - 1.0) / 0.25
         return np.sin(np.pi * s) * np.exp(0.5 * s)
 
-    amps = K.source_mode_projection(bubble, 0.0, p, 1.0, 300, n_gauss=64)
+    mesh = Mesh1D([1.0, 1.25, 1.5])
+    amps = K.source_mode_projection(bubble, 0.0, mesh, [p], [0, 0], 300,
+                                    n_gauss=64)[0]
     xh, wq = composite_gauss01(40, 16)
     got = K.reconstruct_subgrid(amps[:150], p, xh)
     want = np.array([bubble(1.0 + 0.25 * s, 0.0) for s in xh])
@@ -326,36 +330,55 @@ def test_subgrid_projection_roundtrip():
     assert np.max(np.abs(got - want)) < 1e-4 * np.max(np.abs(want))
 
 
-def _fresh_rule_projection(f, t, p, x_left, n_modes, n_gauss):
-    # the projection with its Gauss rule built anew on every call
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    panels = max(1, int(np.ceil(n_modes / 8.0)))
-    if panels > 1:
-        xg = ((np.arange(panels)[:, None] + xg[None, :]) / panels).ravel()
-        wg = np.tile(wg / panels, panels)
-    fx = np.array([f(x_left + p.h * xh, t) for xh in xg])
-    j = np.arange(1, n_modes + 1)
-    expo = np.exp(-p.sign_a * p.P * xg)
-    stable = np.sin(np.outer(j, np.pi * xg))
-    weight = p.h * np.sqrt(2.0 / p.h)
-    return weight * (stable * (expo * fx * wg)[None, :]).sum(axis=1)
-
-
 @pytest.mark.parametrize("n_modes", [6, 20])
 @pytest.mark.parametrize("a", [3.5, -3.5])
 def test_source_projection_cached_rule_is_bit_identical(a, n_modes):
-    p = K.element_params(a, 0.05, 0.4, 0.01)
+    mesh = Mesh1D([0.3, 0.35, 0.4])
+    params, index = K.distinct_element_params([a, a], mesh.h, 0.4, 0.01)
 
     def f(x, t):
         return np.cos(3.0 * x) * np.exp(x) + t
 
     for n_gauss in (32, 64):
-        want = _fresh_rule_projection(f, 0.25, p, 0.3, n_modes, n_gauss)
+        want = np.array([per_element_projection(f, 0.25, params[index[k]],
+                                                mesh.nodes[k], n_modes,
+                                                n_gauss)
+                         for k in range(mesh.n_elems)])
         for _ in range(2):  # the second call reads the cached rule
-            got = K.source_mode_projection(f, 0.25, p, 0.3, n_modes, n_gauss)
+            got = K.source_mode_projection(f, 0.25, mesh, params, index,
+                                           n_modes, n_gauss)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_gauss", [32, 64])
+@pytest.mark.parametrize("n_modes", [6, 20, 150])
+def test_all_element_projection_matches_per_element_oracle(
+        n_modes, n_gauss, monkeypatch):
+    # a nonuniform mesh with velocities of both signs, over two full
+    # element blocks and a partial one, so a block sliced one element off
+    # shows; the floats budget is cut to 4 elements per block to keep the
+    # per-point oracle cheap
+    panels = max(1, int(np.ceil(n_modes / 8.0)))
+    monkeypatch.setattr(K, "_PROJECTION_BLOCK_FLOATS",
+                        4 * n_modes * panels * n_gauss)
+    n_elems = 11
+    rng = np.random.default_rng(n_modes + n_gauss)
+    mesh = Mesh1D(np.concatenate(
+        [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n_elems))]) / n_elems)
+    a_elem = rng.uniform(0.5, 40.0, n_elems) * rng.choice([-1.0, 1.0],
+                                                           n_elems)
+    params, index = K.distinct_element_params(a_elem, mesh.h, 0.3, 0.01)
+
+    def f(x, t):
+        return np.cos(3.0 * x) * np.exp(x) + t
+
+    got = K.source_mode_projection(f, 0.25, mesh, params, index, n_modes,
+                                   n_gauss)
+    want = np.array([per_element_projection(f, 0.25, params[index[k]],
+                                            mesh.nodes[k], n_modes, n_gauss)
+                     for k in range(n_elems)])
+    assert got.shape == (n_elems, n_modes)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cached_gauss_rule_is_read_only():

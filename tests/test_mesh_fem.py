@@ -3,8 +3,9 @@ import pytest
 
 from spectral_vms.mesh_fem import (
     DirichletBC, Mesh1D, SingularSystemError, TriDiag, TriDiagSystem,
-    VelocityField, apply_dirichlet, assemble_mass, assemble_stiffness,
-    build_uniform_mesh, project_velocity, solve_tridiag)
+    VelocityField, apply_dirichlet, assemble_load, assemble_mass,
+    assemble_stiffness, build_uniform_mesh, point_values, project_velocity,
+    solve_tridiag)
 
 
 def test_uniform_mesh_basics():
@@ -221,3 +222,35 @@ def test_non_finite_solution_raises():
     m = TriDiag([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0])
     with pytest.raises(FloatingPointError):
         solve_tridiag(TriDiagSystem(m, [1.0, np.inf, 1.0]))
+
+
+def test_point_values_array_contract():
+    x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    np.testing.assert_array_equal(
+        point_values(lambda x, t: 2.0 * x + t, x, 1.0, name="f"),
+        2.0 * x + 1.0)
+    # a scalar result is broadcast to the points
+    vals = point_values(lambda x: 0.5, x, name="f")
+    assert vals.shape == x.shape and np.all(vals == 0.5)
+    with pytest.raises(ValueError, match="f returned shape .* same shape"):
+        point_values(lambda x: x.ravel(), x, name="f")
+    with pytest.raises(ValueError, match="f produced non-finite"):
+        point_values(lambda x: np.where(x > 0.5, np.nan, x), x, name="f")
+    with pytest.raises(ValueError, match="non-finite"):
+        point_values(lambda x: np.inf, x, name="f")
+
+
+def test_interpolate_and_load_validate_user_callables():
+    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    np.testing.assert_array_equal(mesh.interpolate(lambda x: 3.0),
+                                  np.full(5, 3.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        mesh.interpolate(lambda x: np.where(x > 0.6, np.nan, x))
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_load(mesh, lambda x, t: np.where(x > 0.9, np.nan, t), 1.0)
+    with pytest.raises(ValueError, match="same shape"):
+        assemble_load(mesh, lambda x, t: x[:, 0], 1.0)
+    # a constant source is broadcast: the load is (f, phi_l)
+    np.testing.assert_allclose(assemble_load(mesh, lambda x, t: 2.0, 0.0),
+                               2.0 * np.array([0.125, 0.25, 0.25, 0.25,
+                                               0.125]))

@@ -116,7 +116,7 @@ def test_first_step_matches_full_method():
     tgrid = TimeGrid(dt, 1)
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     fcfg = F.FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                             initial=hat,
@@ -134,7 +134,7 @@ def test_null_provider_reduces_to_galerkin():
     tgrid = TimeGrid(3 * dt, 3)
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     fcfg = F.FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                             initial=hat, provider=F.NullKernelProvider())
@@ -149,7 +149,7 @@ def test_g_pairing_flag_changes_result_only_slightly():
     tgrid = TimeGrid(3 * dt, 3)
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     hists = {}
     for pairing in ("main", "appendix"):
@@ -212,3 +212,14 @@ def test_step_feasible_rejects_bad_pairing():
     with pytest.raises(ValueError):
         F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.01, 1), mu=1.0,
                          velocity=1.0, g_pairing="nonsense")
+
+
+def test_force_vectors_validate_the_source():
+    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    mats = F.assemble_matrices(mesh, 2.0, 1.0, 0.01,
+                               F.DirectKernelProvider())
+    forces = F._force_vectors(mesh, mats, lambda x, t: 0.7, 0.0)
+    assert all(np.all(np.isfinite(v)) for v in forces.values())
+    with pytest.raises(ValueError, match="non-finite"):
+        F._force_vectors(mesh, mats,
+                         lambda x, t: np.where(x > 0.5, np.inf, 1.0), 0.0)

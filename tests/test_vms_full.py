@@ -99,7 +99,7 @@ def test_init_state_hat_ic():
     from spectral_vms.mesh_fem import TimeGrid
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     config = V.FullVmsConfig(mesh=mesh, tgrid=TimeGrid(9e-3, 9), mu=1.0,
                              velocity=1000.0, initial=hat, n_modes=10)
@@ -200,7 +200,7 @@ def test_test2_max_principle_tight():
     from spectral_vms.mesh_fem import TimeGrid
 
     def hat(x):
-        return 1.0 if abs(x - 0.45) <= 0.25 else 0.0
+        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
     mesh = build_uniform_mesh(0.0, 1.0, 50)
     config = V.FullVmsConfig(mesh=mesh, tgrid=TimeGrid(9e-3, 9), mu=1.0,
@@ -246,8 +246,8 @@ def test_concurrent_runs_are_independent():
 
 
 def test_gauss_rule_built_once_per_layout(monkeypatch):
-    # the projected initial subgrid needs one source projection per
-    # element; its Gauss rule must be built once, not once per element
+    # the projected initial subgrid makes one source projection per run;
+    # its Gauss rule must be built once per layout, not once per call
     K._composite_gauss01.cache_clear()
     built = []
     projections = []
@@ -272,6 +272,46 @@ def test_gauss_rule_built_once_per_layout(monkeypatch):
     layouts = set(projections)
     assert len(projections) > len(layouts)
     assert sorted(built) == sorted(n_gauss for n_gauss, _ in layouts)
+
+
+def test_initial_called_once_per_projection_block(monkeypatch):
+    # the initial data is evaluated once for the nodal interpolant and
+    # once per element block of the subgrid projection, not per point
+    from spectral_vms import analysis as A
+    calls = []
+    make_config = A.FullVmsConfig
+
+    def counting_config(**kwargs):
+        initial = kwargs["initial"]
+        calls.append([0, kwargs["mesh"].n_elems, kwargs["n_modes"]])
+
+        def counted(x):
+            calls[-1][0] += 1
+            return initial(x)
+
+        kwargs["initial"] = counted
+        return make_config(**kwargs)
+
+    monkeypatch.setattr(A, "FullVmsConfig", counting_config)
+    mesh_independence_study(h_values=[0.05 / 8, 0.05 / 16])
+    assert len(calls) == 2
+    for n_calls, n_elems, n_modes in calls:
+        panels = max(1, int(np.ceil(n_modes / 8.0)))
+        block = max(1, K._PROJECTION_BLOCK_FLOATS // (n_modes * panels * 64))
+        blocks = -(-n_elems // block)
+        assert n_calls <= blocks + 1
+
+
+def test_non_finite_source_fails_in_the_projection():
+    from spectral_vms.mesh_fem import TimeGrid
+    config = V.FullVmsConfig(
+        mesh=build_uniform_mesh(0.0, 1.0, 6), tgrid=TimeGrid(0.02, 2),
+        mu=0.5, velocity=2.0, n_modes=4,
+        source=lambda x, t: np.where(x > 0.7, np.nan, 1.0))
+    u0, state = V.init_state(config)
+    with pytest.raises(ValueError, match="projected function produced "
+                                         "non-finite values"):
+        V.step_full(u0, state, 0, config)
 
 
 def test_run_full_time_dependent_velocity_matches_fresh_steps():
