@@ -297,12 +297,13 @@ def write_report_csv(path, results):
 
 def write_solutions_csv(path, mesh, tgrid, histories):
     """Per-step nodal dumps: x,t,step,method,value rows."""
-    times = tgrid.times()
+    xs = [FLOAT_FMT % x for x in mesh.nodes.tolist()]
+    ts = [FLOAT_FMT % t for t in tgrid.times().tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "t", "step", "method", "value"])
         for method, hist in histories.items():
-            for n, t in enumerate(times):
-                for x, v in zip(mesh.nodes, hist[n]):
-                    writer.writerow([FLOAT_FMT % x, FLOAT_FMT % t, n,
-                                     method, FLOAT_FMT % v])
+            for n, t in enumerate(ts):
+                writer.writerows(
+                    [x, t, n, method, FLOAT_FMT % v]
+                    for x, v in zip(xs, hist[n].tolist()))

@@ -15,8 +15,8 @@ from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
                        assemble_stiffness, solve_tridiag)
 
 __all__ = ["StabChoice", "tau", "cfl_bound", "assemble_stab_matrix",
-           "step_galerkin", "step_stabilized", "run_galerkin",
-           "run_stabilized", "STAB_KINDS"]
+           "step_matrices", "step_galerkin", "step_stabilized",
+           "run_galerkin", "run_stabilized", "STAB_KINDS"]
 
 STAB_KINDS = ("OneD", "Codina", "Hauke", "Franca")
 
@@ -76,58 +76,92 @@ def assemble_stab_matrix(mesh, coeff=1.0):
                                * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def step_galerkin(u_prev, a_elem, mu, mesh, dt, f=None, bc=None, t_new=None):
-    """(M + dt R) u = M u_prev + dt F with Dirichlet values at t_new."""
-    bc = bc or DirichletBC.homogeneous()
-    t_new = dt if t_new is None else t_new
+def step_matrices(mesh, a_elem, mu, dt, choice=None):
+    """(lhs, mass) of one implicit-Euler step: lhs = M + dt R, plus
+    dt a^2 tau M_s when a StabChoice is given."""
     m = assemble_mass(mesh)
     lhs = m + dt * assemble_stiffness(mesh, a_elem, mu)
+    if choice is not None:
+        a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
+                                 (mesh.n_elems,))
+        coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
+        lhs = lhs + dt * assemble_stab_matrix(mesh, coeff)
+    return lhs, m
+
+
+def _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new):
+    lhs, m = matrices
+    bc = bc or DirichletBC.homogeneous()
+    t_new = dt if t_new is None else t_new
     rhs = m.matvec(u_prev) + dt * assemble_load(mesh, f, t_new)
     return solve_tridiag(apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t_new))
+
+
+def step_galerkin(u_prev, a_elem, mu, mesh, dt, f=None, bc=None, t_new=None,
+                  matrices=None):
+    """(M + dt R) u = M u_prev + dt F with Dirichlet values at t_new.
+
+    matrices is the step_matrices pair of a_elem; passing the same one to
+    every step reuses the left-hand side and its factorisation.
+    """
+    if matrices is None:
+        matrices = step_matrices(mesh, a_elem, mu, dt)
+    return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
 
 def step_stabilized(u_prev, choice, a_elem, mu, mesh, dt, f=None, bc=None,
-                    t_new=None):
-    """Stabilized step (M + dt R + dt a^2 tau M_s) u = M u_prev + dt F."""
-    bc = bc or DirichletBC.homogeneous()
-    t_new = dt if t_new is None else t_new
-    a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
-                             (mesh.n_elems,))
-    m = assemble_mass(mesh)
-    coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
-    lhs = m + dt * assemble_stiffness(mesh, a_elem, mu) \
-        + dt * assemble_stab_matrix(mesh, coeff)
-    rhs = m.matvec(u_prev) + dt * assemble_load(mesh, f, t_new)
-    return solve_tridiag(apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t_new))
+                    t_new=None, matrices=None):
+    """Stabilized step (M + dt R + dt a^2 tau M_s) u = M u_prev + dt F.
+
+    matrices is the step_matrices pair of a_elem and choice, as in
+    step_galerkin.
+    """
+    if matrices is None:
+        matrices = step_matrices(mesh, a_elem, mu, dt, choice)
+    return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
 
-def _run(stepper, mesh, tgrid, velocity, initial, rule):
+def _run(stepper, matrices_of, mesh, tgrid, velocity, initial, rule):
+    """March stepper(u, a_elem, t1, matrices); matrices_of(a_elem) is
+    called again only when the projected velocity changes."""
     velocity = velocity if isinstance(velocity, VelocityField) \
         else VelocityField(velocity)
     u = np.zeros(mesh.n_nodes) if initial is None \
         else mesh.interpolate(initial)
     history = np.empty((tgrid.n_steps + 1, mesh.n_nodes))
     history[0] = u
+    a_prev = matrices = None
     for n in range(tgrid.n_steps):
         t1 = (n + 1) * tgrid.dt
         a_elem = mesh_fem.project_velocity(velocity, mesh, t1, rule)
-        u = stepper(u, a_elem, t1)
+        if matrices is None or not np.array_equal(a_elem, a_prev):
+            a_prev, matrices = a_elem, matrices_of(a_elem)
+        u = stepper(u, a_elem, t1, matrices)
         history[n + 1] = u
     return history
 
 
 def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None,
                  velocity_rule="midpoint"):
-    def stepper(u, a_elem, t1):
-        return step_galerkin(u, a_elem, mu, mesh, tgrid.dt, f, bc, t1)
+    def stepper(u, a_elem, t1, matrices):
+        return step_galerkin(u, a_elem, mu, mesh, tgrid.dt, f, bc, t1,
+                             matrices)
 
-    return _run(stepper, mesh, tgrid, velocity, initial, velocity_rule)
+    def matrices_of(a_elem):
+        return step_matrices(mesh, a_elem, mu, tgrid.dt)
+
+    return _run(stepper, matrices_of, mesh, tgrid, velocity, initial,
+                velocity_rule)
 
 
 def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
                    bc=None, velocity_rule="midpoint"):
-    def stepper(u, a_elem, t1):
+    def stepper(u, a_elem, t1, matrices):
         return step_stabilized(u, choice, a_elem, mu, mesh, tgrid.dt, f,
-                               bc, t1)
+                               bc, t1, matrices)
 
-    return _run(stepper, mesh, tgrid, velocity, initial, velocity_rule)
+    def matrices_of(a_elem):
+        return step_matrices(mesh, a_elem, mu, tgrid.dt, choice)
+
+    return _run(stepper, matrices_of, mesh, tgrid, velocity, initial,
+                velocity_rule)

@@ -3,8 +3,16 @@ handling, tridiagonal (Thomas) solves and piecewise-constant velocity
 projection.
 
 All solvers in this package produce tridiagonal systems, so the linear
-algebra layer stores only the three central diagonals.
+algebra layer stores only the three central diagonals.  A system is
+solved by Thomas elimination without pivoting, split into a
+factorisation, computed once per left-hand side and cached on its
+read-only TriDiag, and a substitution per right-hand side.  A pivot
+failure raises SingularSystemError at the first solve with the matrix
+(and at every later one).
 """
+
+import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -15,6 +23,7 @@ __all__ = [
     "VelocityField",
     "TriDiag",
     "TriDiagSystem",
+    "ThomasFactors",
     "SingularSystemError",
     "build_uniform_mesh",
     "point_values",
@@ -23,12 +32,15 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "sum_element_vectors",
+    "factor_tridiag",
     "solve_tridiag",
     "apply_dirichlet",
 ]
 
 # Relative pivot threshold below which elimination reports a singular system.
 PIVOT_RTOL = 1e-14
+
+_NON_FINITE = "tridiagonal solve produced non-finite values"
 
 
 class SingularSystemError(RuntimeError):
@@ -196,22 +208,25 @@ def project_velocity(a, mesh, t=0.0, rule="midpoint"):
 
 
 class TriDiag:
-    """Tridiagonal matrix stored as (sub, diag, sup) bands."""
+    """Tridiagonal matrix stored as read-only (sub, diag, sup) bands.
+
+    The bands are copied from the input and never written, so the Thomas
+    factorisation and the Dirichlet boundary rows that solves cache on
+    the matrix cannot go stale.
+    """
 
     def __init__(self, sub, diag, sup):
-        self.sub = np.asarray(sub, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-        self.sup = np.asarray(sup, dtype=float)
+        self.sub, self.diag, self.sup = (_read_only_copy(b)
+                                         for b in (sub, diag, sup))
         n = self.diag.size
         if self.sub.size != n - 1 or self.sup.size != n - 1:
             raise ValueError("band lengths inconsistent with diagonal")
+        self._factors = None
+        self._dirichlet = None
 
     @property
     def n(self):
         return self.diag.size
-
-    def copy(self):
-        return TriDiag(self.sub.copy(), self.diag.copy(), self.sup.copy())
 
     def __add__(self, other):
         return TriDiag(self.sub + other.sub, self.diag + other.diag,
@@ -232,9 +247,8 @@ class TriDiag:
         """Sum of (n_elems, 2, 2) element blocks, block k on rows and
         columns k, k+1."""
         blocks = np.asarray(blocks, dtype=float)
-        return cls(blocks[:, 1, 0].copy(),
-                   sum_element_vectors(blocks[:, [0, 1], [0, 1]]),
-                   blocks[:, 0, 1].copy())
+        return cls(blocks[:, 1, 0], sum_element_vectors(
+            blocks[:, [0, 1], [0, 1]]), blocks[:, 0, 1])
 
     def matvec(self, x):
         y = self.diag * x
@@ -251,6 +265,43 @@ class TriDiag:
                    np.max(np.abs(self.sub), initial=0.0),
                    np.max(np.abs(self.sup), initial=0.0))
 
+    def factors(self):
+        """The ThomasFactors of this matrix, computed at the first call.
+
+        A matrix whose elimination fails caches nothing, so every solve
+        with it raises SingularSystemError again.
+        """
+        if self._factors is None:
+            self._factors = factor_tridiag(self)
+        return self._factors
+
+    def dirichlet_rows(self):
+        """(matrix, left, right) for Dirichlet row replacement, built at
+        the first call: matrix has identity boundary rows and no coupling
+        to the boundary columns; left and right are the removed couplings
+        of row 1 to column 0 and of row n-2 to column n-1."""
+        if self._dirichlet is None:
+            sub, diag, sup = (b.copy() for b in (self.sub, self.diag,
+                                                  self.sup))
+            n = diag.size
+            diag[0] = 1.0
+            sup[0] = 0.0
+            diag[n - 1] = 1.0
+            sub[n - 2] = 0.0
+            # read after the row n-1 update: for n = 2 that zeroes sub[0]
+            left = sub[0]
+            sub[0] = 0.0
+            right = sup[n - 2]
+            sup[n - 2] = 0.0
+            self._dirichlet = (TriDiag(sub, diag, sup), left, right)
+        return self._dirichlet
+
+
+def _read_only_copy(band):
+    band = np.array(band, dtype=float)
+    band.flags.writeable = False
+    return band
+
 
 class TriDiagSystem:
     """Tridiagonal linear system A u = rhs."""
@@ -263,38 +314,71 @@ class TriDiagSystem:
         self.rhs = rhs
 
 
-def solve_tridiag(sys):
-    """Thomas elimination; raises SingularSystemError on tiny pivots and
-    FloatingPointError when the solution is not finite."""
-    a, d, c = sys.matrix.sub, sys.matrix.diag, sys.matrix.sup
-    n = d.size
-    scale = sys.matrix.max_abs()
+# A = L U from Thomas elimination without pivoting, as lists of Python
+# floats: L is unit lower bidiagonal with the multipliers below its
+# diagonal, U upper bidiagonal with the pivots on its diagonal and the
+# superdiagonal of A above it.
+ThomasFactors = namedtuple("ThomasFactors", "multipliers pivots sup")
+
+
+def factor_tridiag(matrix):
+    """Thomas factorisation of a TriDiag; raises SingularSystemError on a
+    zero matrix or a pivot below PIVOT_RTOL times its largest entry."""
+    scale = float(matrix.max_abs())
     if scale == 0.0:
         raise SingularSystemError("zero matrix")
+    if math.isnan(scale):
+        # a NaN on the diagonal disables every pivot check and ends in a
+        # NaN solution
+        raise FloatingPointError(_NON_FINITE)
     tol = PIVOT_RTOL * scale
-    dd = d.copy()
-    rr = sys.rhs.copy()
-    for i in range(1, n):
-        if abs(dd[i - 1]) < tol:
-            raise SingularSystemError("pivot %d below tolerance" % (i - 1))
-        w = a[i - 1] / dd[i - 1]
-        dd[i] -= w * c[i - 1]
-        rr[i] -= w * rr[i - 1]
-    if abs(dd[n - 1]) < tol:
-        raise SingularSystemError("pivot %d below tolerance" % (n - 1))
-    x = np.empty(n)
-    x[n - 1] = rr[n - 1] / dd[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (rr[i] - c[i] * x[i + 1]) / dd[i]
+    diag, sup = matrix.diag.tolist(), matrix.sup.tolist()
+    p = diag[0]
+    pivots, multipliers = [p], []
+    for a, d, c in zip(matrix.sub.tolist(), diag[1:], sup):
+        if abs(p) < tol:
+            raise SingularSystemError("pivot %d below tolerance"
+                                      % (len(pivots) - 1))
+        w = a / p
+        p = d - w * c
+        multipliers.append(w)
+        pivots.append(p)
+    if abs(p) < tol:
+        raise SingularSystemError("pivot %d below tolerance"
+                                  % (len(pivots) - 1))
+    return ThomasFactors(multipliers, pivots, sup)
+
+
+def solve_tridiag(sys):
+    """Solve by substitution with the matrix's cached Thomas factors.
+
+    Raises SingularSystemError when the factorisation meets a tiny pivot
+    and FloatingPointError when the solution is not finite.
+    """
+    f = sys.matrix.factors()
+    r = sys.rhs.tolist()
+    for i, w in enumerate(f.multipliers):
+        r[i + 1] -= w * r[i]
+    x = r[-1] / f.pivots[-1]
+    r[-1] = x
+    for i in range(len(r) - 2, -1, -1):
+        x = (r[i] - f.sup[i] * x) / f.pivots[i]
+        r[i] = x
+    x = np.array(r)
     if not np.all(np.isfinite(x)):
-        raise FloatingPointError("tridiagonal solve produced non-finite "
-                                 "values")
+        raise FloatingPointError(_NON_FINITE)
     return x
 
 
 def sum_element_vectors(local):
     """Node vector summing (n_elems, 2) element vectors onto nodes k, k+1."""
-    return np.pad(local[:, 0], (0, 1)) + np.pad(local[:, 1], (1, 0))
+    out = np.zeros(local.shape[0] + 1)
+    out[:-1] = local[:, 0]
+    out[1:] += local[:, 1]
+    # both end nodes get their one contribution plus zero, so a -0.0
+    # contribution reads 0.0 at either end
+    out[0] += 0.0
+    return out
 
 
 def assemble_mass(mesh):
@@ -334,20 +418,17 @@ def apply_dirichlet(sys, bc, t):
 
     Returns a new system; boundary rows become identity rows and the
     adjacent interior rows lose their coupling to the boundary columns.
+    The new matrix depends on sys.matrix alone, so it is built once per
+    matrix and shared, with its factorisation, by every call.
     """
     gl, gr = bc.values(t)
-    m = sys.matrix.copy()
+    m, left, right = sys.matrix.dirichlet_rows()
     rhs = sys.rhs.copy()
     n = m.n
-    m.diag[0] = 1.0
-    m.sup[0] = 0.0
     rhs[0] = gl
-    m.diag[n - 1] = 1.0
-    m.sub[n - 2] = 0.0
     rhs[n - 1] = gr
     # eliminate boundary columns from the neighbouring interior rows
-    rhs[1] -= m.sub[0] * gl
-    m.sub[0] = 0.0
-    rhs[n - 2] -= m.sup[n - 2] * gr
-    m.sup[n - 2] = 0.0
+    rhs[1] -= left * gl
+    rhs[n - 2] -= right * gr
     return TriDiagSystem(m, rhs)
+

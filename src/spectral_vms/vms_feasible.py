@@ -98,7 +98,7 @@ class FeasibleMatrices:
     B3: TriDiag
     B4: TriDiag
     mass: TriDiag
-    stiff: TriDiag
+    lhs: TriDiag  # M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4)
     a_elem: np.ndarray
     element_kernels: dict  # A/B family -> kernels stacked over elements
 
@@ -133,7 +133,8 @@ def _mirror(local, a_elem):
 
 
 def assemble_matrices(mesh, a_elem, mu, dt, provider):
-    """Assemble A1..A4 and B1..B4 from per-element kernels.
+    """Assemble A1..A4 and B1..B4 from per-element kernels, and the
+    left-hand side that every step with this velocity solves.
 
     For a < 0 the element is mirrored: the positive-velocity block is
     built with |a| and flipped in both local indices.
@@ -159,10 +160,12 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
         }
         for idx, block in blocks.items():
             mats[prefix + idx] = TriDiag.from_blocks(_mirror(block, a_elem))
-    return FeasibleMatrices(
-        **mats, mass=assemble_mass(mesh),
-        stiff=assemble_stiffness(mesh, a_elem, mu),
-        a_elem=a_elem, element_kernels=kern)
+    mass = assemble_mass(mesh)
+    lhs = mass + dt * assemble_stiffness(mesh, a_elem, mu) \
+        - (mats["A1"] + dt * mats["A2"] + dt * mats["A3"]
+           + dt * dt * mats["A4"])
+    return FeasibleMatrices(**mats, mass=mass, lhs=lhs, a_elem=a_elem,
+                            element_kernels=kern)
 
 
 # The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
@@ -234,11 +237,7 @@ def step_feasible(state, sys_new, sys_old, config, first=False):
     dt = config.tgrid.dt
     n = state.step
     t1, t0 = (n + 1) * dt, n * dt
-    m = sys_new.mass
-    lhs = m + dt * sys_new.stiff \
-        - (sys_new.A1 + dt * sys_new.A2 + dt * sys_new.A3
-           + dt * dt * sys_new.A4)
-    rhs = m.matvec(state.u)
+    rhs = sys_new.mass.matvec(state.u)
     rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(state.u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
@@ -260,7 +259,7 @@ def step_feasible(state, sys_new, sys_old, config, first=False):
                     + dt * (1.0 + dt) * sys_new.B4).matvec(state.u)
             rhs -= (1.0 + dt) * sys_new.B3.matvec(state.u_prev)
             rhs -= dt * (1.0 + dt) * fv_new["F4"]
-    sys = apply_dirichlet(TriDiagSystem(lhs, rhs), config.bc, t1)
+    sys = apply_dirichlet(TriDiagSystem(sys_new.lhs, rhs), config.bc, t1)
     return solve_tridiag(sys)
 
 

@@ -7,7 +7,7 @@ This is the accuracy reference; the tabulated variant lives in
 vms_feasible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -183,13 +183,13 @@ def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx=None):
 class FullVmsResult:
     config: FullVmsConfig
     history: np.ndarray  # (n_steps + 1, n_nodes)
-    amplitude_history: list = field(default_factory=list)
+    amplitudes: np.ndarray  # (n_elems, n_modes), final time level only
 
-    def sample(self, step, points_per_elem=8):
-        """Dense samples of nodal-plus-subgrid field at one time step."""
+    def sample(self, points_per_elem=8):
+        """Dense samples of nodal-plus-subgrid field at the final time."""
         c = self.config
-        mesh, u = c.mesh, self.history[step]
-        amps = self.amplitude_history[step]
+        step = c.tgrid.n_steps
+        mesh, u, amps = c.mesh, self.history[step], self.amplitudes
         a_elem = mesh_fem.project_velocity(c.velocity, mesh,
                                            step * c.tgrid.dt, c.velocity_rule)
         params, index = kernels.distinct_element_params(
@@ -205,16 +205,15 @@ class FullVmsResult:
 
 
 def run_full(config):
-    """March the full spectral method over the whole time grid."""
+    """March the full spectral method over the whole time grid; the
+    result keeps every nodal level but only the final amplitudes."""
     u, state = init_state(config)
     history = np.empty((config.tgrid.n_steps + 1, config.mesh.n_nodes))
     history[0] = u
-    amp_hist = [state.amplitudes.copy()]
     # a constant velocity has one snapshot, so one left-hand side per run
     ctx = _Snapshot(config, 0.0) if config.velocity.is_constant else None
     for n in range(config.tgrid.n_steps):
         step_ctx = ctx or _Snapshot(config, (n + 1) * config.tgrid.dt)
         u, state = step_full(u, state, n, config, step_ctx)
         history[n + 1] = u
-        amp_hist.append(state.amplitudes)
-    return FullVmsResult(config, history, amp_hist)
+    return FullVmsResult(config, history, state.amplitudes)

@@ -2,7 +2,9 @@
 
 Everything here is computed independently of the package's closed forms:
 integrals by (composite) Gauss rules, series by explicit summation, and
-the Green's-function kernels in high-precision mpmath arithmetic.
+the Green's-function kernels in high-precision mpmath arithmetic.  The
+tridiagonal solve has a one-pass Thomas elimination on numpy scalars,
+which factors the matrix again on every call.
 """
 
 from functools import lru_cache
@@ -11,6 +13,7 @@ import mpmath as mp
 import numpy as np
 
 from spectral_vms.kernels import FAMILIES
+from spectral_vms.mesh_fem import PIVOT_RTOL, SingularSystemError
 
 
 @lru_cache(maxsize=64)
@@ -260,3 +263,33 @@ def nsum_kernel(family, m, l, P, S, dps=30):
 
         return (mp.nsum(lambda k: term(2 * k), [1, mp.inf])
                 + mp.nsum(lambda k: term(2 * k - 1), [1, mp.inf]))
+
+
+def thomas_solve(sys):
+    """Thomas elimination in one pass over numpy scalars; raises
+    SingularSystemError on tiny pivots and FloatingPointError when the
+    solution is not finite."""
+    a, d, c = sys.matrix.sub, sys.matrix.diag, sys.matrix.sup
+    n = d.size
+    scale = sys.matrix.max_abs()
+    if scale == 0.0:
+        raise SingularSystemError("zero matrix")
+    tol = PIVOT_RTOL * scale
+    dd = d.copy()
+    rr = sys.rhs.copy()
+    for i in range(1, n):
+        if abs(dd[i - 1]) < tol:
+            raise SingularSystemError("pivot %d below tolerance" % (i - 1))
+        w = a[i - 1] / dd[i - 1]
+        dd[i] -= w * c[i - 1]
+        rr[i] -= w * rr[i - 1]
+    if abs(dd[n - 1]) < tol:
+        raise SingularSystemError("pivot %d below tolerance" % (n - 1))
+    x = np.empty(n)
+    x[n - 1] = rr[n - 1] / dd[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rr[i] - c[i] * x[i + 1]) / dd[i]
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError("tridiagonal solve produced non-finite "
+                                 "values")
+    return x

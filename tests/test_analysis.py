@@ -186,3 +186,51 @@ def test_feasible_runs_at_large_peclet(P):
                         a, 1.0, initial=A.hat_profile)
     assert hist.min() >= -1e-8
     assert hist.max() <= 1.0 + 1e-8
+
+
+def _count_factorisations(monkeypatch):
+    from spectral_vms import mesh_fem
+    calls = []
+    factor = mesh_fem.factor_tridiag
+
+    def counting(matrix):
+        calls.append(1)
+        return factor(matrix)
+
+    monkeypatch.setattr(mesh_fem, "factor_tridiag", counting)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["galerkin", "stab-codina",
+                                    "spectral-full", "spectral-feasible"])
+def test_constant_velocity_factors_once(monkeypatch, method):
+    calls = _count_factorisations(monkeypatch)
+    hist = A.run_method(method, build_uniform_mesh(0.0, 1.0, 10),
+                        TimeGrid(0.05, 5), -4.0, 1.0,
+                        initial=lambda x: x * (1.0 - x), n_modes=6)
+    assert hist.shape == (6, 11)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["galerkin", "stab-codina",
+                                    "spectral-feasible"])
+def test_time_dependent_velocity_factors_once_per_projection(monkeypatch,
+                                                             method):
+    # the projected velocity takes two values over the five steps
+    def velocity(x, t):
+        return (1.0 + x) * (2.0 if t < 0.025 else 5.0)
+
+    calls = _count_factorisations(monkeypatch)
+    A.run_method(method, build_uniform_mesh(0.0, 1.0, 10),
+                 TimeGrid(0.05, 5), velocity, 1.0,
+                 initial=lambda x: x * (1.0 - x))
+    assert len(calls) == 2
+
+
+def test_time_dependent_full_run_factors_once_per_step(monkeypatch):
+    # spectral-full builds a snapshot, and so a left-hand side, per step
+    calls = _count_factorisations(monkeypatch)
+    A.run_method("spectral-full", build_uniform_mesh(0.0, 1.0, 10),
+                 TimeGrid(0.05, 5), lambda x, t: (1.0 + x) * (1.0 + t), 1.0,
+                 initial=lambda x: x * (1.0 - x), n_modes=6)
+    assert len(calls) == 5

@@ -254,3 +254,49 @@ def test_interpolate_and_load_validate_user_callables():
     np.testing.assert_allclose(assemble_load(mesh, lambda x, t: 2.0, 0.0),
                                2.0 * np.array([0.125, 0.25, 0.25, 0.25,
                                                0.125]))
+
+
+def test_tridiag_bands_are_read_only_copies():
+    sub, diag, sup = np.array([1.0]), np.array([4.0, 4.0]), np.array([1.0])
+    m = TriDiag(sub, diag, sup)
+    for band in (m.sub, m.diag, m.sup):
+        with pytest.raises(ValueError):
+            band[0] = 0.0
+    # the caller keeps its arrays writable, and writing into them leaves
+    # the matrix and its cached factors alone
+    x = solve_tridiag(TriDiagSystem(m, [5.0, 5.0]))
+    diag[0] = 0.0
+    np.testing.assert_array_equal(m.diag, [4.0, 4.0])
+    np.testing.assert_array_equal(solve_tridiag(TriDiagSystem(m, [5.0, 5.0])),
+                                  x)
+
+
+def test_singular_system_raises_on_every_solve():
+    m = TriDiag([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0])
+    for rhs in ([1.0, 2.0, 3.0], [0.0, 1.0, 0.0]):
+        with pytest.raises(SingularSystemError, match="pivot 1"):
+            solve_tridiag(TriDiagSystem(m, rhs))
+    zero = TriDiag([0.0], [0.0, 0.0], [0.0])
+    for _ in range(2):
+        with pytest.raises(SingularSystemError, match="zero matrix"):
+            solve_tridiag(TriDiagSystem(zero, [1.0, 1.0]))
+
+
+def test_nan_on_the_diagonal_is_a_non_finite_solution():
+    # the NaN scale disables every pivot check, so elimination would run
+    # into the zero pivot of row 0 and divide by it
+    m = TriDiag([1.0], [0.0, np.nan], [1.0])
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve_tridiag(TriDiagSystem(m, [1.0, 1.0]))
+
+
+def test_dirichlet_rows_are_built_once_per_matrix():
+    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    m = assemble_mass(mesh) + 0.1 * assemble_stiffness(mesh, 1.0, 2.0)
+    bc = DirichletBC(lambda t: t, lambda t: 1.0 - t)
+    first = apply_dirichlet(TriDiagSystem(m, np.ones(5)), bc, 0.25)
+    second = apply_dirichlet(TriDiagSystem(m, np.zeros(5)), bc, 0.5)
+    assert second.matrix is first.matrix
+    # only the right-hand sides carry the boundary values of their time
+    assert (first.rhs[0], first.rhs[-1]) == (0.25, 0.75)
+    assert (second.rhs[0], second.rhs[-1]) == (0.5, 0.5)

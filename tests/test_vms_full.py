@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_zero_dynamics():
     res = V.run_full(config)
     assert res.history.shape == (6, 9)
     np.testing.assert_array_equal(res.history, 0.0)
-    np.testing.assert_array_equal(res.amplitude_history[-1], 0.0)
+    np.testing.assert_array_equal(res.amplitudes, 0.0)
 
 
 def test_init_state_piecewise_linear_no_subgrid():
@@ -173,7 +174,7 @@ def test_amplitude_decay_bound():
                              initial=lambda x: np.exp(-x) * np.sin(np.pi * x),
                              n_modes=40, project_initial_subgrid=True)
     res = V.run_full(config)
-    amps = res.amplitude_history[-1]
+    amps = res.amplitudes
     p = K.element_params(50.0, 0.1, 1.0, 0.01)
     b = K.beta(np.arange(1, 41), p)
     # amplitudes decay at least as fast as beta_j times a fixed residual
@@ -188,7 +189,7 @@ def test_sample_reconstruction_endpoints():
                              velocity=10.0, initial=lambda x: x * (1 - x),
                              n_modes=5)
     res = V.run_full(config)
-    xs, vals = res.sample(1, points_per_elem=5)
+    xs, vals = res.sample(points_per_elem=5)
     assert xs.size == 30
     # at the element endpoints the sampled field equals the nodal values
     np.testing.assert_allclose(vals[0], res.history[1][0], atol=1e-12)
@@ -325,11 +326,17 @@ def test_run_full_time_dependent_velocity_matches_fresh_steps():
         initial=lambda x: np.sin(np.pi * x) + x, n_modes=5,
         bc=DirichletBC(0.0, 1.0), project_initial_subgrid=True)
     res = V.run_full(config)
+    dt = config.tgrid.dt
     u, state = V.init_state(config)
     for n in range(config.tgrid.n_steps):
         u, state = V.step_full(u, state, n, config)
         np.testing.assert_array_equal(res.history[n + 1], u)
-        np.testing.assert_array_equal(res.amplitude_history[n + 1],
+        # a run keeps only its final amplitudes: march the prefix of
+        # n + 1 steps to check those of step n + 1
+        prefix = dataclasses.replace(config, tgrid=TimeGrid((n + 1) * dt,
+                                                            n + 1))
+        assert prefix.tgrid.dt == dt
+        np.testing.assert_array_equal(V.run_full(prefix).amplitudes,
                                       state.amplitudes)
 
 
