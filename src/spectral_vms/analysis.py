@@ -296,14 +296,18 @@ def write_report_csv(path, results):
 
 
 def write_solutions_csv(path, mesh, tgrid, histories):
-    """Per-step nodal dumps: x,t,step,method,value rows."""
+    """Per-step nodal dumps: x,t,step,method,value rows.
+
+    The rows of one (method, time level) come from one format call; the
+    file is what csv.writer writes for the same rows (no field needs
+    quoting, lines end in \\r\\n).
+    """
     xs = [FLOAT_FMT % x for x in mesh.nodes.tolist()]
     ts = [FLOAT_FMT % t for t in tgrid.times().tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "t", "step", "method", "value"])
+        csv.writer(fh).writerow(["x", "t", "step", "method", "value"])
         for method, hist in histories.items():
             for n, t in enumerate(ts):
-                writer.writerows(
-                    [x, t, n, method, FLOAT_FMT % v]
-                    for x, v in zip(xs, hist[n].tolist()))
+                tail = (",%s,%d,%s," % (t, n, method)).replace("%", "%%") \
+                    + FLOAT_FMT + "\r\n"
+                fh.write((tail.join(xs) + tail) % tuple(hist[n].tolist()))

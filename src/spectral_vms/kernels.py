@@ -37,18 +37,17 @@ __all__ = [
     "FAMILIES",
     "element_params",
     "distinct_element_params",
+    "distinct_rows",
     "beta",
     "eigenvalue",
     "mode_value",
     "base_integrals",
-    "bilinear_couplings",
     "sum_series_batch",
     "sum_series_multi",
     "sum_series_fixed",
     "green_blocks",
     "closed_form_kernels",
     "kernels_from_blocks",
-    "reconstruct_subgrid",
     "element_mode_arrays",
     "source_mode_projection",
 ]
@@ -60,39 +59,68 @@ class TruncationOverflowWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ElementParams:
-    """Nondimensional state of one element for one time step."""
+    """Nondimensional state of elements for one time step.
 
-    P: float
-    S: float
-    sign_a: float
-    h: float
+    P, S, sign_a, h and a are arrays over element keys: one entry per
+    distinct (a, h) from distinct_element_params, or the broadcast shape
+    of element_params' a and h.  mu and dt are shared by every element.
+    """
+
+    P: np.ndarray
+    S: np.ndarray
+    sign_a: np.ndarray
+    h: np.ndarray
     mu: float
-    a: float
+    a: np.ndarray
     dt: float
 
 
 def element_params(a, h, mu, dt):
-    """Peclet number P = |a| h / (2 mu) and strength S = dt mu / h^2."""
-    if h <= 0.0 or mu <= 0.0 or dt <= 0.0:
+    """Peclet number P = |a| h / (2 mu) and strength S = dt mu / h^2,
+    elementwise over the broadcast shape of a and h."""
+    a, h = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(h, dtype=float))
+    if np.any(h <= 0.0) or mu <= 0.0 or dt <= 0.0:
         raise ValueError("h, mu and dt must be positive")
-    if not np.isfinite(a):
+    if not np.all(np.isfinite(a)):
         raise ValueError("velocity must be finite")
-    P = abs(a) * h / (2.0 * mu)
-    S = dt * mu / h ** 2
-    return ElementParams(P=P, S=S, sign_a=(-1.0 if a < 0.0 else 1.0),
-                         h=h, mu=mu, a=float(a), dt=dt)
+    P = np.abs(a) * h / (2.0 * mu)
+    # C pow, as Python's h ** 2; array ** 2 multiplies instead and can
+    # differ in the last bit
+    S = dt * mu / np.float_power(h, 2)
+    return ElementParams(P=P, S=S, sign_a=np.where(a < 0.0, -1.0, 1.0),
+                         h=h, mu=mu, a=a, dt=dt)
+
+
+def distinct_rows(columns):
+    """The distinct rows of equal-length 1-D columns, and the inverse.
+
+    Returns (keys, inverse): keys is a tuple of columns holding each
+    distinct row once, in lexicographic order, and row k equals the
+    keys at inverse[k].  These are the rows and inverse of
+    np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True),
+    from one stable lexsort; -0.0 and 0.0 fall in one row.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    order = np.lexsort(columns[::-1])  # the last key sorts first
+    ordered = [c[order] for c in columns]
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for c in ordered:
+        new[1:] |= c[1:] != c[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return tuple(c[new] for c in ordered), inverse
 
 
 def distinct_element_params(a_elem, h, mu, dt):
     """ElementParams once per distinct (a, h) pair of a mesh's elements.
 
-    Returns (params, index): element k has the parameters params[index[k]].
+    Returns (params, index): element k has the parameters at entry
+    index[k] of the params arrays.
     """
-    keys, index = np.unique(
-        np.stack([np.asarray(a_elem, dtype=float), h], axis=1), axis=0,
-        return_inverse=True)
-    return ([element_params(a, hk, mu, dt) for a, hk in keys],
-            index.reshape(-1))
+    (a, hk), index = distinct_rows((a_elem, h))
+    return element_params(a, hk, mu, dt), index
 
 
 @dataclass(frozen=True)
@@ -108,20 +136,33 @@ class TruncationPolicy:
             raise ValueError("epsilon must be > 0 and j_max >= 1")
 
 
+def _per_key(v, ndim):
+    """v with ndim trailing axes appended, so that each element key meets
+    every mode index (and point)."""
+    v = np.asarray(v)
+    return v.reshape(v.shape + (1,) * ndim)
+
+
 def beta(j, p):
-    """Mode damping 1 / (1 + S (P^2 + pi^2 j^2))."""
+    """Mode damping 1 / (1 + S (P^2 + pi^2 j^2)), of shape
+    p.P.shape + j.shape."""
     j = np.asarray(j, dtype=float)
-    return 1.0 / (1.0 + p.S * (p.P ** 2 + np.pi ** 2 * j ** 2))
+    # C pow, as Python's P ** 2
+    return 1.0 / (1.0 + _per_key(p.S, j.ndim) * (
+        _per_key(np.float_power(p.P, 2), j.ndim) + np.pi ** 2 * j ** 2))
 
 
 def eigenvalue(j, p):
-    """Eigenvalue mu (j pi / h)^2 + a^2 / (4 mu); beta = 1/(1 + dt lambda)."""
+    """Eigenvalue mu (j pi / h)^2 + a^2 / (4 mu), of shape p.P.shape +
+    j.shape; beta = 1/(1 + dt lambda)."""
     j = np.asarray(j, dtype=float)
-    return p.mu * (j * np.pi / p.h) ** 2 + p.a ** 2 / (4.0 * p.mu)
+    return p.mu * (j * np.pi / _per_key(p.h, j.ndim)) ** 2 \
+        + _per_key(np.float_power(p.a, 2), j.ndim) / (4.0 * p.mu)
 
 
 def mode_value(j, p, xhat):
-    """Normalized mode times sqrt(h): sqrt(2) e^{sign P xhat} sin(j pi xhat).
+    """Normalized mode times sqrt(h): sqrt(2) e^{sign P xhat} sin(j pi xhat),
+    of shape p.P.shape + the broadcast shape of j and xhat.
 
     The exponent carries the velocity sign, so the mode is orthonormal
     under the weight exp(-2 sign P xhat); mirroring the element instead
@@ -130,8 +171,8 @@ def mode_value(j, p, xhat):
     xhat = np.asarray(xhat, dtype=float)
     if np.any(xhat < 0.0) or np.any(xhat > 1.0):
         raise ValueError("xhat must lie in [0, 1]")
-    return np.sqrt(2.0) * np.exp(p.sign_a * p.P * xhat) \
-        * np.sin(j * np.pi * xhat)
+    rate = _per_key(p.sign_a * p.P, np.broadcast(j, xhat).ndim)
+    return np.sqrt(2.0) * np.exp(rate * xhat) * np.sin(j * np.pi * xhat)
 
 
 # --- reference-element integrals --------------------------------------
@@ -221,19 +262,6 @@ def base_integrals(j, P, method="closed"):
 
 
 _SIGN = np.array([-1.0, 1.0])  # gradient signs of the two local hats
-
-
-def bilinear_couplings(j, p):
-    """Physical couplings b(phi_m, p z_j) and b(z_j, phi_l), m, l in {0,1}.
-
-    The modes vanish at element ends, so only the advective part
-    survives: b(phi_m, p z_j) = s_m a sqrt(2/h) d0 and
-    b(z_j, phi_l) = -s_l a sqrt(2/h) e0 (d0 and e0 swap for a < 0).
-    """
-    k = base_integrals(j, p.P)
-    d0, e0 = (k.d0, k.e0) if p.sign_a >= 0.0 else (k.e0, k.d0)
-    fac = p.a * np.sqrt(2.0 / p.h)
-    return _SIGN * fac * d0, -_SIGN * fac * e0
 
 
 # --- kernel families ---------------------------------------------------
@@ -569,46 +597,42 @@ def closed_form_kernels(entries, P, S):
     return kernels_from_blocks(entries, {"A": a1, "B": b1})
 
 
-def reconstruct_subgrid(amplitudes, p, xhat):
-    """Subgrid field sum_j c_j z_j(xhat) sampled at reference points."""
-    xhat = np.asarray(xhat, dtype=float)
-    out = np.zeros_like(xhat)
-    root_h = np.sqrt(p.h)
-    for idx, c in enumerate(amplitudes):
-        if c != 0.0:
-            out += c * mode_value(idx + 1, p, xhat) / root_h
-    return out
+def element_mode_arrays(params, n_modes):
+    """Physical per-mode quantities of every element key, for modes
+    j = 1..n_modes.
 
-
-def element_mode_arrays(p, n_modes):
-    """Physical per-mode element quantities for modes j = 1..n_modes.
-
-    Returns a dict of arrays:
-      mass_phi_pz[m, j] = (phi_m, p z_j)       mass_z_phi[l, j] = (z_j, phi_l)
-      adv_phi_pz[m, j]  = b(phi_m, p z_j)      adv_z_phi[l, j]  = b(z_j, phi_l)
-      beta[j], lam[j]
-    Local indices are mirrored internally when a < 0.
+    params holds K keys (1-D fields).  Returns a dict of arrays:
+      mass_phi_pz[k, m, j] = (phi_m, p z_j)
+      mass_z_phi[k, l, j]  = (z_j, phi_l)
+      adv_phi_pz[k, m, j]  = b(phi_m, p z_j)
+      adv_z_phi[k, l, j]   = b(z_j, phi_l)
+      beta[k, j]
+    The modes vanish at element ends, so only the advective part of b
+    survives: b(phi_m, p z_j) = s_m a sqrt(2/h) d0 and b(z_j, phi_l) =
+    -s_l a sqrt(2/h) e0, with s the hat gradient signs.  For a < 0,
+    (phi_m, p z_j) picks up the growing exponential and (z_j, phi_l) the
+    decaying one; local indices are unchanged.
     """
     j = np.arange(1, n_modes + 1)
-    a0s, a1s, d0s, c0s, c1s, e0s = shifted_sides(j, p.P)
-    em, ep = np.exp(-0.5 * p.P), np.exp(0.5 * p.P)
-    a_m = np.vstack([em * a0s, em * a1s])
-    c_l = np.vstack([ep * c0s, ep * c1s])
+    P = params.P[:, None]
+    a0s, a1s, d0s, c0s, c1s, e0s = shifted_sides(j, P)
+    em, ep = np.exp(-0.5 * P), np.exp(0.5 * P)
+    a_m = np.stack([em * a0s, em * a1s], axis=1)
+    c_l = np.stack([ep * c0s, ep * c1s], axis=1)
     d0, e0 = em * d0s, ep * e0s
-    if p.sign_a < 0.0:
-        # (phi_m, p z_j) picks up the growing exponential and (z_j, phi_l)
-        # the decaying one; local indices are unchanged
-        a_m, c_l = c_l, a_m
-        d0, e0 = e0, d0
-    root_2h = np.sqrt(2.0 * p.h)
-    fac = p.a * np.sqrt(2.0 / p.h)
+    neg = params.sign_a < 0.0
+    a_m, c_l = (np.where(neg[:, None, None], c_l, a_m),
+                np.where(neg[:, None, None], a_m, c_l))
+    d0, e0 = (np.where(neg[:, None], e0, d0)[:, None, :],
+              np.where(neg[:, None], d0, e0)[:, None, :])
+    root_2h = np.sqrt(2.0 * params.h)[:, None, None]
+    fac = (params.a * np.sqrt(2.0 / params.h))[:, None, None]
     return {
         "mass_phi_pz": root_2h * a_m,
         "mass_z_phi": root_2h * c_l,
         "adv_phi_pz": _SIGN[:, None] * fac * d0,
         "adv_z_phi": -_SIGN[:, None] * fac * e0,
-        "beta": beta(j, p),
-        "lam": eigenvalue(j, p),
+        "beta": beta(j, params),
     }
 
 
@@ -641,20 +665,21 @@ def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32,
     """Per-mode weighted source terms <f, p z_j> on every element, as an
     (n_elems, n_modes) array.
 
-    f(x, t) is an array callable; element k has the parameters
-    params[index[k]].  With nodal values u, the projected function is the
-    bubble f - I_h u, f minus the element's linear interpolant of u.  The
-    weighted mode p z_j equals sqrt(2/h) exp(-sign(a) P xhat)
-    sin(j pi xhat).  An n_gauss Gauss rule is applied per panel, with
-    enough panels that the highest requested mode is resolved.  f is
-    called once per block of elements, each block holding at most
-    _PROJECTION_BLOCK_FLOATS products of mode and quadrature values.
+    f(x, t) is an array callable; element k has the parameters at entry
+    index[k] of the params arrays.  With nodal values u, the projected
+    function is the bubble f - I_h u, f minus the element's linear
+    interpolant of u.  The weighted mode p z_j equals sqrt(2/h)
+    exp(-sign(a) P xhat) sin(j pi xhat).  An n_gauss Gauss rule is
+    applied per panel, with enough panels that the highest requested
+    mode is resolved.  f is called once per block of elements, each
+    block holding at most _PROJECTION_BLOCK_FLOATS products of mode and
+    quadrature values.
     """
     panels = max(1, int(np.ceil(n_modes / 8.0)))
     xg, wg = _composite_gauss01(n_gauss, panels)
     j = np.arange(1, n_modes + 1)
     stable = np.sin(np.outer(j, np.pi * xg))
-    expo = np.exp(np.array([-p.sign_a * p.P for p in params])[:, None] * xg)
+    expo = np.exp((-params.sign_a * params.P)[:, None] * xg)
     x_left, h = mesh.nodes[:-1, None], mesh.h[:, None]
     sums = np.empty((mesh.n_elems, n_modes))
     block = max(1, _PROJECTION_BLOCK_FLOATS // stable.size)

@@ -32,6 +32,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "sum_element_vectors",
+    "tridiags_from_blocks",
     "factor_tridiag",
     "solve_tridiag",
     "apply_dirichlet",
@@ -246,9 +247,7 @@ class TriDiag:
     def from_blocks(cls, blocks):
         """Sum of (n_elems, 2, 2) element blocks, block k on rows and
         columns k, k+1."""
-        blocks = np.asarray(blocks, dtype=float)
-        return cls(blocks[:, 1, 0], sum_element_vectors(
-            blocks[:, [0, 1], [0, 1]]), blocks[:, 0, 1])
+        return tridiags_from_blocks(np.asarray(blocks, dtype=float)[None])[0]
 
     def matvec(self, x):
         y = self.diag * x
@@ -370,14 +369,23 @@ def solve_tridiag(sys):
     return x
 
 
+def tridiags_from_blocks(blocks):
+    """One TriDiag per leading index of (n_mats, n_elems, 2, 2) element
+    blocks, each the sum of its blocks, block k on rows and columns k,
+    k+1; the diagonals of all of them are summed in one pass."""
+    diag = sum_element_vectors(blocks[..., [0, 1], [0, 1]])
+    return [TriDiag(b[:, 1, 0], d, b[:, 0, 1]) for b, d in zip(blocks, diag)]
+
+
 def sum_element_vectors(local):
-    """Node vector summing (n_elems, 2) element vectors onto nodes k, k+1."""
-    out = np.zeros(local.shape[0] + 1)
-    out[:-1] = local[:, 0]
-    out[1:] += local[:, 1]
+    """Node vectors summing (..., n_elems, 2) element vectors onto nodes
+    k, k+1."""
+    out = np.zeros(local.shape[:-2] + (local.shape[-2] + 1,))
+    out[..., :-1] = local[..., 0]
+    out[..., 1:] += local[..., 1]
     # both end nodes get their one contribution plus zero, so a -0.0
     # contribution reads 0.0 at either end
-    out[0] += 0.0
+    out[..., 0] += 0.0
     return out
 
 

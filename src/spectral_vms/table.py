@@ -190,22 +190,22 @@ def load_table(path):
     return KernelTable(grid=TableGrid(delta=delta, m=int(m)), values=values)
 
 
-def interpolate(table, family, m, l, P, S, count_clamps=True):
-    """Area-weighted bilinear value of one stored kernel entry at (P, S).
+def interpolate(table, P, S):
+    """Area-weighted bilinear values of every stored family at (P, S).
 
-    P and S are scalars, or arrays paired elementwise.  Each cell corner
-    is weighted by the area of the sub-rectangle diagonally opposite the
-    query point, normalised by the cell area.  Out-of-range queries clamp
-    the cell index, which linearly extrapolates the boundary cell; the
-    table's clamp_count grows by one per clamped point.
+    P and S are scalars, or arrays paired elementwise.  Returns {family
+    name: array (2, 2) + the broadcast shape of P and S, indexed [m, l]}.
+    Each cell corner is weighted by the area of the sub-rectangle
+    diagonally opposite the query point, normalised by the cell area;
+    the cells and weights are found once for all families.  Out-of-range
+    queries clamp the cell index, which linearly extrapolates the
+    boundary cell; the table's clamp_count grows by one per clamped
+    query point.
     """
     grid = table.grid
-    name = family if isinstance(family, str) else family.name
-    fam = FAMILIES[name]
-    arr = table.values[name][fam.entry(m, l)]
     delta = grid.delta
-    P = np.asarray(P, dtype=float)
-    S = np.asarray(S, dtype=float)
+    P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
+                               np.asarray(S, dtype=float))
     if not (np.isfinite(P).all() and np.isfinite(S).all()):
         raise ValueError("P and S must be finite")
 
@@ -217,8 +217,7 @@ def interpolate(table, family, m, l, P, S, count_clamps=True):
 
     i, clamp_p = cell_index(P)
     j, clamp_s = cell_index(S)
-    if count_clamps:
-        table.clamp_count += int(np.count_nonzero(clamp_p | clamp_s))
+    table.clamp_count += int(np.count_nonzero(clamp_p | clamp_s))
     p0, p1 = delta * i, delta * (i + 1)
     s0, s1 = delta * j, delta * (j + 1)
     q = delta * delta
@@ -226,6 +225,11 @@ def interpolate(table, family, m, l, P, S, count_clamps=True):
     w01 = (p1 - P) * (S - s0) / q
     w10 = (P - p0) * (s1 - S) / q
     w11 = (P - p0) * (S - s0) / q
-    # array index of grid node P_i is i - 1
-    return (w00 * arr[i - 1, j - 1] + w01 * arr[i - 1, j]
-            + w10 * arr[i, j - 1] + w11 * arr[i, j])
+    out = {}
+    for name in table.families():
+        # array index of grid node P_i is i - 1
+        arr = table.values[name]
+        out[name] = (w00 * arr[:, i - 1, j - 1] + w01 * arr[:, i - 1, j]
+                     + w10 * arr[:, i, j - 1] + w11 * arr[:, i, j]
+                     ).reshape((2, 2) + P.shape)
+    return out

@@ -62,14 +62,11 @@ class TableKernelProvider:
 
     def kernels(self, entries, P, S):
         """Values of each (family name, m, l) entry at the points
-        (P[k], S[k]), as an (n_entries, n_points) array."""
-        blocks = {}
-        for prefix in {name[0] for name, _, _ in entries}:
-            name = prefix + "1"
-            blocks[prefix] = np.array(
-                [[table_mod.interpolate(self.table, name, m, l, P, S)
-                  for l in (0, 1)] for m in (0, 1)])
-        return kernels.kernels_from_blocks(entries, blocks)
+        (P[k], S[k]), as an (n_entries, n_points) array, from one table
+        lookup."""
+        blocks = table_mod.interpolate(self.table, P, S)
+        return kernels.kernels_from_blocks(
+            entries, {name[0]: block for name, block in blocks.items()})
 
     def kernel(self, family, m, l, P, S):
         return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
@@ -111,25 +108,24 @@ def _kernels_by_element(provider, params, index):
     """{family: A/B kernels stacked over elements, indexed [k, m, l],
     [k, m], [k, l] or [k]}, from one provider query over the distinct
     (P, S) of the elements."""
-    keys, key_of = np.unique([(p.P, p.S) for p in params], axis=0,
-                             return_inverse=True)
-    vals = provider.kernels(_MATRIX_ENTRIES, keys[:, 0], keys[:, 1])
-    gather = key_of.reshape(-1)[index]
+    (P, S), key_of = kernels.distinct_rows((params.P, params.S))
+    vals = provider.kernels(_MATRIX_ENTRIES, P, S)
+    gather = key_of[index]
     out, row = {}, 0
     for name in FAMILY_ORDER:
         fam = FAMILIES[name]
         stacked = vals[row:row + fam.n_entries].T
         out[name] = stacked.reshape(
-            (len(keys),) + (2,) * len(fam.index_kind))[gather]
+            (P.size,) + (2,) * len(fam.index_kind))[gather]
         row += fam.n_entries
     return out
 
 
-def _mirror(local, a_elem):
-    """Flip the local indices of the elements with a < 0."""
-    axes = tuple(range(1, local.ndim))
-    return np.where(np.expand_dims(a_elem < 0.0, axes),
-                    np.flip(local, axes), local)
+def _mirror(local, a_elem, n_local):
+    """Flip the n_local trailing local indices of the elements with
+    a < 0; the element axis comes just before them."""
+    neg = (a_elem < 0.0).reshape((-1,) + (1,) * n_local)
+    return np.where(neg, np.flip(local, tuple(range(-n_local, 0))), local)
 
 
 def assemble_matrices(mesh, a_elem, mu, dt, provider):
@@ -137,7 +133,8 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     left-hand side that every step with this velocity solves.
 
     For a < 0 the element is mirrored: the positive-velocity block is
-    built with |a| and flipped in both local indices.
+    built with |a| and flipped in both local indices.  The element blocks
+    of all eight families are mirrored and scattered as one stack.
     """
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
@@ -145,21 +142,21 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     kern = _kernels_by_element(provider, params, index)
     h = mesh.h[:, None, None]
     a_abs = np.abs(a_elem)[:, None, None]
-    mats = {}
+    blocks = []
     for prefix in ("A", "B"):
         k1 = kern[prefix + "1"]  # (n_elems, m, l)
         k2 = kern[prefix + "2"]  # (n_elems, l)
         k3 = kern[prefix + "3"]  # (n_elems, m)
         k4 = kern[prefix + "4"]  # (n_elems,)
-        blocks = {
-            "1": 2.0 * h * k1.transpose(0, 2, 1),
-            "2": 2.0 * a_abs * _SIGN[None, :] * k2[:, :, None],
-            "3": -2.0 * a_abs * _SIGN[:, None] * k3[:, None, :],
-            "4": -(2.0 * a_abs ** 2 / h)
-                 * np.outer(_SIGN, _SIGN) * k4[:, None, None],
-        }
-        for idx, block in blocks.items():
-            mats[prefix + idx] = TriDiag.from_blocks(_mirror(block, a_elem))
+        blocks += [
+            2.0 * h * k1.transpose(0, 2, 1),
+            2.0 * a_abs * _SIGN[None, :] * k2[:, :, None],
+            -2.0 * a_abs * _SIGN[:, None] * k3[:, None, :],
+            -(2.0 * a_abs ** 2 / h)
+            * np.outer(_SIGN, _SIGN) * k4[:, None, None],
+        ]
+    mats = dict(zip(FAMILY_ORDER, mesh_fem.tridiags_from_blocks(
+        _mirror(np.stack(blocks), a_elem, 2))))
     mass = assemble_mass(mesh)
     lhs = mass + dt * assemble_stiffness(mesh, a_elem, mu) \
         - (mats["A1"] + dt * mats["A2"] + dt * mats["A3"]
@@ -191,7 +188,8 @@ def _force_vectors(mesh, mats, f, t):
             vec = 2.0 * mesh.h[:, None] * f_mid * kern[fam]
         else:
             vec = -2.0 * a_abs * f_mid * _SIGN * kern[fam][:, None]
-        out[name] = mesh_fem.sum_element_vectors(_mirror(vec, mats.a_elem))
+        out[name] = mesh_fem.sum_element_vectors(
+            _mirror(vec, mats.a_elem, 1))
     return out
 
 

@@ -61,23 +61,20 @@ class SubgridState:
 class _Snapshot:
     """Element data of one velocity snapshot, stacked over elements.
 
-    The kernels.element_mode_arrays entries become (n_elems, 2, J) arrays
-    and beta an (n_elems, J) array, computed once per distinct (a, h);
-    element k has the parameters params[index[k]].
+    The kernels.element_mode_arrays entries, computed once per distinct
+    (a, h) in one call, are gathered into (n_elems, 2, J) arrays and beta
+    into an (n_elems, J) array; element k has the parameters at entry
+    index[k] of params.
     """
 
-    def __init__(self, config, t):
+    def __init__(self, config, a_elem):
         self.config = config
-        self.a_elem = mesh_fem.project_velocity(
-            config.velocity, config.mesh, t, config.velocity_rule)
+        self.a_elem = a_elem
         self.params, self.index = kernels.distinct_element_params(
-            self.a_elem, config.mesh.h, config.mu, config.tgrid.dt)
-        per_key = [kernels.element_mode_arrays(p, config.n_modes)
-                   for p in self.params]
-        for name in ("mass_phi_pz", "mass_z_phi", "adv_phi_pz", "adv_z_phi",
-                     "beta"):
-            setattr(self, name,
-                    np.stack([arr[name] for arr in per_key])[self.index])
+            a_elem, config.mesh.h, config.mu, config.tgrid.dt)
+        per_key = kernels.element_mode_arrays(self.params, config.n_modes)
+        for name, arr in per_key.items():
+            setattr(self, name, arr[self.index])
         # (z_j, phi_l) + dt b(z_j, phi_l)
         self.test_b = self.mass_z_phi + config.tgrid.dt * self.adv_z_phi
 
@@ -99,6 +96,16 @@ class _Snapshot:
         return kernels.source_mode_projection(
             c.source, t, c.mesh, self.params, self.index, c.n_modes,
             c.source_gauss)
+
+
+def _snapshot_at(config, t, previous=None):
+    """_Snapshot of the velocity at time t; previous is reused when the
+    projected velocity has not changed."""
+    a_elem = mesh_fem.project_velocity(config.velocity, config.mesh, t,
+                                       config.velocity_rule)
+    if previous is not None and np.array_equal(a_elem, previous.a_elem):
+        return previous
+    return _Snapshot(config, a_elem)
 
 
 def _pair(arr, u):
@@ -138,7 +145,7 @@ def step_full(u_prev, state, n, config, ctx=None):
     mesh, dt = config.mesh, config.tgrid.dt
     t1 = (n + 1) * dt
     if ctx is None:
-        ctx = _Snapshot(config, t1)
+        ctx = _snapshot_at(config, t1)
     lhs, mass = ctx.matrices
     c, b, test_b = state.amplitudes, ctx.beta, ctx.test_b
     proj_u = _pair(ctx.mass_phi_pz, u_prev)
@@ -171,7 +178,7 @@ def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx=None):
     dt = config.tgrid.dt
     t0 = n * dt
     if ctx is None:
-        ctx = _Snapshot(config, t0)
+        ctx = _snapshot_at(config, t0)
     resid = _pair(ctx.mass_phi_pz, u_prevprev - u_prev) \
         - dt * _pair(ctx.adv_phi_pz, u_prev)
     if config.source is not None:
@@ -196,8 +203,8 @@ class FullVmsResult:
             a_elem, mesh.h, c.mu, c.tgrid.dt)
         xhat = np.linspace(0.0, 1.0, points_per_elem)
         j = np.arange(1, amps.shape[1] + 1)[:, None]
-        modes = np.stack([kernels.mode_value(j, p, xhat)
-                          for p in params])[index]  # (n_elems, J, points)
+        # (n_elems, J, points)
+        modes = kernels.mode_value(j, params, xhat)[index]
         sub = np.einsum("kj,kjx->kx", amps, modes) / np.sqrt(mesh.h)[:, None]
         lin = u[:-1, None] * (1.0 - xhat) + u[1:, None] * xhat
         xs = mesh.nodes[:-1, None] + mesh.h[:, None] * xhat
@@ -210,10 +217,10 @@ def run_full(config):
     u, state = init_state(config)
     history = np.empty((config.tgrid.n_steps + 1, config.mesh.n_nodes))
     history[0] = u
-    # a constant velocity has one snapshot, so one left-hand side per run
-    ctx = _Snapshot(config, 0.0) if config.velocity.is_constant else None
+    # one snapshot, and so one left-hand side, per distinct projection
+    ctx = None
     for n in range(config.tgrid.n_steps):
-        step_ctx = ctx or _Snapshot(config, (n + 1) * config.tgrid.dt)
-        u, state = step_full(u, state, n, config, step_ctx)
+        ctx = _snapshot_at(config, (n + 1) * config.tgrid.dt, ctx)
+        u, state = step_full(u, state, n, config, ctx)
         history[n + 1] = u
     return FullVmsResult(config, history, state.amplitudes)

@@ -4,14 +4,20 @@ Everything here is computed independently of the package's closed forms:
 integrals by (composite) Gauss rules, series by explicit summation, and
 the Green's-function kernels in high-precision mpmath arithmetic.  The
 tridiagonal solve has a one-pass Thomas elimination on numpy scalars,
-which factors the matrix again on every call.
+which factors the matrix again on every call.  The array paths that work
+on every element key at once (element mode arrays, table lookup, the
+scatter of element blocks) have per-key and per-entry versions on
+floats, which they must match bit for bit.
 """
 
+import dataclasses
+import math
 from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
 
+from spectral_vms import kernels as K
 from spectral_vms.kernels import FAMILIES
 from spectral_vms.mesh_fem import PIVOT_RTOL, SingularSystemError
 
@@ -293,3 +299,84 @@ def thomas_solve(sys):
         raise FloatingPointError("tridiagonal solve produced non-finite "
                                  "values")
     return x
+
+
+# --- per-key and per-entry versions of the array paths ---------------
+
+
+def key_params(params, k):
+    """The ElementParams of key k of array-valued params, as floats."""
+    return K.ElementParams(**{
+        f.name: float(np.asarray(getattr(params, f.name))[k]
+                      if np.ndim(getattr(params, f.name))
+                      else getattr(params, f.name))
+        for f in dataclasses.fields(K.ElementParams)})
+
+
+def reconstruct_subgrid(amplitudes, p, xhat):
+    """Subgrid field sum_j c_j z_j(xhat) of one element with float
+    parameters p, summed mode by mode."""
+    xhat = np.asarray(xhat, dtype=float)
+    out = np.zeros_like(xhat)
+    for idx, c in enumerate(amplitudes):
+        if c != 0.0:
+            out += c * np.sqrt(2.0 / p.h) * np.exp(p.sign_a * p.P * xhat) \
+                * np.sin((idx + 1) * np.pi * xhat)
+    return out
+
+
+def per_key_mode_arrays(p, n_modes):
+    """kernels.element_mode_arrays of one element key with float
+    parameters p: (2, J) and (J,) arrays, from float arithmetic."""
+    j = np.arange(1, n_modes + 1)
+    a0s, a1s, d0s, c0s, c1s, e0s = K.shifted_sides(j, p.P)
+    em, ep = np.exp(-0.5 * p.P), np.exp(0.5 * p.P)
+    a_m = np.vstack([em * a0s, em * a1s])
+    c_l = np.vstack([ep * c0s, ep * c1s])
+    d0, e0 = em * d0s, ep * e0s
+    if p.sign_a < 0.0:
+        a_m, c_l = c_l, a_m
+        d0, e0 = e0, d0
+    sign = np.array([-1.0, 1.0])
+    root_2h = np.sqrt(2.0 * p.h)
+    fac = p.a * np.sqrt(2.0 / p.h)
+    jf = j.astype(float)
+    return {
+        "mass_phi_pz": root_2h * a_m,
+        "mass_z_phi": root_2h * c_l,
+        "adv_phi_pz": sign[:, None] * fac * d0,
+        "adv_z_phi": -sign[:, None] * fac * e0,
+        "beta": 1.0 / (1.0 + p.S * (p.P ** 2 + np.pi ** 2 * jf ** 2)),
+    }
+
+
+def interpolate_entry(table, name, m, l, P, S):
+    """(value, clamped): the area-weighted bilinear value of one stored
+    entry at one float point (P, S), and whether the cell was clamped."""
+    grid = table.grid
+    delta, top = grid.delta, grid.m - 1
+
+    def cell(v):
+        i = math.floor(v / delta + 1e-12)
+        return min(max(i, 1), top), not 1 <= i <= top
+
+    (i, clamp_p), (j, clamp_s) = cell(P), cell(S)
+    arr = table.values[name][FAMILIES[name].entry(m, l)]
+    p0, p1 = delta * i, delta * (i + 1)
+    s0, s1 = delta * j, delta * (j + 1)
+    q = delta * delta
+    value = ((p1 - P) * (s1 - S) / q * arr[i - 1, j - 1]
+             + (p1 - P) * (S - s0) / q * arr[i - 1, j]
+             + (P - p0) * (s1 - S) / q * arr[i, j - 1]
+             + (P - p0) * (S - s0) / q * arr[i, j])
+    return float(value), clamp_p or clamp_s
+
+
+def tridiag_bands(blocks):
+    """(sub, diag, sup) of the sum of one matrix's (n_elems, 2, 2)
+    element blocks, block k on rows and columns k, k+1."""
+    diag = np.zeros(blocks.shape[0] + 1)
+    diag[:-1] = blocks[:, 0, 0]
+    diag[1:] += blocks[:, 1, 1]
+    diag[0] += 0.0
+    return blocks[:, 1, 0], diag, blocks[:, 0, 1]

@@ -66,13 +66,16 @@ def test_criterion_1_kernel_closed_forms():
         # couplings need physical parameters realizing this Peclet number
         h, mu = 0.02, 1.0
         p = K.element_params(2.0 * P * mu / h, h, mu, 1e-3)
+        arr = K.element_mode_arrays(
+            K.element_params([p.a], h, mu, 1e-3), 50)
         for j in range(1, 51):
             got = K.base_integrals(j, P)
             ref = quad_base_integrals(j, P, n=200)
             for name, val in ref.items():
                 err = abs(getattr(got, name) - val) / max(1.0, abs(val))
                 worst_base = max(worst_base, err)
-            bp, bz = K.bilinear_couplings(j, p)
+            bp = arr["adv_phi_pz"][0, :, j - 1]
+            bz = arr["adv_z_phi"][0, :, j - 1]
             # composite 32-point panels: every mode resolved within a
             # 256..400-point budget, with machine-accurate weights
             x, w = composite_gauss01(max(8, int(np.ceil(j / 4.0))), 32)
@@ -302,9 +305,10 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
                 i = int(rng.integers(0, 100))
                 j = int(rng.integers(0, 100))
                 P, S = 0.2 * (i + 1), 0.2 * (j + 1)
+                block = T.interpolate(reduced_table, P, S)[name]
                 for m in (0, 1):
                     for l in (0, 1):
-                        got = T.interpolate(reduced_table, name, m, l, P, S)
+                        got = block[m, l]
                         ref = K.closed_form_kernels([(name, m, l)], P, S)
                         worst_node = max(worst_node, abs(got - ref[0, 0]))
     assert worst_node <= 1e-10
@@ -393,9 +397,9 @@ def test_criterion_10_reductions():
     gal = run_galerkin(m2, tg, pre.a, pre.mu, initial=pre.initial())
     np.testing.assert_array_equal(feas, gal)
     # zero velocity kills every advective coupling
-    p = K.element_params(0.0, 0.05, 1.0, 0.01)
-    bp, bz = K.bilinear_couplings(3, p)
-    assert np.all(bp == 0.0) and np.all(bz == 0.0)
+    arr = K.element_mode_arrays(K.element_params([0.0], 0.05, 1.0, 0.01), 3)
+    assert np.all(arr["adv_phi_pz"] == 0.0)
+    assert np.all(arr["adv_z_phi"] == 0.0)
     mats = assemble_matrices(
         build_uniform_mesh(0.0, 1.0, 4), np.zeros(4), 1.0, 0.01,
         DirectKernelProvider())

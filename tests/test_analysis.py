@@ -213,7 +213,7 @@ def test_constant_velocity_factors_once(monkeypatch, method):
 
 
 @pytest.mark.parametrize("method", ["galerkin", "stab-codina",
-                                    "spectral-feasible"])
+                                    "spectral-feasible", "spectral-full"])
 def test_time_dependent_velocity_factors_once_per_projection(monkeypatch,
                                                              method):
     # the projected velocity takes two values over the five steps
@@ -228,7 +228,8 @@ def test_time_dependent_velocity_factors_once_per_projection(monkeypatch,
 
 
 def test_time_dependent_full_run_factors_once_per_step(monkeypatch):
-    # spectral-full builds a snapshot, and so a left-hand side, per step
+    # the projected velocity changes on every step, so spectral-full
+    # builds a snapshot, and so a left-hand side, per step
     calls = _count_factorisations(monkeypatch)
     A.run_method("spectral-full", build_uniform_mesh(0.0, 1.0, 10),
                  TimeGrid(0.05, 5), lambda x, t: (1.0 + x) * (1.0 + t), 1.0,

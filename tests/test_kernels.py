@@ -10,9 +10,9 @@ import spectral_vms
 from spectral_vms import kernels as K
 from spectral_vms.mesh_fem import Mesh1D
 
-from oracles import (composite_gauss01, gauss01, green_kernels,
-                     nsum_kernel, per_element_projection,
-                     quad_base_integrals)
+from oracles import (composite_gauss01, gauss01, green_kernels, key_params,
+                     nsum_kernel, per_element_projection, per_key_mode_arrays,
+                     quad_base_integrals, reconstruct_subgrid)
 
 
 def test_element_params_known_values():
@@ -153,34 +153,42 @@ def quad_couplings(j, p, n=400):
     return b_phi_pz, b_z_phi
 
 
+def _couplings(p, n_modes):
+    """b(phi_m, p z_j) and b(z_j, phi_l), (2, n_modes) each, of the one
+    element with parameters p, from element_mode_arrays."""
+    arr = K.element_mode_arrays(
+        K.element_params([p.a], p.h, p.mu, p.dt), n_modes)
+    return arr["adv_phi_pz"][0], arr["adv_z_phi"][0]
+
+
 def test_bilinear_couplings_against_quadrature():
     p = K.element_params(300.0, 0.02, 1.0, 1e-2)
+    got_pz, got_zp = _couplings(p, 5)
     for j in (1, 2, 5):
-        got_pz, got_zp = K.bilinear_couplings(j, p)
         ref_pz, ref_zp = quad_couplings(j, p)
-        np.testing.assert_allclose(got_pz, ref_pz, rtol=1e-10)
-        np.testing.assert_allclose(got_zp, ref_zp, rtol=1e-10)
+        np.testing.assert_allclose(got_pz[:, j - 1], ref_pz, rtol=1e-10)
+        np.testing.assert_allclose(got_zp[:, j - 1], ref_zp, rtol=1e-10)
 
 
 def test_bilinear_couplings_negative_velocity():
     p = K.element_params(-140.0, 0.05, 2.0, 1e-3)
+    got_pz, got_zp = _couplings(p, 3)
     for j in (1, 2, 3):
-        got_pz, got_zp = K.bilinear_couplings(j, p)
         ref_pz, ref_zp = quad_couplings(j, p)
-        np.testing.assert_allclose(got_pz, ref_pz, rtol=1e-10)
-        np.testing.assert_allclose(got_zp, ref_zp, rtol=1e-10)
+        np.testing.assert_allclose(got_pz[:, j - 1], ref_pz, rtol=1e-10)
+        np.testing.assert_allclose(got_zp[:, j - 1], ref_zp, rtol=1e-10)
 
 
 def test_bilinear_couplings_zero_cases():
     p = K.element_params(0.0, 0.1, 1.0, 0.1)
-    got_pz, got_zp = K.bilinear_couplings(1, p)
+    got_pz, got_zp = _couplings(p, 1)
     np.testing.assert_array_equal(got_pz, 0.0)
     np.testing.assert_array_equal(got_zp, 0.0)
     # even mode at P -> 0 limit: d0(2, 0) = e0(2, 0) = 0
     p = K.element_params(1e-30, 0.1, 1.0, 0.1)
-    got_pz, got_zp = K.bilinear_couplings(2, p)
-    np.testing.assert_allclose(got_pz, 0.0, atol=1e-40)
-    np.testing.assert_allclose(got_zp, 0.0, atol=1e-40)
+    got_pz, got_zp = _couplings(p, 2)
+    np.testing.assert_allclose(got_pz[:, 1], 0.0, atol=1e-40)
+    np.testing.assert_allclose(got_zp[:, 1], 0.0, atol=1e-40)
 
 
 from oracles import brute_series
@@ -301,26 +309,32 @@ def test_reconstruct_subgrid():
     p = K.element_params(0.0, 0.5, 1.0, 0.1)
     xh = np.linspace(0.0, 1.0, 11)
     np.testing.assert_array_equal(
-        K.reconstruct_subgrid(np.zeros(5), p, xh), np.zeros(11))
-    vals = K.reconstruct_subgrid([1.0, 0.0, 0.0], p, xh)
+        reconstruct_subgrid(np.zeros(5), p, xh), np.zeros(11))
+    vals = reconstruct_subgrid([1.0, 0.0, 0.0], p, xh)
     np.testing.assert_allclose(vals, np.sqrt(2.0 / 0.5) * np.sin(np.pi * xh),
                                atol=1e-13)
+    # the package reconstructs with mode_value over all modes at once
+    amps = np.array([0.7, -0.2, 0.05])
+    modes = K.mode_value(np.arange(1, 4)[:, None], p, xh) / np.sqrt(p.h)
+    np.testing.assert_allclose(amps @ modes, reconstruct_subgrid(amps, p, xh),
+                               rtol=1e-13, atol=1e-15)
 
 
 def test_subgrid_projection_roundtrip():
     # project a smooth bubble onto 150 modes; by Parseval the L2_p error
     # of the reconstruction equals the coefficient tail
-    p = K.element_params(8.0, 0.25, 1.0, 0.05)
+    mesh = Mesh1D([1.0, 1.25, 1.5])
+    params, index = K.distinct_element_params([8.0, 8.0], mesh.h, 1.0, 0.05)
+    p = key_params(params, 0)
 
     def bubble(x, t):
         s = (x - 1.0) / 0.25
         return np.sin(np.pi * s) * np.exp(0.5 * s)
 
-    mesh = Mesh1D([1.0, 1.25, 1.5])
-    amps = K.source_mode_projection(bubble, 0.0, mesh, [p], [0, 0], 300,
+    amps = K.source_mode_projection(bubble, 0.0, mesh, params, index, 300,
                                     n_gauss=64)[0]
     xh, wq = composite_gauss01(40, 16)
-    got = K.reconstruct_subgrid(amps[:150], p, xh)
+    got = reconstruct_subgrid(amps[:150], p, xh)
     want = np.array([bubble(1.0 + 0.25 * s, 0.0) for s in xh])
     weight = np.exp(-2.0 * p.sign_a * p.P * xh)
     err_sq = p.h * np.sum(wq * weight * (got - want) ** 2)
@@ -340,7 +354,8 @@ def test_source_projection_cached_rule_is_bit_identical(a, n_modes):
         return np.cos(3.0 * x) * np.exp(x) + t
 
     for n_gauss in (32, 64):
-        want = np.array([per_element_projection(f, 0.25, params[index[k]],
+        want = np.array([per_element_projection(f, 0.25,
+                                                key_params(params, index[k]),
                                                 mesh.nodes[k], n_modes,
                                                 n_gauss)
                          for k in range(mesh.n_elems)])
@@ -374,7 +389,8 @@ def test_all_element_projection_matches_per_element_oracle(
 
     got = K.source_mode_projection(f, 0.25, mesh, params, index, n_modes,
                                    n_gauss)
-    want = np.array([per_element_projection(f, 0.25, params[index[k]],
+    want = np.array([per_element_projection(f, 0.25,
+                                            key_params(params, index[k]),
                                             mesh.nodes[k], n_modes, n_gauss)
                      for k in range(n_elems)])
     assert got.shape == (n_elems, n_modes)
@@ -396,34 +412,40 @@ def test_cached_gauss_rule_is_read_only():
 
 
 def test_element_mode_arrays_match_scalar_paths():
-    for a in (300.0, -140.0):
-        p = K.element_params(a, 0.02, 1.0, 1e-2)
-        arr = K.element_mode_arrays(p, 6)
-        for j in (1, 4, 6):
-            pz, zp = K.bilinear_couplings(j, p)
-            np.testing.assert_allclose(arr["adv_phi_pz"][:, j - 1], pz,
-                                       rtol=1e-13)
-            np.testing.assert_allclose(arr["adv_z_phi"][:, j - 1], zp,
-                                       rtol=1e-13)
-        np.testing.assert_allclose(arr["beta"], K.beta(np.arange(1, 7), p))
+    # one call over keys of both velocity signs equals the per-key float
+    # arithmetic bit for bit, and its beta equals kernels.beta
+    params, _ = K.distinct_element_params([300.0, -140.0, 0.0, -0.0, 7.5],
+                                          [0.02, 0.02, 0.05, 0.05, 0.1],
+                                          1.0, 1e-2)
+    arr = K.element_mode_arrays(params, 6)
+    assert arr["mass_phi_pz"].shape == (4, 2, 6)
+    assert arr["beta"].shape == (4, 6)
+    for k in range(4):
+        want = per_key_mode_arrays(key_params(params, k), 6)
+        assert sorted(arr) == sorted(want)
+        for name in want:
+            assert arr[name][k].tobytes() == want[name].tobytes(), (k, name)
+    assert arr["beta"].tobytes() == K.beta(np.arange(1, 7), params).tobytes()
 
 
 def test_element_mode_arrays_mass_pairings_quadrature():
     x, w = gauss01(300)
-    for a in (120.0, -120.0):
-        p = K.element_params(a, 0.04, 1.0, 1e-3)
-        arr = K.element_mode_arrays(p, 4)
-        sgn = 1.0 if a >= 0 else -1.0
+    params, _ = K.distinct_element_params([120.0, -120.0], [0.04, 0.04],
+                                          1.0, 1e-3)
+    arr = K.element_mode_arrays(params, 4)
+    for k in range(2):
+        p = key_params(params, k)
+        sgn = 1.0 if p.a >= 0 else -1.0
         for j in (1, 2, 3, 4):
             amp = np.sqrt(2.0 / p.h)
             zt = amp * np.exp(sgn * p.P * x) * np.sin(j * np.pi * x)
             pz = amp * np.exp(-sgn * p.P * x) * np.sin(j * np.pi * x)
             for m, phi in enumerate((1.0 - x, x)):
                 want = p.h * np.sum(w * phi * pz)
-                assert arr["mass_phi_pz"][m, j - 1] == pytest.approx(
+                assert arr["mass_phi_pz"][k, m, j - 1] == pytest.approx(
                     want, rel=1e-12, abs=1e-15)
                 want = p.h * np.sum(w * phi * zt)
-                assert arr["mass_z_phi"][m, j - 1] == pytest.approx(
+                assert arr["mass_z_phi"][k, m, j - 1] == pytest.approx(
                     want, rel=1e-12, abs=1e-15)
 
 

@@ -1,9 +1,11 @@
 """Property tests: the closed-form kernels against the high-precision
 Green's-function oracle, the array kernel paths against their per-point
-calls, detection of any single-byte corruption of a saved table, the
-tridiagonal solve against a dense solve on systems that are not
-diagonally dominant and bit for bit against one-pass Thomas elimination,
-and the mirror symmetry of both spectral methods."""
+calls, the all-keys element paths (distinct keys, element mode arrays,
+table lookup) against their per-key and per-entry versions, detection of
+any single-byte corruption of a saved table, the tridiagonal solve
+against a dense solve on systems that are not diagonally dominant and bit
+for bit against one-pass Thomas elimination, and the mirror symmetry of
+both spectral methods."""
 
 import functools
 import os
@@ -12,9 +14,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, given, settings,
+                        strategies as st)
 
-from oracles import green_kernels, thomas_solve
+from oracles import (green_kernels, interpolate_entry, key_params,
+                     per_key_mode_arrays, thomas_solve, tridiag_bands)
 
 from spectral_vms import kernels as K
 from spectral_vms import table as T
@@ -23,7 +27,8 @@ from spectral_vms import vms_full as V
 from spectral_vms.mesh_fem import (DirichletBC, Mesh1D,
                                    SingularSystemError, TimeGrid, TriDiag,
                                    TriDiagSystem, apply_dirichlet,
-                                   build_uniform_mesh, solve_tridiag)
+                                   build_uniform_mesh, solve_tridiag,
+                                   tridiags_from_blocks)
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -106,15 +111,78 @@ QUERY = st.floats(-1.0, GRID.p_max + 1.0)
 
 
 @SETTINGS
-@given(points=st.lists(st.tuples(QUERY, QUERY), min_size=1, max_size=20),
-       entry=st.sampled_from(K.FAMILIES["A1"].index_pairs))
-def test_array_interpolate_equals_scalar_calls(points, entry):
+@given(points=st.lists(st.tuples(QUERY, QUERY), min_size=1, max_size=20))
+def test_array_interpolate_equals_scalar_calls(points):
+    # one lookup of every entry at every point equals the per-entry float
+    # formula bit for bit, and counts each clamped point once
     P, S = np.array(points).T
-    arrays, scalars = _table(RANDOM_VALUES), _table(RANDOM_VALUES)
-    got = T.interpolate(arrays, "A1", *entry, P, S)
+    table = _table(RANDOM_VALUES)
+    got = T.interpolate(table, P, S)
+    assert list(got) == ["A1"] and got["A1"].shape == (2, 2, len(points))
+    clamped = 0
     for k, (p, s) in enumerate(points):
-        assert got[k] == T.interpolate(scalars, "A1", *entry, p, s)
-    assert arrays.clamp_count == scalars.clamp_count
+        for m, l in K.FAMILIES["A1"].index_pairs:
+            want, clamp = interpolate_entry(table, "A1", m, l, p, s)
+            assert got["A1"][m, l, k] == want
+        clamped += clamp
+    assert table.clamp_count == clamped
+
+
+# Element keys: a few values drawn again and again, so rows repeat, with
+# both zeros and values one ulp apart.
+KEY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), -2.5, 1e-300]),
+    st.floats(-1e3, 1e3))
+
+
+@SETTINGS
+@given(rows=st.lists(st.tuples(KEY_VALUES, KEY_VALUES), min_size=1,
+                     max_size=30))
+def test_distinct_rows_equal_unique_rows(rows):
+    a, h = np.array(rows).T
+    (ka, kh), inverse = K.distinct_rows((a, h))
+    want, want_inverse = np.unique(np.stack([a, h], axis=1), axis=0,
+                                   return_inverse=True)
+    # equal as values: -0.0 and 0.0 share a row in both
+    np.testing.assert_array_equal(np.stack([ka, kh], axis=1), want)
+    np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+    np.testing.assert_array_equal(ka[inverse], a)
+    np.testing.assert_array_equal(kh[inverse], h)
+
+
+@SETTINGS
+@given(elements=st.lists(
+           st.tuples(st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-300.0, 300.0)),
+                     st.sampled_from([0.01, 0.02, 0.1, 1.0 / 3.0])),
+           min_size=1, max_size=12),
+       mu=st.floats(0.1, 5.0), dt=st.floats(1e-4, 1e-1),
+       n_modes=st.integers(1, 40))
+def test_element_mode_arrays_equal_per_key_arithmetic(elements, mu, dt,
+                                                      n_modes):
+    a, h = np.array(elements).T
+    params, index = K.distinct_element_params(a, h, mu, dt)
+    got = K.element_mode_arrays(params, n_modes)
+    for k in range(params.P.size):
+        want = per_key_mode_arrays(key_params(params, k), n_modes)
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert got[name][k].tobytes() == arr.tobytes(), (k, name)
+
+
+@SETTINGS
+@given(data=st.data(), n_mats=st.integers(1, 8), n_elems=st.integers(1, 12))
+def test_stacked_block_scatter_equals_per_matrix(data, n_mats, n_elems):
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+    blocks = np.array(data.draw(st.lists(
+        values, min_size=n_mats * n_elems * 4,
+        max_size=n_mats * n_elems * 4))).reshape(n_mats, n_elems, 2, 2)
+    mats = tridiags_from_blocks(blocks)
+    assert len(mats) == n_mats
+    for got, one in zip(mats, blocks):
+        for band, want in zip((got.sub, got.diag, got.sup),
+                              tridiag_bands(one)):
+            assert band.tobytes() == want.tobytes()
 
 
 INSIDE = st.floats(GRID.delta * 1.001, GRID.p_max * 0.999)
@@ -138,7 +206,7 @@ def test_interpolate_exact_on_bilinear_data(inside, outside, coeffs):
     points = inside + [(s, p) if k % 2 else (p, s)
                        for k, (p, s) in enumerate(outside)]
     P, S = np.array(points, dtype=float).reshape(-1, 2).T
-    got = T.interpolate(table, "A1", 0, 1, P, S)
+    got = T.interpolate(table, P, S)["A1"][0, 1]
     # boundary cells extrapolate linearly, so clamped points are exact too
     np.testing.assert_allclose(got, bilinear(P, S), rtol=0, atol=1e-10)
     assert table.clamp_count == len(outside)
@@ -180,6 +248,15 @@ def test_any_single_byte_corruption_is_detected(data, flip):
 # worst ratio measured over 3,300 random and spectral systems was 1.7.
 TRIDIAG_RESIDUAL_ULPS = 8
 EPS = np.finfo(float).eps
+# Gradual underflow adds an absolute error of at most half the smallest
+# subnormal to every product and quotient (Higham, section 2.1, the model
+# with underflow), which no multiple of eps covers.  A multiplier l_i
+# rounded into the subnormal range carries that error times (U x)_{i-1}
+# into row i of the residual, and the pivots and back substitution carry
+# it times (U x)_i; so each row also accepts TRIDIAG_UNDERFLOW_UNITS
+# smallest subnormals times 1 + (|U||x|)_{i-1} + (|U||x|)_i.
+TRIDIAG_UNDERFLOW_UNITS = 4
+TINY = np.finfo(float).smallest_subnormal
 
 
 def _thomas_factors(m):
@@ -196,13 +273,28 @@ def _thomas_factors(m):
     return l, d
 
 
-def _abs_lu_times(m, l, d, v):
-    """|L||U| v for the bidiagonal factors and a non-negative v."""
+def _abs_u_times(m, d, v):
+    """|U| v for the upper bidiagonal factor and a non-negative v."""
     uv = np.abs(d) * v
     uv[:-1] += np.abs(m.sup) * v[1:]
-    out = uv.copy()
-    out[1:] += np.abs(l) * uv[:-1]
+    return uv
+
+
+def _abs_lu_times(m, l, d, v):
+    """|L||U| v for the bidiagonal factors and a non-negative v."""
+    out = _abs_u_times(m, d, v)
+    out[1:] += np.abs(l) * out[:-1].copy()
     return out
+
+
+def _residual_bound(m, l, d, x):
+    """Largest |A x - b| per row that the computed Thomas solution x may
+    leave: the eps term plus the underflow term."""
+    ux = _abs_u_times(m, d, np.abs(x))
+    underflow = 1.0 + ux
+    underflow[1:] += ux[:-1]
+    return (TRIDIAG_RESIDUAL_ULPS * EPS * _abs_lu_times(m, l, d, np.abs(x))
+            + TRIDIAG_UNDERFLOW_UNITS * TINY * underflow)
 
 
 def _check_against_dense(m, rhs):
@@ -215,14 +307,13 @@ def _check_against_dense(m, rhs):
     except SingularSystemError:
         assert np.min(np.abs(d)) < 1e-14 * m.max_abs() * (1.0 + 1e-12)
         return
-    lu_x = _abs_lu_times(m, l, d, np.abs(x))
+    bound = _residual_bound(m, l, d, x)
     resid = np.abs(dense @ x - rhs)
-    assert np.all(resid <= TRIDIAG_RESIDUAL_ULPS * EPS * lu_x)
+    assert np.all(resid <= bound)
     # x - x_dense = A^{-1} (r - r_dense): both residuals bound the gap
     x_dense = np.linalg.solve(dense, rhs)
     gap = np.linalg.norm(np.linalg.inv(dense), np.inf) * (
-        TRIDIAG_RESIDUAL_ULPS * EPS * np.max(lu_x)
-        + 8 * m.n * EPS * np.linalg.norm(dense, np.inf)
+        np.max(bound) + 8 * m.n * EPS * np.linalg.norm(dense, np.inf)
         * np.max(np.abs(x_dense)))
     assert np.max(np.abs(x - x_dense)) <= gap
 
@@ -230,7 +321,12 @@ def _check_against_dense(m, rhs):
 BAND = st.floats(-1.0, 1.0)
 
 
-@SETTINGS
+# Random bands that are not diagonally dominant are mostly ill
+# conditioned: about 7 draws in 10 fail the cond < 1e12 filter, and
+# Hypothesis draws again until it has max_examples that pass.  Its
+# filter_too_much health check then fails about one run in 13, so it is
+# off here; every example that runs still meets every assertion.
+@settings(SETTINGS, suppress_health_check=[HealthCheck.filter_too_much])
 @given(data=st.data(), n=st.integers(2, 40))
 def test_tridiag_solve_matches_dense_without_dominance(data, n):
     sub = np.array(data.draw(st.lists(BAND, min_size=n - 1,
@@ -250,6 +346,19 @@ def test_tridiag_solve_matches_dense_without_dominance(data, n):
     _check_against_dense(m, rhs)
 
 
+def test_tridiag_solve_with_subnormal_multiplier():
+    # cond 1.06, but the multiplier of row 2 is subnormal, so the residual
+    # of that row is a few subnormals (-3e-323) while the eps term of the
+    # bound rounds to about one: only the underflow term admits it
+    m = TriDiag([1.0, 2.225073858507203e-309], [0.0625, 0.0, 1.0],
+                [1.0, 0.0])
+    rhs = np.array([1.0, 0.0, 0.0])
+    assert np.linalg.cond(m.to_dense()) < 1.1
+    l, d = _thomas_factors(m)
+    assert 0.0 < abs(l[1]) < np.finfo(float).tiny
+    _check_against_dense(m, rhs)
+
+
 @SETTINGS
 @given(P=st.floats(1.0, 40.0), S=st.floats(0.05, 50.0),
        n_elems=st.integers(2, 40), sign=st.sampled_from([-1.0, 1.0]),
@@ -265,7 +374,7 @@ def test_tridiag_solve_matches_dense_on_spectral_systems(P, S, n_elems,
         mesh=mesh, tgrid=TimeGrid.from_dt(S * h * h / mu, 1), mu=mu,
         velocity=sign * 2.0 * mu * P / h, n_modes=50,
         bc=DirichletBC(0.3, -0.2))
-    lhs, _ = V._Snapshot(config, 0.0).matrices
+    lhs, _ = V._snapshot_at(config, 0.0).matrices
     rhs = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
     system = apply_dirichlet(TriDiagSystem(lhs, rhs), config.bc, 0.0)
     _check_against_dense(system.matrix, system.rhs)

@@ -122,14 +122,14 @@ def test_interpolate_exact_at_nodes_and_bilinear():
     grid = table.grid
     for P in grid.axis():
         for S in grid.axis():
-            got = T.interpolate(table, "A1", 0, 0, P, S)
+            got = T.interpolate(table, P, S)["A1"][0, 0]
             want = 2.0 + 3.0 * P - 5.0 * S + 7.0 * P * S
             assert got == pytest.approx(want, rel=1e-13)
     rng = np.random.default_rng(1)
     for _ in range(100):
         P = rng.uniform(grid.delta, grid.p_max)
         S = rng.uniform(grid.delta, grid.p_max)
-        got = T.interpolate(table, "A1", 0, 0, P, S)
+        got = T.interpolate(table, P, S)["A1"][0, 0]
         want = 2.0 + 3.0 * P - 5.0 * S + 7.0 * P * S
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -140,8 +140,8 @@ def test_interpolate_node_value_is_stored_value():
     fam = FAMILIES["B1"]
     for i in (0, 2, 5):
         for j in (1, 3, 4):
-            got = T.interpolate(table, "B1", 1, 0, grid.delta * (i + 1),
-                                grid.delta * (j + 1))
+            got = T.interpolate(table, grid.delta * (i + 1),
+                                grid.delta * (j + 1))["B1"][1, 0]
             want = table.values["B1"][fam.entry(1, 0), i, j]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -152,7 +152,7 @@ def test_interpolate_cell_center_mean():
     arr = table.values["A1"][FAMILIES["A1"].entry(0, 1)]
     P = grid.delta * 2.5
     S = grid.delta * 3.5
-    got = T.interpolate(table, "A1", 0, 1, P, S)
+    got = T.interpolate(table, P, S)["A1"][0, 1]
     want = 0.25 * (arr[1, 2] + arr[1, 3] + arr[2, 2] + arr[2, 3])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -163,21 +163,23 @@ def test_interpolate_weights_positive_partition_in_cell():
     for _ in range(50):
         P = rng.uniform(table.grid.delta, table.grid.p_max)
         S = rng.uniform(table.grid.delta, table.grid.p_max)
-        assert T.interpolate(table, "A1", 0, 0, P, S) == pytest.approx(1.0)
+        assert T.interpolate(table, P, S)["A1"][0, 0] == pytest.approx(1.0)
 
 
 def test_interpolate_clamp_extrapolates_continuously():
     table = make_synthetic_table(lambda P, S: 1.0 / (P + S))
     pmax = table.grid.p_max
     eps = 1e-9
-    lo = T.interpolate(table, "A1", 0, 0, pmax - eps, 1.0)
-    hi = T.interpolate(table, "A1", 0, 0, pmax + eps, 1.0)
+    lo = T.interpolate(table, pmax - eps, 1.0)["A1"][0, 0]
+    hi = T.interpolate(table, pmax + eps, 1.0)["A1"][0, 0]
     assert abs(hi - lo) < 1e-6
-    # clamps are counted
+    # clamps are counted once per query point, whatever the number of
+    # families, entries or clamped axes
     before = table.clamp_count
-    T.interpolate(table, "A1", 0, 0, pmax + 1.0, 1.0)
-    T.interpolate(table, "A1", 0, 0, 0.5 * table.grid.delta, 1.0)
-    assert table.clamp_count == before + 2
+    T.interpolate(table, [pmax + 1.0, 0.5 * table.grid.delta, 1.0],
+                  [1.0, 1.0, 1.0])
+    T.interpolate(table, -1.0, pmax + 1.0)
+    assert table.clamp_count == before + 3
 
 
 def test_interpolation_error_against_direct_sums():
@@ -189,7 +191,7 @@ def test_interpolation_error_against_direct_sums():
     for _ in range(60):
         P = rng.uniform(grid.delta, grid.p_max)
         S = rng.uniform(grid.delta, grid.p_max)
-        got = T.interpolate(table, "A1", 0, 0, P, S)
+        got = T.interpolate(table, P, S)["A1"][0, 0]
         ref = closed_form_kernels([("A1", 0, 0)], P, S)[0, 0]
         rels.append(abs(got - ref) / max(1e-12, abs(ref)))
     rels = np.array(rels)
@@ -209,13 +211,12 @@ def test_table_provider_sums_interpolated_blocks():
     P = np.array([1.0, 1.7, 2.5])
     S = np.array([0.5, 2.2, 3.0])
     got = provider.kernels(entries, P, S)
+    blocks = T.interpolate(table, P, S)
     for row, (name, m, l) in enumerate(entries):
         fam = FAMILIES[name]
         ms = (0, 1) if fam.side1 == "d" else (m,)
         ls = (0, 1) if fam.side2 == "e" else (l,)
-        want = sum(T.interpolate(table, name[0] + "1", mi, li, P, S,
-                                 count_clamps=False)
-                   for mi in ms for li in ls)
+        want = sum(blocks[name[0] + "1"][mi, li] for mi in ms for li in ls)
         np.testing.assert_allclose(got[row], want, rtol=1e-15, atol=0)
     direct = closed_form_kernels(entries, P[[0, 2]], S[[0, 2]])
     np.testing.assert_allclose(got[:, [0, 2]], direct, rtol=1e-14, atol=0)
