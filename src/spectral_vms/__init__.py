@@ -7,7 +7,7 @@ from .analysis import (ErrorReport, ExperimentPreset, PRESETS, error_norms,
                        run_method)
 from .baselines import StabChoice, cfl_bound, run_galerkin, run_stabilized, tau
 from .kernels import (ElementParams, closed_form_kernels, element_params,
-                      beta, eigenvalue, mode_value)
+                      beta, mode_value)
 from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,
                        VelocityField, build_uniform_mesh, solve_tridiag)
 from .table import (KernelTable, TableGrid, generate_table, interpolate,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import vms_feasible, vms_full
 from .baselines import StabChoice, run_galerkin, run_stabilized
 from .kernels import element_params
 from .mesh_fem import (DirichletBC, TimeGrid, assemble_mass,
@@ -241,6 +240,19 @@ def run_experiment(preset, methods=None, provider=None, n_modes=None,
     return results, reference
 
 
+def _test1_full_errors(h, dt, n_steps, a, mu, n_modes):
+    """ErrorReport of the full method on test1 with mesh size h and
+    n_steps steps of dt, against the exact solution."""
+    mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
+    tgrid = TimeGrid.from_dt(dt, n_steps)
+    config = FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
+                           bc=test1_bc(a, mu), initial=np.exp,
+                           n_modes=n_modes, project_initial_subgrid=True)
+    ref = np.array([test1_exact(mesh.nodes, t, a, mu)
+                    for t in tgrid.times()])
+    return error_norms(run_full(config).history, ref, mesh, dt)
+
+
 def mesh_independence_study(h_values=None, dt=0.01, n_steps=10, a=1.0,
                             mu=20.0, n_modes=10):
     """Nodal errors of the full method across meshes at fixed dt."""
@@ -248,16 +260,7 @@ def mesh_independence_study(h_values=None, dt=0.01, n_steps=10, a=1.0,
         else [0.05 / 2 ** i for i in range(2, 8)]
     rows = []
     for h in h_values:
-        mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
-        tgrid = TimeGrid.from_dt(dt, n_steps)
-        config = FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
-                               bc=test1_bc(a, mu), initial=np.exp,
-                               n_modes=n_modes,
-                               project_initial_subgrid=True)
-        hist = run_full(config).history
-        ref = np.array([test1_exact(mesh.nodes, t, a, mu)
-                        for t in tgrid.times()])
-        rep = error_norms(hist, ref, mesh, dt)
+        rep = _test1_full_errors(h, dt, n_steps, a, mu, n_modes)
         rows.append({"h": h, "linf_l2": rep.linf_l2, "l2_h1": rep.l2_h1})
     return rows
 
@@ -269,17 +272,7 @@ def time_convergence_study(dt_values=None, h=0.05 / 32, a=1.0, mu=20.0,
         else [0.01 / 2 ** i for i in range(4)]
     rows = []
     for dt in dt_values:
-        n_steps = int(round(0.1 / dt))
-        mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
-        tgrid = TimeGrid.from_dt(dt, n_steps)
-        config = FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
-                               bc=test1_bc(a, mu), initial=np.exp,
-                               n_modes=n_modes,
-                               project_initial_subgrid=True)
-        hist = run_full(config).history
-        ref = np.array([test1_exact(mesh.nodes, t, a, mu)
-                        for t in tgrid.times()])
-        rep = error_norms(hist, ref, mesh, dt)
+        rep = _test1_full_errors(h, dt, int(round(0.1 / dt)), a, mu, n_modes)
         rows.append({"dt": dt, "linf_l2": rep.linf_l2, "l2_h1": rep.l2_h1})
     return rows
 

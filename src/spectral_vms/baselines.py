@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh_fem
-from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
-                       apply_dirichlet, assemble_load, assemble_mass,
-                       assemble_stiffness, solve_tridiag)
+from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
+                       assemble_load, assemble_mass, assemble_stiffness,
+                       solve_tridiag)
 
 __all__ = ["StabChoice", "tau", "cfl_bound", "assemble_stab_matrix",
            "step_matrices", "step_galerkin", "step_stabilized",
@@ -97,71 +97,40 @@ def _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new):
     return solve_tridiag(apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t_new))
 
 
-def step_galerkin(u_prev, a_elem, mu, mesh, dt, f=None, bc=None, t_new=None,
-                  matrices=None):
+def step_galerkin(u_prev, matrices, mesh, dt, f=None, bc=None, t_new=None):
     """(M + dt R) u = M u_prev + dt F with Dirichlet values at t_new.
 
-    matrices is the step_matrices pair of a_elem; passing the same one to
-    every step reuses the left-hand side and its factorisation.
+    matrices is the step_matrices pair of the step's velocity; passing
+    the same one to every step reuses the left-hand side and its
+    factorisation.
     """
-    if matrices is None:
-        matrices = step_matrices(mesh, a_elem, mu, dt)
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
 
-def step_stabilized(u_prev, choice, a_elem, mu, mesh, dt, f=None, bc=None,
-                    t_new=None, matrices=None):
+def step_stabilized(u_prev, matrices, mesh, dt, f=None, bc=None,
+                    t_new=None):
     """Stabilized step (M + dt R + dt a^2 tau M_s) u = M u_prev + dt F.
 
-    matrices is the step_matrices pair of a_elem and choice, as in
-    step_galerkin.
+    matrices is the step_matrices pair of the step's velocity and
+    StabChoice, as in step_galerkin.
     """
-    if matrices is None:
-        matrices = step_matrices(mesh, a_elem, mu, dt, choice)
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
-
-
-def _run(stepper, matrices_of, mesh, tgrid, velocity, initial, rule):
-    """March stepper(u, a_elem, t1, matrices); matrices_of(a_elem) is
-    called again only when the projected velocity changes."""
-    velocity = velocity if isinstance(velocity, VelocityField) \
-        else VelocityField(velocity)
-    u = np.zeros(mesh.n_nodes) if initial is None \
-        else mesh.interpolate(initial)
-    history = np.empty((tgrid.n_steps + 1, mesh.n_nodes))
-    history[0] = u
-    a_prev = matrices = None
-    for n in range(tgrid.n_steps):
-        t1 = (n + 1) * tgrid.dt
-        a_elem = mesh_fem.project_velocity(velocity, mesh, t1, rule)
-        if matrices is None or not np.array_equal(a_elem, a_prev):
-            a_prev, matrices = a_elem, matrices_of(a_elem)
-        u = stepper(u, a_elem, t1, matrices)
-        history[n + 1] = u
-    return history
 
 
 def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None,
                  velocity_rule="midpoint"):
-    def stepper(u, a_elem, t1, matrices):
-        return step_galerkin(u, a_elem, mu, mesh, tgrid.dt, f, bc, t1,
-                             matrices)
-
-    def matrices_of(a_elem):
-        return step_matrices(mesh, a_elem, mu, tgrid.dt)
-
-    return _run(stepper, matrices_of, mesh, tgrid, velocity, initial,
-                velocity_rule)
+    return run_stabilized(None, mesh, tgrid, velocity, mu, initial, f, bc,
+                          velocity_rule)
 
 
 def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
                    bc=None, velocity_rule="midpoint"):
-    def stepper(u, a_elem, t1, matrices):
-        return step_stabilized(u, choice, a_elem, mu, mesh, tgrid.dt, f,
-                               bc, t1, matrices)
-
-    def matrices_of(a_elem):
-        return step_matrices(mesh, a_elem, mu, tgrid.dt, choice)
-
-    return _run(stepper, matrices_of, mesh, tgrid, velocity, initial,
-                velocity_rule)
+    """March step_stabilized, or step_galerkin when choice is None."""
+    dt = tgrid.dt
+    step = step_galerkin if choice is None else step_stabilized
+    history, _ = mesh_fem.march(
+        mesh, tgrid, velocity, velocity_rule, mesh.interpolate(initial),
+        lambda a_elem: step_matrices(mesh, a_elem, mu, dt, choice),
+        lambda n, u, matrices, _old, _carry: (
+            step(u, matrices, mesh, dt, f, bc, (n + 1) * dt), None))
+    return history

@@ -179,13 +179,8 @@ def cmd_solve(args):
 def cmd_compare(args):
     _require(args, "preset", "out")
     preset = PRESETS[args.preset]
-    provider = None
-    if args.provider == "table":
-        if not args.table:
-            raise ValidationError("--provider table requires --table")
-        provider = TableKernelProvider(table_mod.load_table(args.table))
     results, reference = run_experiment(preset, methods=args.methods,
-                                        provider=provider,
+                                        provider=_make_provider(args),
                                         refine=args.refine)
     os.makedirs(args.out, exist_ok=True)
     report = os.path.join(args.out, "report.csv")
@@ -207,21 +202,14 @@ def cmd_convergence(args):
     os.makedirs(args.out, exist_ok=True)
     dt_rows = time_convergence_study()
     h_rows = mesh_independence_study()
-    with open(os.path.join(args.out, "dt_study.csv"), "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "linf_l2", "l2_h1"])
-        for row in dt_rows:
-            writer.writerow([FLOAT_FMT % row["dt"],
-                             FLOAT_FMT % row["linf_l2"],
-                             FLOAT_FMT % row["l2_h1"]])
-    with open(os.path.join(args.out, "h_study.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "linf_l2", "l2_h1"])
-        for row in h_rows:
-            writer.writerow([FLOAT_FMT % row["h"],
-                             FLOAT_FMT % row["linf_l2"],
-                             FLOAT_FMT % row["l2_h1"]])
+    for step, rows in (("dt", dt_rows), ("h", h_rows)):
+        columns = [step, "linf_l2", "l2_h1"]
+        with open(os.path.join(args.out, "%s_study.csv" % step), "w",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([FLOAT_FMT % row[c] for c in columns])
     dts = [r["dt"] for r in dt_rows]
     slope_h1 = convergence_order([r["l2_h1"] for r in dt_rows], dts)
     slope_l2 = convergence_order([r["linf_l2"] for r in dt_rows], dts)

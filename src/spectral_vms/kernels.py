@@ -33,15 +33,12 @@ __all__ = [
     "ElementParams",
     "TruncationPolicy",
     "TruncationOverflowWarning",
-    "ModeKernels",
     "FAMILIES",
     "element_params",
     "distinct_element_params",
     "distinct_rows",
     "beta",
-    "eigenvalue",
     "mode_value",
-    "base_integrals",
     "sum_series_batch",
     "sum_series_multi",
     "sum_series_fixed",
@@ -152,14 +149,6 @@ def beta(j, p):
         _per_key(np.float_power(p.P, 2), j.ndim) + np.pi ** 2 * j ** 2))
 
 
-def eigenvalue(j, p):
-    """Eigenvalue mu (j pi / h)^2 + a^2 / (4 mu), of shape p.P.shape +
-    j.shape; beta = 1/(1 + dt lambda)."""
-    j = np.asarray(j, dtype=float)
-    return p.mu * (j * np.pi / _per_key(p.h, j.ndim)) ** 2 \
-        + _per_key(np.float_power(p.a, 2), j.ndim) / (4.0 * p.mu)
-
-
 def mode_value(j, p, xhat):
     """Normalized mode times sqrt(h): sqrt(2) e^{sign P xhat} sin(j pi xhat),
     of shape p.P.shape + the broadcast shape of j and xhat.
@@ -217,48 +206,6 @@ def shifted_sides(j, P):
     e0s = _i_shifted(j, P)
     c1s = _j_shifted(j, P)
     return d0s - a1s, a1s, d0s, e0s - c1s, c1s, e0s
-
-
-@dataclass(frozen=True)
-class ModeKernels:
-    """Unshifted reference integrals for one (j, P)."""
-
-    d0: float  # int e^{-P x} sin(j pi x)
-    e0: float  # int e^{+P x} sin(j pi x)
-    a0: float  # int (1-x) e^{-P x} sin(j pi x)
-    a1: float  # int x e^{-P x} sin(j pi x)
-    c0: float  # int (1-x) e^{+P x} sin(j pi x)
-    c1: float  # int x e^{+P x} sin(j pi x)
-
-
-# 64-point Gauss rule for the cross-validation fallback.
-_GX64, _GW64 = np.polynomial.legendre.leggauss(64)
-_GX64 = 0.5 * (_GX64 + 1.0)
-_GW64 = 0.5 * _GW64
-
-
-def base_integrals(j, P, method="closed"):
-    """Closed-form reference integrals; method='quadrature' cross-checks
-    with a 64-point Gauss rule (not overflow-safe for large P)."""
-    if j < 1:
-        raise ValueError("mode index must be >= 1")
-    if method == "quadrature":
-        s = np.sin(j * np.pi * _GX64)
-        em = np.exp(-P * _GX64) * s
-        ep = np.exp(P * _GX64) * s
-        return ModeKernels(
-            d0=float(np.sum(_GW64 * em)), e0=float(np.sum(_GW64 * ep)),
-            a0=float(np.sum(_GW64 * (1.0 - _GX64) * em)),
-            a1=float(np.sum(_GW64 * _GX64 * em)),
-            c0=float(np.sum(_GW64 * (1.0 - _GX64) * ep)),
-            c1=float(np.sum(_GW64 * _GX64 * ep)))
-    if method != "closed":
-        raise ValueError("unknown method %r" % method)
-    a0s, a1s, d0s, c0s, c1s, e0s = shifted_sides(j, P)
-    em, ep = np.exp(-0.5 * P), np.exp(0.5 * P)
-    return ModeKernels(d0=float(em * d0s), e0=float(ep * e0s),
-                       a0=float(em * a0s), a1=float(em * a1s),
-                       c0=float(ep * c0s), c1=float(ep * c1s))
 
 
 _SIGN = np.array([-1.0, 1.0])  # gradient signs of the two local hats

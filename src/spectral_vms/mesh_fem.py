@@ -1,6 +1,6 @@
 """1D P1 finite element basics: meshes, mass/stiffness assembly, Dirichlet
-handling, tridiagonal (Thomas) solves and piecewise-constant velocity
-projection.
+handling, tridiagonal (Thomas) solves, piecewise-constant velocity
+projection and the backward-Euler march that every method runs on.
 
 All solvers in this package produce tridiagonal systems, so the linear
 algebra layer stores only the three central diagonals.  A system is
@@ -36,6 +36,7 @@ __all__ = [
     "factor_tridiag",
     "solve_tridiag",
     "apply_dirichlet",
+    "march",
 ]
 
 # Relative pivot threshold below which elimination reports a singular system.
@@ -74,7 +75,10 @@ class Mesh1D:
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
 
     def interpolate(self, f):
-        """Nodal (Lagrange) interpolant of an array callable f(x)."""
+        """Nodal (Lagrange) interpolant of an array callable f(x); None
+        stands for the zero function."""
+        if f is None:
+            return np.zeros(self.n_nodes)
         return point_values(f, self.nodes, name="interpolated function")
 
     def __repr__(self):
@@ -133,7 +137,9 @@ class DirichletBC:
 class VelocityField:
     """Advection velocity a(x, t), possibly constant.
 
-    Constant fields let the time steppers cache their assembled matrices.
+    A constant field only skips the pointwise evaluation in
+    project_velocity; march reuses a snapshot's matrices whenever the
+    projected velocity is unchanged, constant field or not.
     """
 
     def __init__(self, a):
@@ -440,3 +446,28 @@ def apply_dirichlet(sys, bc, t):
     rhs[n - 2] -= right * gr
     return TriDiagSystem(m, rhs)
 
+
+def march(mesh, tgrid, velocity, rule, u0, build, step, carry=None):
+    """Backward-Euler march from the nodal values u0 over tgrid.
+
+    Step n goes to t_{n+1} = (n + 1) dt with the snapshot build(a_elem)
+    of the velocity projected (by rule) at t_{n+1}; a snapshot is built
+    again only when the projection changes.  step(n, u, snap, snap_old,
+    carry) returns (u_next, carry): snap_old is the previous step's
+    snapshot (None at step 0, so the step knows it is the first) and
+    carry what the method passes from step to step.  Returns the
+    (n_steps + 1, n_nodes) history and the final carry.
+    """
+    history = np.empty((tgrid.n_steps + 1, mesh.n_nodes))
+    history[0] = u = u0
+    snap = a_snap = None
+    for n in range(tgrid.n_steps):
+        a_elem = project_velocity(velocity, mesh, (n + 1) * tgrid.dt, rule)
+        # released before the next build, so at most one older snapshot
+        # is alive while a new one is assembled
+        snap_old = snap
+        if snap is None or not np.array_equal(a_elem, a_snap):
+            a_snap, snap = a_elem, build(a_elem)
+        u, carry = step(n, u, snap, snap_old, carry)
+        history[n + 1] = u
+    return history, carry

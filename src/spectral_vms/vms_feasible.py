@@ -20,8 +20,7 @@ from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
 
 __all__ = ["DirectKernelProvider", "TableKernelProvider",
            "NullKernelProvider", "FeasibleConfig", "FeasibleMatrices",
-           "assemble_matrices", "step_feasible", "first_step_policy",
-           "run_feasible", "FeasibleState"]
+           "assemble_matrices", "step_feasible", "run_feasible"]
 
 _SIGN = np.array([-1.0, 1.0])
 
@@ -77,9 +76,6 @@ class NullKernelProvider:
 
     def kernels(self, entries, P, S):
         return np.zeros((len(entries), np.size(P)))
-
-    def kernel(self, family, m, l, P, S):
-        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
 
 
 @dataclass
@@ -194,13 +190,6 @@ def _force_vectors(mesh, mats, f, t):
 
 
 @dataclass
-class FeasibleState:
-    u: np.ndarray
-    u_prev: np.ndarray
-    step: int
-
-
-@dataclass
 class FeasibleConfig:
     mesh: object
     tgrid: object
@@ -224,57 +213,41 @@ class FeasibleConfig:
             raise ValueError("g_pairing must be 'main' or 'appendix'")
 
 
-def step_feasible(state, sys_new, sys_old, config, first=False):
-    """One step of the two-level recursion; returns the new nodal field.
+def step_feasible(n, u, u_prev, sys_new, sys_old, config):
+    """Step n of the two-level recursion, from u = u^n and u_prev =
+    u^{n-1}; returns u^{n+1}.
 
     sys_new / sys_old are the FeasibleMatrices at the new and old time
-    levels (identical objects for a constant velocity).  With first=True
-    all subgrid-history terms are dropped, equivalent to a zero initial
-    subgrid.
+    levels (identical objects for a constant velocity).  sys_old is None
+    at the first step, which drops every subgrid-history term, as a zero
+    initial subgrid does; u_prev is not read there.
     """
     dt = config.tgrid.dt
-    n = state.step
     t1, t0 = (n + 1) * dt, n * dt
-    rhs = sys_new.mass.matvec(state.u)
-    rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(state.u)
+    rhs = sys_new.mass.matvec(u)
+    rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
     rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
-    if not first:
-        rhs -= (sys_old.A1 + dt * sys_old.A2).matvec(state.u)
-        rhs += sys_old.A1.matvec(state.u_prev)
+    if sys_old is not None:
+        rhs -= (sys_old.A1 + dt * sys_old.A2).matvec(u)
+        rhs += sys_old.A1.matvec(u_prev)
         fv_old = _force_vectors(config.mesh, sys_old, config.source, t0)
         rhs += dt * fv_old["F1"]
         if config.g_pairing == "main":
             rhs += (sys_new.B1 + dt * sys_new.B2 + dt * sys_new.B3
-                    + dt * dt * sys_new.B4).matvec(state.u)
-            rhs -= (sys_new.B1 + dt * sys_new.B3).matvec(state.u_prev)
+                    + dt * dt * sys_new.B4).matvec(u)
+            rhs -= (sys_new.B1 + dt * sys_new.B3).matvec(u_prev)
             rhs -= dt * fv_new["F3"] + dt * dt * fv_new["F4"]
         else:
             # literal reading of the boxed G1 definition: both G vectors
             # carry the advective pairing
             rhs += ((1.0 + dt) * sys_new.B3
-                    + dt * (1.0 + dt) * sys_new.B4).matvec(state.u)
-            rhs -= (1.0 + dt) * sys_new.B3.matvec(state.u_prev)
+                    + dt * (1.0 + dt) * sys_new.B4).matvec(u)
+            rhs -= (1.0 + dt) * sys_new.B3.matvec(u_prev)
             rhs -= dt * (1.0 + dt) * fv_new["F4"]
     sys = apply_dirichlet(TriDiagSystem(sys_new.lhs, rhs), config.bc, t1)
     return solve_tridiag(sys)
-
-
-def first_step_policy(u0):
-    """Initial two-level state: u^{-1} := u^0 with history terms dropped."""
-    return FeasibleState(u=u0.copy(), u_prev=u0.copy(), step=0)
-
-
-def _matrices_at(config, t, previous):
-    """FeasibleMatrices of the velocity at time t; previous is reused when
-    the projected velocity has not changed."""
-    a_elem = mesh_fem.project_velocity(config.velocity, config.mesh, t,
-                                       config.velocity_rule)
-    if previous is not None and np.array_equal(a_elem, previous.a_elem):
-        return previous
-    return assemble_matrices(config.mesh, a_elem, config.mu,
-                             config.tgrid.dt, config.provider)
 
 
 def run_feasible(config):
@@ -282,21 +255,12 @@ def run_feasible(config):
 
     Only the matrices of the two time levels of the current step are kept.
     """
-    mesh = config.mesh
-    if config.initial is None:
-        u0 = np.zeros(mesh.n_nodes)
-    else:
-        u0 = mesh.interpolate(config.initial)
-    history = np.empty((config.tgrid.n_steps + 1, mesh.n_nodes))
-    history[0] = u0
-    state = first_step_policy(u0)
-    dt = config.tgrid.dt
-    sys_old = _matrices_at(config, 0.0, None)
-    for n in range(config.tgrid.n_steps):
-        sys_new = _matrices_at(config, (n + 1) * dt, sys_old)
-        u_next = step_feasible(state, sys_new, sys_old, config,
-                               first=(n == 0))
-        history[n + 1] = u_next
-        state = FeasibleState(u=u_next, u_prev=state.u, step=n + 1)
-        sys_old = sys_new
+    mesh, dt = config.mesh, config.tgrid.dt
+    history, _ = mesh_fem.march(
+        mesh, config.tgrid, config.velocity, config.velocity_rule,
+        mesh.interpolate(config.initial),
+        lambda a_elem: assemble_matrices(mesh, a_elem, config.mu, dt,
+                                         config.provider),
+        lambda n, u, sys_new, sys_old, u_prev: (
+            step_feasible(n, u, u_prev, sys_new, sys_old, config), u))
     return history

@@ -8,7 +8,7 @@ vms_feasible.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -98,16 +98,6 @@ class _Snapshot:
             c.source_gauss)
 
 
-def _snapshot_at(config, t, previous=None):
-    """_Snapshot of the velocity at time t; previous is reused when the
-    projected velocity has not changed."""
-    a_elem = mesh_fem.project_velocity(config.velocity, config.mesh, t,
-                                       config.velocity_rule)
-    if previous is not None and np.array_equal(a_elem, previous.a_elem):
-        return previous
-    return _Snapshot(config, a_elem)
-
-
 def _pair(arr, u):
     """(n_elems, J) sums over m of arr[k, m, j] u[k + m] for a nodal u."""
     return np.einsum("kmj,km->kj", arr, np.stack([u[:-1], u[1:]], axis=1))
@@ -121,10 +111,7 @@ def init_state(config):
     the first modes in the weighted inner product.
     """
     mesh = config.mesh
-    if config.initial is None:
-        u0 = np.zeros(mesh.n_nodes)
-    else:
-        u0 = mesh.interpolate(config.initial)
+    u0 = mesh.interpolate(config.initial)
     if not (config.project_initial_subgrid and config.initial is not None):
         return u0, SubgridState.zeros(mesh.n_elems, config.n_modes)
     a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0,
@@ -136,7 +123,7 @@ def init_state(config):
         config.n_modes, n_gauss=64, nodal=u0))
 
 
-def step_full(u_prev, state, n, config, ctx=None):
+def step_full(u_prev, state, n, config, ctx):
     """One backward-Euler spectral step; returns (u_next, state_next).
 
     ctx is the _Snapshot of the velocity at the new time level; passing
@@ -144,8 +131,6 @@ def step_full(u_prev, state, n, config, ctx=None):
     """
     mesh, dt = config.mesh, config.tgrid.dt
     t1 = (n + 1) * dt
-    if ctx is None:
-        ctx = _snapshot_at(config, t1)
     lhs, mass = ctx.matrices
     c, b, test_b = state.amplitudes, ctx.beta, ctx.test_b
     proj_u = _pair(ctx.mass_phi_pz, u_prev)
@@ -169,16 +154,15 @@ def step_full(u_prev, state, n, config, ctx=None):
     return u_next, SubgridState(b * resid)
 
 
-def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx=None):
+def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
     """Amplitudes rebuilt from the two-level residual instead of carried.
 
-    Feeding these into step_full reproduces the tabulated method's
-    one-level history exactly (constant-in-time velocity).
+    ctx is the _Snapshot of the velocity at time level n.  Feeding these
+    into step_full reproduces the tabulated method's one-level history
+    exactly (constant-in-time velocity).
     """
     dt = config.tgrid.dt
     t0 = n * dt
-    if ctx is None:
-        ctx = _snapshot_at(config, t0)
     resid = _pair(ctx.mass_phi_pz, u_prevprev - u_prev) \
         - dt * _pair(ctx.adv_phi_pz, u_prev)
     if config.source is not None:
@@ -214,13 +198,10 @@ class FullVmsResult:
 def run_full(config):
     """March the full spectral method over the whole time grid; the
     result keeps every nodal level but only the final amplitudes."""
-    u, state = init_state(config)
-    history = np.empty((config.tgrid.n_steps + 1, config.mesh.n_nodes))
-    history[0] = u
-    # one snapshot, and so one left-hand side, per distinct projection
-    ctx = None
-    for n in range(config.tgrid.n_steps):
-        ctx = _snapshot_at(config, (n + 1) * config.tgrid.dt, ctx)
-        u, state = step_full(u, state, n, config, ctx)
-        history[n + 1] = u
+    u0, state = init_state(config)
+    history, state = mesh_fem.march(
+        config.mesh, config.tgrid, config.velocity, config.velocity_rule,
+        u0, partial(_Snapshot, config),
+        lambda n, u, ctx, _old, state: step_full(u, state, n, config, ctx),
+        carry=state)
     return FullVmsResult(config, history, state.amplitudes)

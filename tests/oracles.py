@@ -313,6 +313,23 @@ def key_params(params, k):
         for f in dataclasses.fields(K.ElementParams)})
 
 
+def eigenvalue(j, p):
+    """Eigenvalue mu (j pi / h)^2 + a^2 / (4 mu) of mode j on an element
+    with float parameters p; beta_j = 1 / (1 + dt lambda_j)."""
+    j = np.asarray(j, dtype=float)
+    return p.mu * (j * np.pi / p.h) ** 2 + p.a ** 2 / (4.0 * p.mu)
+
+
+def package_base_integrals(j, P):
+    """The six reference-element integrals of quad_base_integrals from
+    the package's kernels.shifted_sides, each times its exponential
+    scale e^{+-P/2}, as element_mode_arrays scales them."""
+    a0s, a1s, d0s, c0s, c1s, e0s = K.shifted_sides(j, P)
+    em, ep = np.exp(-0.5 * P), np.exp(0.5 * P)
+    return dict(d0=em * d0s, e0=ep * e0s, a0=em * a0s, a1=em * a1s,
+                c0=ep * c0s, c1=ep * c1s)
+
+
 def reconstruct_subgrid(amplitudes, p, xhat):
     """Subgrid field sum_j c_j z_j(xhat) of one element with float
     parameters p, summed mode by mode."""

@@ -3,7 +3,8 @@ import pytest
 
 from spectral_vms.baselines import (StabChoice, assemble_stab_matrix,
                                     cfl_bound, run_galerkin, run_stabilized,
-                                    step_galerkin, step_stabilized, tau)
+                                    step_galerkin, step_matrices,
+                                    step_stabilized, tau)
 from spectral_vms.mesh_fem import TimeGrid, build_uniform_mesh
 
 
@@ -76,9 +77,11 @@ def test_stab_matrix_stencil():
 def test_zero_velocity_stabilized_equals_galerkin_bitwise():
     mesh = build_uniform_mesh(0.0, 1.0, 12)
     u0 = np.sin(np.pi * mesh.nodes)
-    ref = step_galerkin(u0, np.zeros(12), 1.0, mesh, 0.01)
+    ref = step_galerkin(u0, step_matrices(mesh, np.zeros(12), 1.0, 0.01),
+                        mesh, 0.01)
     for kind in ("OneD", "Codina", "Hauke", "Franca"):
-        got = step_stabilized(u0, StabChoice(kind), np.zeros(12), 1.0,
+        got = step_stabilized(u0, step_matrices(mesh, np.zeros(12), 1.0,
+                                                0.01, StabChoice(kind)),
                               mesh, 0.01)
         np.testing.assert_array_equal(got, ref)
 

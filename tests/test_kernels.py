@@ -10,8 +10,9 @@ import spectral_vms
 from spectral_vms import kernels as K
 from spectral_vms.mesh_fem import Mesh1D
 
-from oracles import (composite_gauss01, gauss01, green_kernels, key_params,
-                     nsum_kernel, per_element_projection, per_key_mode_arrays,
+from oracles import (composite_gauss01, eigenvalue, gauss01, green_kernels,
+                     key_params, nsum_kernel, package_base_integrals,
+                     per_element_projection, per_key_mode_arrays,
                      quad_base_integrals, reconstruct_subgrid)
 
 
@@ -51,13 +52,13 @@ def test_beta_values_and_monotonicity():
 
 def test_eigenvalue_and_beta_consistency():
     p = K.element_params(1000.0, 0.02, 1.0, 1e-3)
-    assert K.eigenvalue(1, p) == pytest.approx(
+    assert eigenvalue(1, p) == pytest.approx(
         (np.pi / 0.02) ** 2 + 250000.0, rel=1e-12)
     j = np.arange(1, 101)
-    np.testing.assert_allclose(K.beta(j, p) * (1.0 + p.dt * K.eigenvalue(j, p)),
+    np.testing.assert_allclose(K.beta(j, p) * (1.0 + p.dt * eigenvalue(j, p)),
                                1.0, rtol=1e-12)
     p0 = K.element_params(0.0, 0.1, 2.0, 1e-3)
-    np.testing.assert_allclose(K.eigenvalue(j, p0),
+    np.testing.assert_allclose(eigenvalue(j, p0),
                                2.0 * (j * np.pi / 0.1) ** 2, rtol=1e-14)
 
 
@@ -91,43 +92,46 @@ def test_mode_eigen_relation_finite_differences():
             d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) \
                 / (12 * step ** 2 * p.h ** 2)
             lhs = p.a * d1 - p.mu * d2
-            lam = K.eigenvalue(j, p)
+            lam = eigenvalue(j, p)
             assert lhs == pytest.approx(lam * v[2], rel=1e-6, abs=1e-6)
 
 
 def test_base_integrals_trivial_values():
-    assert K.base_integrals(1, 0.0).d0 == pytest.approx(2.0 / np.pi)
-    assert K.base_integrals(2, 0.0).d0 == 0.0
-    k = K.base_integrals(3, 4.2)
-    assert k.a0 + k.a1 == pytest.approx(k.d0, rel=1e-13)
-    assert k.c0 + k.c1 == pytest.approx(k.e0, rel=1e-13)
+    assert package_base_integrals(1, 0.0)["d0"] == pytest.approx(2.0 / np.pi)
+    assert package_base_integrals(2, 0.0)["d0"] == 0.0
+    k = package_base_integrals(3, 4.2)
+    assert k["a0"] + k["a1"] == pytest.approx(k["d0"], rel=1e-13)
+    assert k["c0"] + k["c1"] == pytest.approx(k["e0"], rel=1e-13)
     # d0(j, P) = e0(j, -P)
-    assert K.base_integrals(3, -4.2).e0 == pytest.approx(k.d0, rel=1e-13)
+    assert package_base_integrals(3, -4.2)["e0"] == pytest.approx(
+        k["d0"], rel=1e-13)
 
 
 @pytest.mark.parametrize("P", [0.0, 0.5, 3.0, 10.0, 19.98])
 def test_base_integrals_match_quadrature(P):
     for j in range(1, 51):
-        k = K.base_integrals(j, P)
+        k = package_base_integrals(j, P)
         ref = quad_base_integrals(j, P)
         for name, val in ref.items():
-            got = getattr(k, name)
+            got = k[name]
             assert abs(got - val) <= 1e-12 * max(1.0, abs(val)), (j, P, name)
 
 
 def test_base_integrals_quadrature_fallback():
+    # the closed forms against a plain 64-point Gauss rule
     for (j, P) in [(1, 0.7), (4, 3.3), (9, 12.0)]:
-        k1 = K.base_integrals(j, P)
-        k2 = K.base_integrals(j, P, method="quadrature")
+        k1 = package_base_integrals(j, P)
+        k2 = quad_base_integrals(j, P, n=64)
         for name in ("d0", "e0", "a0", "a1", "c0", "c1"):
-            assert getattr(k1, name) == pytest.approx(
-                getattr(k2, name), rel=1e-11, abs=1e-13)
+            assert k1[name] == pytest.approx(k2[name], rel=1e-11, abs=1e-13)
 
 
 def test_base_integrals_large_p_finite():
-    k = K.base_integrals(2, 500.0)
-    assert np.isfinite(k.d0) and np.isfinite(k.a0) and np.isfinite(k.a1)
-    assert np.isfinite(k.e0)
+    k = package_base_integrals(2, 500.0)
+    assert all(np.isfinite(k[name]) for name in ("d0", "a0", "a1", "e0"))
+    # and the physical couplings built from them
+    arr = K.element_mode_arrays(K.element_params([1000.0], 1.0, 1.0, 1e-3), 2)
+    assert all(np.all(np.isfinite(v)) for v in arr.values())
 
 
 def quad_couplings(j, p, n=400):

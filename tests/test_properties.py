@@ -4,8 +4,9 @@ calls, the all-keys element paths (distinct keys, element mode arrays,
 table lookup) against their per-key and per-entry versions, detection of
 any single-byte corruption of a saved table, the tridiagonal solve
 against a dense solve on systems that are not diagonally dominant and bit
-for bit against one-pass Thomas elimination, and the mirror symmetry of
-both spectral methods."""
+for bit against one-pass Thomas elimination, the mirror symmetry of both
+spectral methods, and one full spectral step against the dense
+monolithic solve."""
 
 import functools
 import os
@@ -18,7 +19,8 @@ from hypothesis import (HealthCheck, assume, given, settings,
                         strategies as st)
 
 from oracles import (green_kernels, interpolate_entry, key_params,
-                     per_key_mode_arrays, thomas_solve, tridiag_bands)
+                     monolithic_step_oracle, per_key_mode_arrays,
+                     thomas_solve, tridiag_bands)
 
 from spectral_vms import kernels as K
 from spectral_vms import table as T
@@ -27,8 +29,8 @@ from spectral_vms import vms_full as V
 from spectral_vms.mesh_fem import (DirichletBC, Mesh1D,
                                    SingularSystemError, TimeGrid, TriDiag,
                                    TriDiagSystem, apply_dirichlet,
-                                   build_uniform_mesh, solve_tridiag,
-                                   tridiags_from_blocks)
+                                   build_uniform_mesh, project_velocity,
+                                   solve_tridiag, tridiags_from_blocks)
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
@@ -374,7 +376,8 @@ def test_tridiag_solve_matches_dense_on_spectral_systems(P, S, n_elems,
         mesh=mesh, tgrid=TimeGrid.from_dt(S * h * h / mu, 1), mu=mu,
         velocity=sign * 2.0 * mu * P / h, n_modes=50,
         bc=DirichletBC(0.3, -0.2))
-    lhs, _ = V._snapshot_at(config, 0.0).matrices
+    lhs, _ = V._Snapshot(config, project_velocity(config.velocity, mesh,
+                                                  0.0)).matrices
     rhs = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
     system = apply_dirichlet(TriDiagSystem(lhs, rhs), config.bc, 0.0)
     _check_against_dense(system.matrix, system.rhs)
@@ -477,3 +480,58 @@ def test_negated_velocity_gives_the_mirrored_history(widths, log_a, sign,
     plus, minus = runs
     gap = np.max(np.abs(plus - minus[:, ::-1])) / np.max(np.abs(plus))
     assert gap <= MIRROR_RTOL
+
+
+# Criterion 3's bound on the nodal and amplitude gaps between step_full
+# and the dense monolithic solve.  The source is a cubic, which the
+# 4-point Gauss rule of the P1 load integrates exactly against the hats,
+# so the gap is roundoff; with P up to about 6 here it stayed below 2e-14
+# in 300 random draws.
+MONOLITHIC_ATOL = 1e-10
+MAX_ELEMS = 8
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(widths=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=MAX_ELEMS),
+       speeds=st.lists(st.floats(0.1, 3.0), min_size=MAX_ELEMS,
+                       max_size=MAX_ELEMS),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=MAX_ELEMS,
+                      max_size=MAX_ELEMS),
+       mu=st.floats(0.2, 1.0), log_dt=st.floats(-3.0, -1.0),
+       n_modes=st.integers(1, 5), with_source=st.booleans(),
+       gl=BAND, gr=BAND, seed=st.integers(0, 2 ** 16))
+def test_full_step_matches_monolithic_oracle(widths, speeds, signs, mu,
+                                             log_dt, n_modes, with_source,
+                                             gl, gr, seed):
+    # random nonuniform mesh, one velocity of either sign per element, and
+    # random subgrid amplitudes carried into the step
+    w = np.array(widths)
+    nodes = np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+    nodes[-1] = 1.0
+    mesh = Mesh1D(nodes)
+    a_elem = (np.array(signs) * np.array(speeds))[:mesh.n_elems]
+    dt = 10.0 ** log_dt
+
+    def velocity(x, t):
+        return a_elem[np.searchsorted(nodes, x) - 1]
+
+    def f(x, t):
+        return 1.0 + x - 2.0 * x ** 3 + x * t
+
+    source = f if with_source else None
+    bc = DirichletBC(gl, gr)
+    config = V.FullVmsConfig(
+        mesh=mesh, tgrid=TimeGrid.from_dt(dt, 1), mu=mu, velocity=velocity,
+        bc=bc, source=source, initial=lambda x: np.sin(2.0 * x + 0.3),
+        n_modes=n_modes)
+    u0, state = V.init_state(config)
+    state.amplitudes[:] = 0.2 * np.random.default_rng(seed).standard_normal(
+        state.amplitudes.shape)
+    projected = project_velocity(config.velocity, mesh, dt)
+    np.testing.assert_array_equal(projected, a_elem)
+    u1, state1 = V.step_full(u0, state, 0, config,
+                             V._Snapshot(config, projected))
+    u_ref, c_ref = monolithic_step_oracle(mesh, a_elem, mu, dt, source, bc,
+                                          dt, u0, state.amplitudes, n_modes)
+    assert np.max(np.abs(u1 - u_ref)) <= MONOLITHIC_ATOL
+    assert np.max(np.abs(state1.amplitudes - c_ref)) <= MONOLITHIC_ATOL

@@ -11,7 +11,7 @@ from spectral_vms import vms_feasible as F
 from spectral_vms import vms_full as V
 from spectral_vms.baselines import run_galerkin
 from spectral_vms.mesh_fem import (DirichletBC, TimeGrid,
-                                   build_uniform_mesh)
+                                   build_uniform_mesh, project_velocity)
 
 
 def test_zero_dynamics():
@@ -97,13 +97,16 @@ def test_one_level_history_matches_full_method(a):
     hist = F.run_feasible(fcfg)
 
     vcfg = _full_equiv_config(mesh, tgrid, a, mu, f, bc, J)
+    # the velocity is constant, so one snapshot serves every time level
+    ctx = V._Snapshot(vcfg, project_velocity(vcfg.velocity, mesh))
     u = mesh.interpolate(ic)
     ref = [u.copy()]
     state = V.SubgridState.zeros(mesh.n_elems, J)
     for n in range(steps):
         if n > 0:
-            state = V.approximate_subgrid_state(ref[n - 1], ref[n], n, vcfg)
-        u, _ = V.step_full(ref[n], state, n, vcfg)
+            state = V.approximate_subgrid_state(ref[n - 1], ref[n], n, vcfg,
+                                                ctx)
+        u, _ = V.step_full(ref[n], state, n, vcfg, ctx)
         ref.append(u)
     ref = np.array(ref)
     assert np.max(np.abs(hist - ref)) < 1e-10
@@ -181,9 +184,10 @@ def test_matrices_cached_for_constant_velocity(monkeypatch):
 
 
 def test_run_keeps_only_the_current_snapshots(monkeypatch):
-    # a time-dependent velocity gives a new snapshot every step; a step
-    # needs the new and old levels only, so no more than the previous
-    # snapshot may be alive when the next one is assembled
+    # a time-dependent velocity gives a new snapshot every step (none at
+    # t = 0: the first step reads no old level); a step needs the new and
+    # old levels only, so no more than the previous snapshot may be alive
+    # when the next one is assembled
     mesh = build_uniform_mesh(0.0, 1.0, 10)
     alive_before = []
     snapshots = []
@@ -203,7 +207,7 @@ def test_run_keeps_only_the_current_snapshots(monkeypatch):
                            initial=lambda x: x * (1 - x),
                            provider=F.DirectKernelProvider(n_modes=10))
     F.run_feasible(cfg)
-    assert len(snapshots) == n_steps + 1
+    assert len(snapshots) == n_steps
     assert max(alive_before) == 1
 
 

@@ -13,6 +13,13 @@ from spectral_vms.mesh_fem import (DirichletBC, Mesh1D, build_uniform_mesh,
                                    project_velocity)
 
 
+def _snapshot(config, n):
+    """A fresh _Snapshot of the velocity at time level n."""
+    return V._Snapshot(config, project_velocity(
+        config.velocity, config.mesh, n * config.tgrid.dt,
+        config.velocity_rule))
+
+
 @pytest.mark.parametrize("case", ["uniform", "nonuniform_negative",
                                   "nonuniform_mixed_sign_source"])
 def test_step_matches_monolithic_oracle(case):
@@ -61,8 +68,8 @@ def test_step_matches_monolithic_oracle(case):
     rng = np.random.default_rng(5)
     state.amplitudes[:] = 0.1 * rng.standard_normal(state.amplitudes.shape)
 
-    u1, state1 = V.step_full(u0, state, 0, config)
     a_elem = project_velocity(config.velocity, mesh, dt)
+    u1, state1 = V.step_full(u0, state, 0, config, V._Snapshot(config, a_elem))
     u_ref, c_ref = monolithic_step_oracle(
         mesh, a_elem, mu, dt, f, bc, dt, u0, state.amplitudes, J)
     assert np.max(np.abs(u1 - u_ref)) < 1e-10
@@ -312,7 +319,7 @@ def test_non_finite_source_fails_in_the_projection():
     u0, state = V.init_state(config)
     with pytest.raises(ValueError, match="projected function produced "
                                          "non-finite values"):
-        V.step_full(u0, state, 0, config)
+        V.step_full(u0, state, 0, config, _snapshot(config, 1))
 
 
 def test_run_full_time_dependent_velocity_matches_fresh_steps():
@@ -329,7 +336,7 @@ def test_run_full_time_dependent_velocity_matches_fresh_steps():
     dt = config.tgrid.dt
     u, state = V.init_state(config)
     for n in range(config.tgrid.n_steps):
-        u, state = V.step_full(u, state, n, config)
+        u, state = V.step_full(u, state, n, config, _snapshot(config, n + 1))
         np.testing.assert_array_equal(res.history[n + 1], u)
         # a run keeps only its final amplitudes: march the prefix of
         # n + 1 steps to check those of step n + 1
