@@ -6,6 +6,8 @@ with K the unit-diffusion stiffness.  Aggregation over steps 1..N gives
 the max-in-time L2 norm and the root-dt-weighted H1 norm.
 """
 
+import contextlib
+import contextvars
 import csv
 from dataclasses import dataclass
 
@@ -22,9 +24,9 @@ from .vms_full import FullVmsConfig, run_full
 __all__ = ["ErrorReport", "ExperimentPreset", "PRESETS", "METHODS",
            "error_norms", "reference_solution", "convergence_order",
            "run_method", "run_experiment", "time_convergence_study",
-           "mesh_independence_study", "write_report_csv",
-           "write_solutions_csv", "hat_profile", "test1_exact",
-           "test1_bc"]
+           "mesh_independence_study", "shared_test1_runs",
+           "write_report_csv", "write_solutions_csv", "hat_profile",
+           "test1_exact", "test1_bc"]
 
 FLOAT_FMT = "%.17g"
 
@@ -240,9 +242,30 @@ def run_experiment(preset, methods=None, provider=None, n_modes=None,
     return results, reference
 
 
+# The runs memoised by shared_test1_runs, keyed by the arguments of
+# _test1_full_errors; None outside such a block.
+_TEST1_RUNS = contextvars.ContextVar("test1_runs", default=None)
+
+
+@contextlib.contextmanager
+def shared_test1_runs():
+    """Within the block, each distinct test1 run (h, dt, n_steps, a, mu,
+    n_modes) of the studies is evaluated once; the memo ends with the
+    block, so a later study runs again."""
+    token = _TEST1_RUNS.set({})
+    try:
+        yield
+    finally:
+        _TEST1_RUNS.reset(token)
+
+
 def _test1_full_errors(h, dt, n_steps, a, mu, n_modes):
     """ErrorReport of the full method on test1 with mesh size h and
     n_steps steps of dt, against the exact solution."""
+    runs = _TEST1_RUNS.get()
+    key = (h, dt, n_steps, a, mu, n_modes)
+    if runs is not None and key in runs:
+        return runs[key]
     mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
     tgrid = TimeGrid.from_dt(dt, n_steps)
     config = FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
@@ -250,7 +273,10 @@ def _test1_full_errors(h, dt, n_steps, a, mu, n_modes):
                            n_modes=n_modes, project_initial_subgrid=True)
     ref = np.array([test1_exact(mesh.nodes, t, a, mu)
                     for t in tgrid.times()])
-    return error_norms(run_full(config).history, ref, mesh, dt)
+    report = error_norms(run_full(config).history, ref, mesh, dt)
+    if runs is not None:
+        runs[key] = report
+    return report
 
 
 def mesh_independence_study(h_values=None, dt=0.01, n_steps=10, a=1.0,

@@ -17,8 +17,8 @@ import numpy as np
 from . import analysis, table as table_mod
 from .analysis import (FLOAT_FMT, PRESETS, convergence_order,
                        mesh_independence_study, run_experiment, run_method,
-                       test1_bc, time_convergence_study, write_report_csv,
-                       write_solutions_csv)
+                       shared_test1_runs, test1_bc, time_convergence_study,
+                       write_report_csv, write_solutions_csv)
 from .mesh_fem import (DirichletBC, SingularSystemError, TimeGrid,
                        build_uniform_mesh)
 from .vms_feasible import DirectKernelProvider, TableKernelProvider
@@ -200,8 +200,10 @@ def cmd_compare(args):
 def cmd_convergence(args):
     _require(args, "out")
     os.makedirs(args.out, exist_ok=True)
-    dt_rows = time_convergence_study()
-    h_rows = mesh_independence_study()
+    # the dt study's finest-mesh run is also a row of the h study
+    with shared_test1_runs():
+        dt_rows = time_convergence_study()
+        h_rows = mesh_independence_study()
     for step, rows in (("dt", dt_rows), ("h", h_rows)):
         columns = [step, "linf_l2", "l2_h1"]
         with open(os.path.join(args.out, "%s_study.csv" % step), "w",

@@ -18,16 +18,16 @@ forms as bilinear forms of the element Green's function
 fixed-mode provider.  No solver path uses the epsilon-truncated series
 (sum_series_multi, sum_series_batch, TruncationPolicy); they stay only
 while the benchmark's tracer and online workload name them (ROADMAP
-item 6).
+item 1).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import mesh_fem
+from .mesh_fem import _composite_gauss01
 
 __all__ = [
     "ElementParams",
@@ -410,50 +410,90 @@ def sum_series_fixed(family, m, l, P, S, n_modes):
 # e^{-_GREEN_REACH}.
 _GREEN_GAUSS = 8
 _GREEN_REACH = 32.0
-# points per evaluation, which bounds the (points, nodes) temporaries
+# points per evaluation, which bounds the (points, nodes) workspace
 _GREEN_CHUNK = 128
 # 1 / (n + 2)! for the Taylor branch of phi2 near zero
 _PHI2_TAYLOR = 1.0 / np.cumprod(np.arange(2.0, 19.0))
 
+# Rows of the float workspace of one green_blocks call, each holding one
+# (points, nodes) array of the current chunk.  _Y, _NEG, _E, _PHI2, _Z
+# and _PHI1 append one value per point, so that phi2(-mu), phi1(-mu) and
+# phi1(-2Q) come out of the ufunc calls that serve the nodes.  _WU0 and
+# _WU1 double as scratch until the weighted products are formed.
+(_X, _W, _OMX, _Y, _NEG, _E, _PHI2, _Z, _PHI1, _LAYER, _U0, _U1, _WU0,
+ _WU1) = range(14)
+_GREEN_ROWS = _WU1 + 1
 
-def _phi1_neg(y):
-    """phi1(-y) = (1 - e^{-y}) / y for y >= 0, by expm1."""
-    y = np.asarray(y, dtype=float)
+
+def _phi1_neg(neg_y, out, zero):
+    """phi1(-y) = (1 - e^{-y}) / y for y >= 0, by expm1, into out, from
+    neg_y = -y; zero is boolean scratch of the same size."""
+    np.expm1(neg_y, out=out)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = -np.expm1(-y) / y
-    return np.where(y == 0.0, 1.0, out)
+        np.divide(out, neg_y, out=out)
+    np.equal(neg_y, 0.0, out=zero)
+    out[zero] = 1.0
 
 
-def _phi2_neg(y):
-    """phi2(-y) = (e^{-y} - 1 + y) / y^2 for y >= 0: a Taylor series
-    below y = 1, the closed form above."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < 1.0
-    ys = -y[small]
-    acc = np.full_like(ys, _PHI2_TAYLOR[-1])
-    for coef in _PHI2_TAYLOR[-2::-1]:
-        acc = acc * ys + coef
-    out[small] = acc
-    yl = y[~small]
-    out[~small] = (np.expm1(-yl) + yl) / (yl * yl)
-    return out
+def _phi2_neg(y, neg_y, em1, out, large, closed):
+    """phi2(-y) = (e^{-y} - 1 + y) / y^2 for y >= 0 into out, given
+    neg_y = -y and em1 = expm1(-y): a Taylor series by Horner's rule
+    below y = 1, the closed form above.
+
+    Both branches run over every point, so nothing is gathered; large
+    (boolean) and closed (float) are scratch of y's size, and neg_y is
+    overwritten.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the values at y >= 1 may overflow here; they are replaced below
+        np.multiply(neg_y, _PHI2_TAYLOR[-1], out=out)
+        out += _PHI2_TAYLOR[-2]
+        for coef in _PHI2_TAYLOR[-3::-1]:
+            out *= neg_y
+            out += coef
+    np.less(y, 1.0, out=large)
+    np.logical_not(large, out=large)
+    if large.any():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.add(em1, y, out=closed)
+            np.multiply(y, y, out=neg_y)
+            np.divide(closed, neg_y, out=closed)
+        np.copyto(out, closed, where=large)
 
 
-def _graded_rule(lam, mu):
-    """Nodes and weights (n_points, n_nodes) on [0, 1], symmetric about
-    1/2, with panel break points min(1/2, 2^k / lam) in each half."""
-    xg, wg = _composite_gauss01(_GREEN_GAUSS, 1)
+def _n_breaks(lam, mu):
+    """Panel break points 2^k / lam, k < n_breaks, per half of [0, 1]
+    for one chunk of points: the last reaches min(1/2, _GREEN_REACH / mu)
+    at every point of the chunk."""
     reach = np.minimum(0.5, _GREEN_REACH / mu) * lam
-    n_breaks = 1 + max(0, int(np.ceil(np.log2(reach.max()))))
-    edges = np.minimum(0.5, 2.0 ** np.arange(n_breaks) / lam[:, None])
-    edges = np.concatenate([np.zeros((lam.size, 1)), edges,
-                            np.full((lam.size, 1), 0.5)], axis=1)
-    width = np.diff(edges, axis=1)[:, :, None]
-    x = (edges[:, :-1, None] + width * xg).reshape(lam.size, -1)
-    w = (width * wg).reshape(lam.size, -1)
-    return (np.concatenate([x, 1.0 - x[:, ::-1]], axis=1),
-            np.concatenate([w, w[:, ::-1]], axis=1))
+    return 1 + max(0, int(np.ceil(np.log2(reach.max()))))
+
+
+def _graded_rule(lam, n_breaks, x, w, scratch):
+    """Write nodes and weights, arrays (n_points, n_nodes) on [0, 1],
+    into x and w: symmetric about 1/2, with panel break points
+    min(1/2, 2^k / lam), k < n_breaks, in each half.  scratch is a flat
+    float array of at least x.size / 2."""
+    xg, wg = _composite_gauss01(_GREEN_GAUSS, 1)
+    n = lam.size
+    # panel-major, so every ufunc loop runs over the points
+    edges = np.empty((n_breaks + 2, n))
+    edges[0] = 0.0
+    edges[-1] = 0.5
+    inner = edges[1:-1]
+    np.divide(2.0 ** np.arange(n_breaks)[:, None], lam, out=inner)
+    np.minimum(0.5, inner, out=inner)
+    width = edges[1:] - edges[:-1]
+    half = x.shape[1] // 2
+    panels = scratch[:n * half].reshape(n_breaks + 1, _GREEN_GAUSS, n)
+    np.multiply(width[:, None], xg[:, None], out=panels)
+    panels += edges[:-1, None]
+    x[:, :half] = panels.reshape(half, n).T
+    np.multiply(width[:, None], wg[:, None], out=panels)
+    w[:, :half] = panels.reshape(half, n).T
+    # the mirror image of the first half
+    np.subtract(1.0, x[:, half - 1::-1], out=x[:, half:])
+    w[:, half:] = w[:, half - 1::-1]
 
 
 def _check_points(P, S):
@@ -467,33 +507,82 @@ def _check_points(P, S):
     return P, S
 
 
-def _green_chunk(P, S, a1, b1):
-    """Fill a1 and b1, arrays (2, 2, n), at n points."""
-    Q = np.sqrt(np.float_power(P, 2) + 1.0 / S)
-    lam = P + Q
-    mu = 1.0 / (S * lam)
-    rho = 2.0 * P / lam
-    x, w = _graded_rule(lam, mu)
-    y = mu[:, None] * x
-    interior_f0 = -np.expm1(-y)  # mu x phi1(-mu x)
+def _green_chunk(point, n_breaks, ws, mask, a1, b1):
+    """Fill a1 and b1, arrays (2, 2, n), at the n points of one chunk.
+
+    point holds the chunk's per-point arrays (lam, -lam, mu, -mu, rho,
+    mu / lam, 1 / lam, -2Q); ws is the float workspace, one row per
+    stage, and mask boolean scratch of a row's size.
+    """
+    lam, neg_lam, mu, neg_mu, rho, mu_lam, inv_lam, neg_2q = point
+    n = lam.size
+    k = 2 * _GREEN_GAUSS * (n_breaks + 1)
+    nk = n * k
+    ext = nk + n
+
+    def grid(row):
+        return ws[row, :nk].reshape(n, k)
+
+    x, w, omx = grid(_X), grid(_W), grid(_OMX)
+    _graded_rule(lam, n_breaks, x, w, ws[_OMX])
+    np.subtract(1.0, x, out=omx)
+    # y = mu x at the nodes, then mu itself
+    y_ext, neg_ext, e_ext = ws[_Y, :ext], ws[_NEG, :ext], ws[_E, :ext]
+    y = y_ext[:nk].reshape(n, k)
+    np.multiply(mu[:, None], x, out=y)
+    y_ext[nk:] = mu
+    np.negative(y_ext, out=neg_ext)
+    np.expm1(neg_ext, out=e_ext)
+    phi2_ext = ws[_PHI2, :ext]
+    _phi2_neg(y_ext, neg_ext, e_ext, phi2_ext, mask[:ext], ws[_WU0, :ext])
+    # phi1(-mu) = expm1(-mu) / -mu
+    phi1_mu = ws[_WU0, :n]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(e_ext[nk:], neg_mu, out=phi1_mu)
+    phi1_mu[mu == 0.0] = 1.0
+    # -2Q x at the nodes, then -2Q
+    z_ext, phi1_ext = ws[_Z, :ext], ws[_PHI1, :ext]
+    np.multiply(neg_2q[:, None], x, out=z_ext[:nk].reshape(n, k))
+    z_ext[nk:] = neg_2q
+    _phi1_neg(z_ext, phi1_ext, mask[:ext])
+
     # u_1 = x (mu/lam + rho (1 - phi1(-mu x))) + N_1 * layer, and u_0 + u_1
     # solves K u = 1
-    u1 = x * ((mu / lam)[:, None] + rho[:, None] * y * _phi2_neg(y))
-    layer = x * np.exp(-lam[:, None] * (1.0 - x)) \
-        * _phi1_neg(2.0 * Q[:, None] * x) / _phi1_neg(2.0 * Q)[:, None]
-    n1 = -mu * (1.0 / lam + rho * _phi2_neg(mu))
-    n_sum = -mu * _phi1_neg(mu)
-    u0 = interior_f0 - u1 + (n_sum - n1)[:, None] * layer
-    u1 += n1[:, None] * layer
-    wu = (w * u0, w * u1)
-    a1[0, 0] = 0.5 * np.sum(wu[0] * (1.0 - x), axis=1)
-    a1[0, 1] = 0.5 * np.sum(wu[0] * x, axis=1)
-    a1[1, 0] = 0.5 * np.sum(wu[1] * (1.0 - x), axis=1)
-    a1[1, 1] = a1[0, 0]
+    u1 = grid(_U1)
+    np.multiply(rho[:, None], y, out=u1)
+    u1 *= phi2_ext[:nk].reshape(n, k)
+    u1 += mu_lam[:, None]
+    u1 *= x
+    layer = grid(_LAYER)
+    np.multiply(neg_lam[:, None], omx, out=layer)
+    np.exp(layer, out=layer)
+    layer *= x
+    layer *= phi1_ext[:nk].reshape(n, k)
+    layer /= phi1_ext[nk:, None]
+    n1 = neg_mu * (inv_lam + rho * phi2_ext[nk:])
+    n_sum = neg_mu * phi1_mu
+    # u_0 = mu x phi1(-mu x) - u_1 + (n_sum - n1) layer
+    u0, tmp = grid(_U0), grid(_WU1)
+    np.negative(e_ext[:nk].reshape(n, k), out=u0)
+    u0 -= u1
+    np.multiply((n_sum - n1)[:, None], layer, out=tmp)
+    u0 += tmp
+    np.multiply(n1[:, None], layer, out=tmp)
+    u1 += tmp
+    # the weighted products reuse rows whose values are spent
+    wu0, wu1, tmp = grid(_WU0), grid(_WU1), grid(_Y)
+    np.multiply(w, u0, out=wu0)
+    np.multiply(w, u1, out=wu1)
     # u_{1-l}(1 - x) on the mirrored nodes
-    b1[0, 0] = 0.5 * np.sum(wu[0] * u1[:, ::-1], axis=1)
-    b1[0, 1] = 0.5 * np.sum(wu[0] * u0[:, ::-1], axis=1)
-    b1[1, 0] = 0.5 * np.sum(wu[1] * u1[:, ::-1], axis=1)
+    for out, left, right in ((a1[0, 0], wu0, omx), (a1[0, 1], wu0, x),
+                             (a1[1, 0], wu1, omx),
+                             (b1[0, 0], wu0, u1[:, ::-1]),
+                             (b1[0, 1], wu0, u0[:, ::-1]),
+                             (b1[1, 0], wu1, u1[:, ::-1])):
+        np.multiply(left, right, out=tmp)
+        np.add.reduce(tmp, axis=1, out=out)
+        out *= 0.5
+    a1[1, 1] = a1[0, 0]
     b1[1, 1] = b1[0, 0]
 
 
@@ -504,13 +593,29 @@ def green_blocks(P, S):
     broadcasting.  Returns (A1, B1), each an array (2, 2, n_points)
     indexed [m, l].  A1[1, 1] = A1[0, 0] and B1[1, 1] = B1[0, 0], term
     by term of the series, so each is computed once.
+
+    The points are evaluated in chunks of _GREEN_CHUNK, each with its own
+    panel count, in one workspace allocated per call (the direct
+    provider may run in threads).
     """
     P, S = _check_points(P, S)
     a1 = np.empty((2, 2, P.size))
     b1 = np.empty((2, 2, P.size))
-    for lo in range(0, P.size, _GREEN_CHUNK):
-        part = slice(lo, lo + _GREEN_CHUNK)
-        _green_chunk(P[part], S[part], a1[:, :, part], b1[:, :, part])
+    Q = np.sqrt(np.float_power(P, 2) + 1.0 / S)
+    lam = P + Q
+    mu = 1.0 / (S * lam)
+    point = (lam, -lam, mu, -mu, 2.0 * P / lam, mu / lam, 1.0 / lam,
+             -2.0 * Q)
+    chunks = [slice(lo, lo + _GREEN_CHUNK)
+              for lo in range(0, P.size, _GREEN_CHUNK)]
+    n_breaks = [_n_breaks(lam[part], mu[part]) for part in chunks]
+    rows = min(P.size, _GREEN_CHUNK)
+    size = rows * (2 * _GREEN_GAUSS * (1 + max(n_breaks, default=0)) + 1)
+    ws = np.empty((_GREEN_ROWS, size))
+    mask = np.empty(size, dtype=bool)
+    for part, nb in zip(chunks, n_breaks):
+        _green_chunk([v[part] for v in point], nb, ws, mask,
+                     a1[:, :, part], b1[:, :, part])
     return a1, b1
 
 
@@ -587,24 +692,6 @@ def element_mode_arrays(params, n_modes):
 # source_mode_projection forms per element block: about 2 MB of scratch
 # whatever the mesh size.
 _PROJECTION_BLOCK_FLOATS = 1 << 18
-
-
-@lru_cache(maxsize=64)
-def _composite_gauss01(n_gauss, panels):
-    """n_gauss-point Gauss rule on each of `panels` equal parts of [0, 1].
-
-    Cached per (n_gauss, panels); the returned node and weight arrays are
-    read-only because every caller shares them.
-    """
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-    xg = 0.5 * (xg + 1.0)
-    wg = 0.5 * wg
-    if panels > 1:
-        xg = ((np.arange(panels)[:, None] + xg[None, :]) / panels).ravel()
-        wg = np.tile(wg / panels, panels)
-    xg.flags.writeable = False
-    wg.flags.writeable = False
-    return xg, wg
 
 
 def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32,

@@ -9,6 +9,7 @@ table.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class DirectKernelProvider:
 
     policy is accepted and unused, but not together with n_modes: the
     benchmark's online workload still passes a TruncationPolicy (ROADMAP
-    item 6 removes it).
+    item 1 removes it).
     """
 
     def __init__(self, policy=None, n_modes=None):
@@ -78,9 +79,21 @@ class NullKernelProvider:
         return np.zeros((len(entries), np.size(P)))
 
 
+def _combine(f, *mats):
+    """The TriDiag whose bands are f of the matching bands of mats: the
+    band arithmetic of f applied to the TriDiags, with no TriDiag per
+    operation."""
+    return TriDiag(*(f(*bands) for bands in zip(
+        *((m.sub, m.diag, m.sup) for m in mats))))
+
+
 @dataclass
 class FeasibleMatrices:
-    """Subgrid matrices of one velocity snapshot, physical units."""
+    """Subgrid matrices of one velocity snapshot, physical units.
+
+    The combinations a step applies are formed at their first use and
+    kept with the snapshot, so every step with it reuses them.
+    """
 
     A1: TriDiag
     A2: TriDiag
@@ -94,6 +107,40 @@ class FeasibleMatrices:
     lhs: TriDiag  # M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4)
     a_elem: np.ndarray
     element_kernels: dict  # A/B family -> kernels stacked over elements
+    dt: float
+
+    @cached_property
+    def a1_dt_a3(self):
+        """A1 + dt A3, applied to u^n at the new level."""
+        dt = self.dt
+        return _combine(lambda a1, a3: a1 + dt * a3, self.A1, self.A3)
+
+    @cached_property
+    def a1_dt_a2(self):
+        """A1 + dt A2, applied to u^n at the old level."""
+        dt = self.dt
+        return _combine(lambda a1, a2: a1 + dt * a2, self.A1, self.A2)
+
+    @cached_property
+    def b_main(self):
+        """B1 + dt B2 + dt B3 + dt^2 B4, the main-text pairing on u^n."""
+        dt = self.dt
+        return _combine(lambda b1, b2, b3, b4:
+                        b1 + dt * b2 + dt * b3 + dt * dt * b4,
+                        self.B1, self.B2, self.B3, self.B4)
+
+    @cached_property
+    def b1_dt_b3(self):
+        """B1 + dt B3, the main-text pairing on u^{n-1}."""
+        dt = self.dt
+        return _combine(lambda b1, b3: b1 + dt * b3, self.B1, self.B3)
+
+    @cached_property
+    def b_appendix(self):
+        """(1 + dt) B3 + dt (1 + dt) B4, the appendix pairing on u^n."""
+        dt = self.dt
+        return _combine(lambda b3, b4: (1.0 + dt) * b3
+                        + dt * (1.0 + dt) * b4, self.B3, self.B4)
 
 
 _MATRIX_ENTRIES = [(name, m, l) for name in FAMILY_ORDER
@@ -154,11 +201,12 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     mats = dict(zip(FAMILY_ORDER, mesh_fem.tridiags_from_blocks(
         _mirror(np.stack(blocks), a_elem, 2))))
     mass = assemble_mass(mesh)
-    lhs = mass + dt * assemble_stiffness(mesh, a_elem, mu) \
-        - (mats["A1"] + dt * mats["A2"] + dt * mats["A3"]
-           + dt * dt * mats["A4"])
+    lhs = _combine(lambda m, r, a1, a2, a3, a4:
+                   m + dt * r - (a1 + dt * a2 + dt * a3 + dt * dt * a4),
+                   mass, assemble_stiffness(mesh, a_elem, mu), mats["A1"],
+                   mats["A2"], mats["A3"], mats["A4"])
     return FeasibleMatrices(**mats, mass=mass, lhs=lhs, a_elem=a_elem,
-                            element_kernels=kern)
+                            element_kernels=kern, dt=dt)
 
 
 # The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
@@ -225,25 +273,23 @@ def step_feasible(n, u, u_prev, sys_new, sys_old, config):
     dt = config.tgrid.dt
     t1, t0 = (n + 1) * dt, n * dt
     rhs = sys_new.mass.matvec(u)
-    rhs -= (sys_new.A1 + dt * sys_new.A3).matvec(u)
+    rhs -= sys_new.a1_dt_a3.matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
     rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
     if sys_old is not None:
-        rhs -= (sys_old.A1 + dt * sys_old.A2).matvec(u)
+        rhs -= sys_old.a1_dt_a2.matvec(u)
         rhs += sys_old.A1.matvec(u_prev)
         fv_old = _force_vectors(config.mesh, sys_old, config.source, t0)
         rhs += dt * fv_old["F1"]
         if config.g_pairing == "main":
-            rhs += (sys_new.B1 + dt * sys_new.B2 + dt * sys_new.B3
-                    + dt * dt * sys_new.B4).matvec(u)
-            rhs -= (sys_new.B1 + dt * sys_new.B3).matvec(u_prev)
+            rhs += sys_new.b_main.matvec(u)
+            rhs -= sys_new.b1_dt_b3.matvec(u_prev)
             rhs -= dt * fv_new["F3"] + dt * dt * fv_new["F4"]
         else:
             # literal reading of the boxed G1 definition: both G vectors
             # carry the advective pairing
-            rhs += ((1.0 + dt) * sys_new.B3
-                    + dt * (1.0 + dt) * sys_new.B4).matvec(u)
+            rhs += sys_new.b_appendix.matvec(u)
             rhs -= (1.0 + dt) * sys_new.B3.matvec(u_prev)
             rhs -= dt * (1.0 + dt) * fv_new["F4"]
     sys = apply_dirichlet(TriDiagSystem(sys_new.lhs, rhs), config.bc, t1)
