@@ -23,9 +23,6 @@ from .mesh_fem import (DirichletBC, SingularSystemError, TimeGrid,
                        build_uniform_mesh)
 from .vms_feasible import DirectKernelProvider, TableKernelProvider
 
-METHOD_CHOICES = ("galerkin", "spectral-full", "spectral-feasible",
-                  "stab-1d", "stab-codina", "stab-hauke", "stab-franca")
-
 
 class ValidationError(Exception):
     pass
@@ -60,7 +57,7 @@ def build_parser():
     off.add_argument("--out")
 
     sol = sub.add_parser("solve", help="run one method")
-    sol.add_argument("--method", choices=METHOD_CHOICES)
+    sol.add_argument("--method", choices=analysis.METHODS)
     sol.add_argument("--a", type=float, default=1.0)
     sol.add_argument("--mu", type=float, default=1.0)
     sol.add_argument("--h", type=float, default=0.02)

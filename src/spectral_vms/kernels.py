@@ -12,13 +12,13 @@ Exponentials are evaluated in midpoint-shifted form (exp(+-P/2) factors
 kept symbolic until products are formed) so large-P products do not
 overflow prematurely.
 
-The mode series of the feasible method's kernel families have closed
-forms as bilinear forms of the element Green's function
-(closed_form_kernels).  sum_series_fixed sums exactly n modes for the
-fixed-mode provider.  No solver path uses the epsilon-truncated series
-(sum_series_multi, sum_series_batch, TruncationPolicy); they stay only
-while the benchmark's tracer and online workload name them (ROADMAP
-item 1).
+The feasible method's eight kernel families are sums of the entries of
+two 2x2 blocks, A1 and B1, at the element's (P, S).  green_blocks
+evaluates them in closed form, as bilinear forms of the element Green's
+function; series_blocks sums exactly n modes of their series.  No solver
+path uses the epsilon-truncated series (sum_series_multi,
+sum_series_batch, TruncationPolicy); they stay only while the
+benchmark's tracer and online workload name them (ROADMAP item 1).
 """
 
 import warnings
@@ -41,7 +41,7 @@ __all__ = [
     "mode_value",
     "sum_series_batch",
     "sum_series_multi",
-    "sum_series_fixed",
+    "series_blocks",
     "green_blocks",
     "closed_form_kernels",
     "kernels_from_blocks",
@@ -215,14 +215,9 @@ _SIGN = np.array([-1.0, 1.0])  # gradient signs of the two local hats
 #
 # Each family is a dimensionless mode series  sum_j w_j side1_j side2_j
 # with w = beta (weight_power 1) or beta^2 (weight_power 2):
-#   side "a": int phi_m e^{-P x} sin;  side "d": d0
-#   side "c": int phi_l e^{+P x} sin;  side "e": e0
-# index kind tells which local indices the value depends on.
-
-
-_INDEX_PAIRS = {"ml": ((0, 0), (0, 1), (1, 0), (1, 1)),
-                "m": ((0, 0), (1, 0)), "l": ((0, 0), (0, 1)),
-                "": ((0, 0),)}
+#   side "a": int phi_m e^{-P x} sin;  side "d": d0 = a0 + a1
+#   side "c": int phi_l e^{+P x} sin;  side "e": e0 = c0 + c1
+# so every family is a sum of entries of A1 (beta) or B1 (beta^2).
 
 
 @dataclass(frozen=True)
@@ -231,38 +226,18 @@ class Family:
     weight_power: int
     side1: str  # "a" or "d"
     side2: str  # "c" or "e"
-    index_kind: str  # "ml", "m", "l" or ""
-
-    @property
-    def index_pairs(self):
-        """Local indices (m, l) of the flat entries, in entry order."""
-        return _INDEX_PAIRS[self.index_kind]
-
-    @property
-    def n_entries(self):
-        return len(self.index_pairs)
-
-    def entry(self, m, l):
-        """Flat entry index for local indices (m, l)."""
-        if self.index_kind == "ml":
-            return 2 * m + l
-        if self.index_kind == "m":
-            return m
-        if self.index_kind == "l":
-            return l
-        return 0
 
 
 FAMILIES = {
     f.name: f for f in [
-        Family("A1", 1, "a", "c", "ml"),
-        Family("A2", 1, "d", "c", "l"),
-        Family("A3", 1, "a", "e", "m"),
-        Family("A4", 1, "d", "e", ""),
-        Family("B1", 2, "a", "c", "ml"),
-        Family("B2", 2, "d", "c", "l"),
-        Family("B3", 2, "a", "e", "m"),
-        Family("B4", 2, "d", "e", ""),
+        Family("A1", 1, "a", "c"),
+        Family("A2", 1, "d", "c"),
+        Family("A3", 1, "a", "e"),
+        Family("A4", 1, "d", "e"),
+        Family("B1", 2, "a", "c"),
+        Family("B2", 2, "d", "c"),
+        Family("B3", 2, "a", "e"),
+        Family("B4", 2, "d", "e"),
     ]
 }
 
@@ -362,23 +337,22 @@ def sum_series_batch(family, m, l, P, s_values, policy):
     return vals[key], counts[key], over[key]
 
 
-def sum_series_fixed(family, m, l, P, S, n_modes):
-    """Kernel series summed over exactly n_modes terms.
+def series_blocks(P, S, n_modes):
+    """The A1 and B1 kernel blocks summed over exactly n_modes modes.
 
-    P and S are scalars, or arrays paired elementwise; the result has
-    their broadcast shape (a float for scalars).
+    P and S are scalars or arrays, paired elementwise after
+    broadcasting.  Returns (A1, B1), each an array (2, 2, n_points)
+    indexed [m, l]: sum_j beta_j a_m c_l and sum_j beta_j^2 a_m c_l.
     """
-    fam = FAMILIES[family] if isinstance(family, str) else family
-    P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
-                               np.asarray(S, dtype=float))
-    P, S = P[..., None], S[..., None]
+    P, S = _check_points(P, S)
     j = np.arange(1, n_modes + 1)
-    g = _entry_sides(fam, m, l, shifted_sides(j, P))
-    w = 1.0 / (1.0 + S * (np.float_power(P, 2) + np.pi ** 2 * j ** 2))
-    if fam.weight_power == 2:
-        w *= w
-    out = np.sum(w * g, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    a0s, a1s, _, c0s, c1s, _ = shifted_sides(j, P[:, None])
+    # C pow, as Python's P ** 2
+    w = 1.0 / (1.0 + S[:, None] * (np.float_power(P, 2)[:, None]
+                                   + np.pi ** 2 * j ** 2))
+    a1, b1 = np.einsum("wpj,mpj,lpj->wmlp", np.stack([w, w * w]),
+                       np.stack([a0s, a1s]), np.stack([c0s, c1s]))
+    return a1, b1
 
 
 # --- closed forms from the element Green's function ------------------
@@ -622,14 +596,14 @@ def green_blocks(P, S):
 def kernels_from_blocks(entries, blocks):
     """Kernel entries from the A1 and B1 blocks.
 
-    blocks maps "A" and "B" to arrays (2, 2, n_points) indexed [m, l];
-    a d side sums over m and an e side over l, because d0 = a0 + a1 and
+    blocks is (A1, B1), arrays (2, 2, n_points) indexed [m, l]; a d side
+    sums over m and an e side over l, because d0 = a0 + a1 and
     e0 = c0 + c1.  Returns an (n_entries, n_points) array.
     """
     out = []
     for name, m, l in entries:
         fam = FAMILIES[name]
-        block = blocks[name[0]]
+        block = blocks["AB".index(name[0])]
         rows = block if fam.side1 == "d" else block[m:m + 1]
         cells = rows if fam.side2 == "e" else rows[:, l:l + 1]
         out.append(cells.sum(axis=(0, 1)))
@@ -645,8 +619,7 @@ def closed_form_kernels(entries, P, S):
     largest relative error measured over P in [0, 1e3] and S in
     [1e-3, 1e3] was 4.8e-12.
     """
-    a1, b1 = green_blocks(P, S)
-    return kernels_from_blocks(entries, {"A": a1, "B": b1})
+    return kernels_from_blocks(entries, green_blocks(P, S))
 
 
 def element_mode_arrays(params, n_modes):

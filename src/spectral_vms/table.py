@@ -5,7 +5,7 @@ P_i = delta*i, S_j = delta*j (i, j = 1..m), stored in a digest-checked
 binary file and interpolated online with the area-weighted bilinear rule;
 the other six families are sums of their entries.  Queries outside the
 grid clamp to the boundary cell, which extrapolates linearly; a per-table
-counter records how often that happened.
+counter records how many query points lay outside it.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FAMILIES, green_blocks
+from .kernels import green_blocks
 # Bound here, though the table no longer sums series, because the
 # benchmark's tracer (perfbench/tracing.py) wraps this binding and
 # perfbench/test_perfbench.py asserts that it does; it goes when the
@@ -29,6 +29,8 @@ MAGIC = b"SVMK"
 FORMAT_VERSION = 3
 DIGEST_SIZE = 8
 TABLE_FAMILIES = ("A1", "B1")
+# entries of one stored 2x2 block, [m, l] in row-major order
+BLOCK_ENTRIES = 4
 
 
 class TableFormatError(RuntimeError):
@@ -61,7 +63,7 @@ class TableGrid:
 @dataclass
 class KernelTable:
     grid: TableGrid
-    values: dict  # family name -> array (n_entries, m, m), P-major
+    values: dict  # family name -> array (4, m, m), P-major
     clamp_count: int = 0
 
     def families(self):
@@ -109,8 +111,7 @@ def _header(table, names):
     header += struct.pack("<I", table.grid.m)
     header += struct.pack("<I", len(names))
     for name in names:
-        header += struct.pack("<8sI", name.encode("ascii"),
-                              FAMILIES[name].n_entries)
+        header += struct.pack("<8sI", name.encode("ascii"), BLOCK_ENTRIES)
     # zero padding keeps the float64 payload 8-byte aligned when loaded
     header += bytes(-len(header) % 8)
     return header
@@ -165,12 +166,11 @@ def load_table(path):
         name = raw.rstrip(b"\0").decode("ascii", "replace")
         if name not in TABLE_FAMILIES:
             raise TableFormatError("unknown kernel family %r" % name)
-        if count != FAMILIES[name].n_entries:
+        if count != BLOCK_ENTRIES:
             raise TableFormatError("entry count mismatch for %s" % name)
         names.append(name)
     pos += -pos % 8
-    payload_bytes = sum(8 * FAMILIES[name].n_entries * m * m
-                        for name in names)
+    payload_bytes = 8 * BLOCK_ENTRIES * m * m * len(names)
     expected = pos + payload_bytes + DIGEST_SIZE
     if len(blob) < expected:
         raise TableFormatError("truncated file: %d of %d bytes"
@@ -183,10 +183,10 @@ def load_table(path):
         raise TableFormatError("table digest mismatch")
     values = {}
     for name in names:
-        count = FAMILIES[name].n_entries
-        values[name] = np.frombuffer(blob, "<f8", count=count * m * m,
-                                     offset=pos).reshape(count, m, m)
-        pos += 8 * count * m * m
+        values[name] = np.frombuffer(
+            blob, "<f8", count=BLOCK_ENTRIES * m * m,
+            offset=pos).reshape(BLOCK_ENTRIES, m, m)
+        pos += 8 * BLOCK_ENTRIES * m * m
     return KernelTable(grid=TableGrid(delta=delta, m=int(m)), values=values)
 
 
@@ -197,10 +197,11 @@ def interpolate(table, P, S):
     name: array (2, 2) + the broadcast shape of P and S, indexed [m, l]}.
     Each cell corner is weighted by the area of the sub-rectangle
     diagonally opposite the query point, normalised by the cell area;
-    the cells and weights are found once for all families.  Out-of-range
-    queries clamp the cell index, which linearly extrapolates the
-    boundary cell; the table's clamp_count grows by one per clamped
-    query point.
+    the cells and weights are found once for all families.  Queries
+    outside [delta, m delta]^2 clamp the cell index, which linearly
+    extrapolates the boundary cell; the table's clamp_count grows by one
+    per such query point.  Points on the top edges lie in the last cell
+    and are not counted.
     """
     grid = table.grid
     delta = grid.delta
@@ -210,10 +211,11 @@ def interpolate(table, P, S):
         raise ValueError("P and S must be finite")
 
     def cell_index(v):
-        # nudge queries sitting an ulp below a grid line onto it
-        i = np.floor(v / delta + 1e-12)
-        clamped = (i < 1) | (i > grid.m - 1)
-        return np.clip(i, 1, grid.m - 1).astype(np.int64), clamped
+        # nudge queries sitting an ulp off a grid line onto it
+        r = v / delta
+        i = np.floor(r + 1e-12)
+        outside = (i < 1) | (r - 1e-12 > grid.m)
+        return np.clip(i, 1, grid.m - 1).astype(np.int64), outside
 
     i, clamp_p = cell_index(P)
     j, clamp_s = cell_index(S)

@@ -3,9 +3,9 @@
 Drops the deepest level of the subgrid history so each step becomes a
 two-level linear recursion on nodal values whose extra matrices depend
 only on the per-element parameters (P, S).  Those dimensionless kernels
-come from a provider: closed forms from the element Green's function,
-series over a fixed number of modes, or interpolation of an offline
-table.
+are sums of entries of the A1 and B1 blocks, which come from a provider:
+closed forms from the element Green's function, series over a fixed
+number of modes, or interpolation of an offline table.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
-from .kernels import FAMILIES, FAMILY_ORDER
+from .kernels import FAMILY_ORDER
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
                        apply_dirichlet, assemble_load, assemble_mass,
                        assemble_stiffness, solve_tridiag)
@@ -24,6 +24,13 @@ __all__ = ["DirectKernelProvider", "TableKernelProvider",
            "assemble_matrices", "step_feasible", "run_feasible"]
 
 _SIGN = np.array([-1.0, 1.0])
+
+
+def _kernel_entry(provider, family, m, l, P, S):
+    """One (family name, m, l) kernel entry at one point (P, S), summed
+    from the provider's A1/B1 blocks."""
+    return float(kernels.kernels_from_blocks(
+        [(family, m, l)], provider.blocks([P], [S]))[0, 0])
 
 
 class DirectKernelProvider:
@@ -40,43 +47,38 @@ class DirectKernelProvider:
             raise ValueError("give at most one of policy or n_modes")
         self.n_modes = n_modes
 
-    def kernels(self, entries, P, S):
-        """Values of each (family name, m, l) entry at the points
-        (P[k], S[k]), as an (n_entries, n_points) array."""
+    def blocks(self, P, S):
+        """The A1 and B1 blocks at the points (P[k], S[k]), each an
+        array (2, 2, n_points) indexed [m, l]."""
         if self.n_modes is not None:
-            return np.array([kernels.sum_series_fixed(name, m, l, P, S,
-                                                      self.n_modes)
-                             for name, m, l in entries])
-        return kernels.closed_form_kernels(entries, P, S)
+            return kernels.series_blocks(P, S, self.n_modes)
+        return kernels.green_blocks(P, S)
 
-    def kernel(self, family, m, l, P, S):
-        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
+    kernel = _kernel_entry
 
 
 class TableKernelProvider:
     """Kernels interpolated from an offline table of the A1 and B1
-    blocks; the other families are sums of their entries."""
+    blocks."""
 
     def __init__(self, table):
         self.table = table
 
-    def kernels(self, entries, P, S):
-        """Values of each (family name, m, l) entry at the points
-        (P[k], S[k]), as an (n_entries, n_points) array, from one table
-        lookup."""
-        blocks = table_mod.interpolate(self.table, P, S)
-        return kernels.kernels_from_blocks(
-            entries, {name[0]: block for name, block in blocks.items()})
+    def blocks(self, P, S):
+        """The A1 and B1 blocks at the points (P[k], S[k]), each an
+        array (2, 2, n_points) indexed [m, l], from one table lookup."""
+        values = table_mod.interpolate(self.table, P, S)
+        return values["A1"], values["B1"]
 
-    def kernel(self, family, m, l, P, S):
-        return float(self.kernels([(family, m, l)], [P], [S])[0, 0])
+    kernel = _kernel_entry
 
 
 class NullKernelProvider:
     """All kernels zero: reduces every step to plain Galerkin."""
 
-    def kernels(self, entries, P, S):
-        return np.zeros((len(entries), np.size(P)))
+    def blocks(self, P, S):
+        zero = np.zeros((2, 2, np.size(P)))
+        return zero, zero
 
 
 def _combine(f, *mats):
@@ -106,7 +108,7 @@ class FeasibleMatrices:
     mass: TriDiag
     lhs: TriDiag  # M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4)
     a_elem: np.ndarray
-    element_kernels: dict  # A/B family -> kernels stacked over elements
+    element_blocks: tuple  # A1 and B1 kernels per element, [k, m, l]
     dt: float
 
     @cached_property
@@ -143,25 +145,21 @@ class FeasibleMatrices:
                         + dt * (1.0 + dt) * b4, self.B3, self.B4)
 
 
-_MATRIX_ENTRIES = [(name, m, l) for name in FAMILY_ORDER
-                   for m, l in FAMILIES[name].index_pairs]
-
-
-def _kernels_by_element(provider, params, index):
-    """{family: A/B kernels stacked over elements, indexed [k, m, l],
-    [k, m], [k, l] or [k]}, from one provider query over the distinct
+def _element_blocks(provider, params, index):
+    """The A1 and B1 kernel blocks of every element, arrays (n_elems, 2,
+    2) indexed [k, m, l], from one provider query over the distinct
     (P, S) of the elements."""
     (P, S), key_of = kernels.distinct_rows((params.P, params.S))
-    vals = provider.kernels(_MATRIX_ENTRIES, P, S)
     gather = key_of[index]
-    out, row = {}, 0
-    for name in FAMILY_ORDER:
-        fam = FAMILIES[name]
-        stacked = vals[row:row + fam.n_entries].T
-        out[name] = stacked.reshape(
-            (P.size,) + (2,) * len(fam.index_kind))[gather]
-        row += fam.n_entries
-    return out
+    return tuple(np.moveaxis(block, -1, 0)[gather]
+                 for block in provider.blocks(P, S))
+
+
+def _families(k1):
+    """Kernels of families 1-4 from the blocks k1 of family 1, indexed
+    [k, m, l], [k, l], [k, m] and [k]: a d side sums over m and an e side
+    over l, because d0 = a0 + a1 and e0 = c0 + c1."""
+    return k1, k1.sum(axis=1), k1.sum(axis=2), k1.sum(axis=(1, 2))
 
 
 def _mirror(local, a_elem, n_local):
@@ -182,15 +180,11 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
     params, index = kernels.distinct_element_params(a_elem, mesh.h, mu, dt)
-    kern = _kernels_by_element(provider, params, index)
+    element_blocks = _element_blocks(provider, params, index)
     h = mesh.h[:, None, None]
     a_abs = np.abs(a_elem)[:, None, None]
     blocks = []
-    for prefix in ("A", "B"):
-        k1 = kern[prefix + "1"]  # (n_elems, m, l)
-        k2 = kern[prefix + "2"]  # (n_elems, l)
-        k3 = kern[prefix + "3"]  # (n_elems, m)
-        k4 = kern[prefix + "4"]  # (n_elems,)
+    for k1, k2, k3, k4 in map(_families, element_blocks):
         blocks += [
             2.0 * h * k1.transpose(0, 2, 1),
             2.0 * a_abs * _SIGN[None, :] * k2[:, :, None],
@@ -206,34 +200,32 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
                    mass, assemble_stiffness(mesh, a_elem, mu), mats["A1"],
                    mats["A2"], mats["A3"], mats["A4"])
     return FeasibleMatrices(**mats, mass=mass, lhs=lhs, a_elem=a_elem,
-                            element_kernels=kern, dt=dt)
-
-
-# The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
-# power of A2, A4, B2 and B4, so they are read from the matrix kernels.
-_FORCE_FAMILIES = {"F1": "A2", "F2": "A4", "F3": "B2", "F4": "B4"}
+                            element_blocks=element_blocks, dt=dt)
 
 
 def _force_vectors(mesh, mats, f, t):
     """Subgrid force vectors F1, F2 (beta weights) and F3, F4 (beta^2).
 
-    The source is projected to its element-midpoint value, matching the
+    The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
+    power of families 2 and 4, so they are read from those kernels.  The
+    source is projected to its element-midpoint value, matching the
     element-constant kernel reduction.
     """
     if f is None:
-        return {name: np.zeros(mesh.n_nodes) for name in _FORCE_FAMILIES}
+        return dict.fromkeys(("F1", "F2", "F3", "F4"), np.zeros(mesh.n_nodes))
     f_mid = mesh_fem.point_values(f, mesh.nodes[:-1] + 0.5 * mesh.h, t,
                                   name="source")[:, None]
-    kern = mats.element_kernels
     a_abs = np.abs(mats.a_elem)[:, None]
+
+    def scatter(vec):
+        return mesh_fem.sum_element_vectors(_mirror(vec, mats.a_elem, 1))
+
     out = {}
-    for name, fam in _FORCE_FAMILIES.items():
-        if FAMILIES[fam].index_kind == "l":
-            vec = 2.0 * mesh.h[:, None] * f_mid * kern[fam]
-        else:
-            vec = -2.0 * a_abs * f_mid * _SIGN * kern[fam][:, None]
-        out[name] = mesh_fem.sum_element_vectors(
-            _mirror(vec, mats.a_elem, 1))
+    for (f_2, f_4), k1 in zip((("F1", "F2"), ("F3", "F4")),
+                              mats.element_blocks):
+        _, k2, _, k4 = _families(k1)
+        out[f_2] = scatter(2.0 * mesh.h[:, None] * f_mid * k2)
+        out[f_4] = scatter(-2.0 * a_abs * f_mid * _SIGN * k4[:, None])
     return out
 
 
@@ -261,26 +253,29 @@ class FeasibleConfig:
             raise ValueError("g_pairing must be 'main' or 'appendix'")
 
 
-def step_feasible(n, u, u_prev, sys_new, sys_old, config):
-    """Step n of the two-level recursion, from u = u^n and u_prev =
-    u^{n-1}; returns u^{n+1}.
+def step_feasible(n, u, sys_new, sys_old, carry, config):
+    """Step n of the two-level recursion from u = u^n; returns u^{n+1}
+    and the carry of the next step.
 
     sys_new / sys_old are the FeasibleMatrices at the new and old time
     levels (identical objects for a constant velocity).  sys_old is None
     at the first step, which drops every subgrid-history term, as a zero
-    initial subgrid does; u_prev is not read there.
+    initial subgrid does; carry is not read there.  Otherwise carry is
+    (u^{n-1}, the force vectors of sys_old at t_n), as the previous step
+    returned them, so each snapshot's source is evaluated once per time
+    level.
     """
     dt = config.tgrid.dt
-    t1, t0 = (n + 1) * dt, n * dt
+    t1 = (n + 1) * dt
     rhs = sys_new.mass.matvec(u)
     rhs -= sys_new.a1_dt_a3.matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
     rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
     if sys_old is not None:
+        u_prev, fv_old = carry
         rhs -= sys_old.a1_dt_a2.matvec(u)
         rhs += sys_old.A1.matvec(u_prev)
-        fv_old = _force_vectors(config.mesh, sys_old, config.source, t0)
         rhs += dt * fv_old["F1"]
         if config.g_pairing == "main":
             rhs += sys_new.b_main.matvec(u)
@@ -293,7 +288,7 @@ def step_feasible(n, u, u_prev, sys_new, sys_old, config):
             rhs -= (1.0 + dt) * sys_new.B3.matvec(u_prev)
             rhs -= dt * (1.0 + dt) * fv_new["F4"]
     sys = apply_dirichlet(TriDiagSystem(sys_new.lhs, rhs), config.bc, t1)
-    return solve_tridiag(sys)
+    return solve_tridiag(sys), (u, fv_new)
 
 
 def run_feasible(config):
@@ -307,6 +302,5 @@ def run_feasible(config):
         mesh.interpolate(config.initial),
         lambda a_elem: assemble_matrices(mesh, a_elem, config.mu, dt,
                                          config.provider),
-        lambda n, u, sys_new, sys_old, u_prev: (
-            step_feasible(n, u, u_prev, sys_new, sys_old, config), u))
+        lambda *step: step_feasible(*step, config))
     return history

@@ -52,6 +52,42 @@ def quad_base_integrals(j, P, n=200):
                 c0=np.sum(w * (1 - x) * ep), c1=np.sum(w * x * ep))
 
 
+def family_entries(names):
+    """The (family, m, l) entries of the named families, over the local
+    indices their a and c sides depend on, m-major."""
+    return [(name, m, l) for name in names
+            for m in ((0, 1) if FAMILIES[name].side1 == "a" else (0,))
+            for l in ((0, 1) if FAMILIES[name].side2 == "c" else (0,))]
+
+
+ALL_ENTRIES = family_entries(K.FAMILY_ORDER)
+
+
+def series_terms(family, m, l, P, S, n_modes):
+    """The first n_modes terms of one (family, m, l) series, an array of
+    the broadcast shape of P and S plus a mode axis."""
+    fam = FAMILIES[family]
+    P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
+                               np.asarray(S, dtype=float))
+    P, S = P[..., None], S[..., None]
+    j = np.arange(1, n_modes + 1)
+    a0s, a1s, d0s, c0s, c1s, e0s = K.shifted_sides(j, P)
+    s1 = d0s if fam.side1 == "d" else (a0s, a1s)[m]
+    s2 = e0s if fam.side2 == "e" else (c0s, c1s)[l]
+    w = 1.0 / (1.0 + S * (np.float_power(P, 2) + np.pi ** 2 * j ** 2))
+    if fam.weight_power == 2:
+        w *= w
+    return w * (s1 * s2)
+
+
+def sum_series_fixed(family, m, l, P, S, n_modes):
+    """One (family, m, l) series summed over exactly n_modes terms, term
+    by term: the exact partial sums of the series.  A float for scalar P
+    and S."""
+    out = np.sum(series_terms(family, m, l, P, S, n_modes), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
 def brute_series(family, m, l, P, S, n_terms=600):
     """Kernel series summed term by term from quadrature integrals."""
     fam = FAMILIES[family]
@@ -457,16 +493,19 @@ def per_key_mode_arrays(p, n_modes):
 
 def interpolate_entry(table, name, m, l, P, S):
     """(value, clamped): the area-weighted bilinear value of one stored
-    entry at one float point (P, S), and whether the cell was clamped."""
+    entry at one float point (P, S), and whether the point lies outside
+    the grid [delta, m delta]^2, up to a 1e-12 nudge in units of delta.
+    A point on a top edge takes the last cell and is not clamped."""
     grid = table.grid
     delta, top = grid.delta, grid.m - 1
 
     def cell(v):
         i = math.floor(v / delta + 1e-12)
-        return min(max(i, 1), top), not 1 <= i <= top
+        outside = v / delta + 1e-12 < 1 or v / delta - 1e-12 > grid.m
+        return min(max(i, 1), top), outside
 
     (i, clamp_p), (j, clamp_s) = cell(P), cell(S)
-    arr = table.values[name][FAMILIES[name].entry(m, l)]
+    arr = table.values[name][2 * m + l]
     p0, p1 = delta * i, delta * (i + 1)
     s0, s1 = delta * j, delta * (j + 1)
     q = delta * delta

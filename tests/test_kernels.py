@@ -10,10 +10,12 @@ import spectral_vms
 from spectral_vms import kernels as K
 from spectral_vms.mesh_fem import Mesh1D
 
-from oracles import (composite_gauss01, eigenvalue, gauss01, green_kernels,
-                     key_params, nsum_kernel, package_base_integrals,
+from oracles import (ALL_ENTRIES, composite_gauss01, eigenvalue,
+                     family_entries, gauss01, green_kernels, key_params,
+                     nsum_kernel, package_base_integrals,
                      per_element_projection, per_key_mode_arrays,
-                     quad_base_integrals, reconstruct_subgrid)
+                     quad_base_integrals, reconstruct_subgrid,
+                     sum_series_fixed)
 
 
 def test_element_params_known_values():
@@ -227,7 +229,7 @@ def test_sum_series_large_s_bounded():
     p = K.element_params(2.0, 1.0, 1.0, 500.0)
     policy = K.TruncationPolicy()
     got = _truncated("A1", 0, 0, p, policy)
-    ref = K.sum_series_fixed("A1", 0, 0, 1.0, 500.0, 10000)
+    ref = sum_series_fixed("A1", 0, 0, 1.0, 500.0, 10000)
     # the omitted tail is a small multiple of epsilon (terms decay ~ j^-4)
     assert abs(got - ref) <= 50.0 * policy.epsilon
     bound = sum(1.0 / (500.0 * np.pi ** 2 * j ** 2) for j in range(1, 10001))
@@ -255,13 +257,13 @@ def test_sum_series_stopping_rule():
                                                 policy)
     assert not over[0]
     jstop = int(counts[0])
-    partial = [K.sum_series_fixed("A1", 0, 0, p.P, p.S, n)
+    partial = [sum_series_fixed("A1", 0, 0, p.P, p.S, n)
                for n in (jstop - 1, jstop, jstop + 1)]
     assert abs(partial[1] - partial[0]) < policy.epsilon
     assert abs(partial[2] - partial[1]) < policy.epsilon
     # ... and the value includes everything up to the last summed term
     assert vals[0] == pytest.approx(
-        K.sum_series_fixed("A1", 0, 0, p.P, p.S, jstop), rel=1e-13)
+        sum_series_fixed("A1", 0, 0, p.P, p.S, jstop), rel=1e-13)
 
 
 @pytest.mark.parametrize("P", [0.0, 1e-5, 1e-3])
@@ -273,7 +275,7 @@ def test_sum_series_small_p_not_cut_by_parity(P):
                ("B4", 0, 0)]
     vals, _, over = K.sum_series_multi(entries, P, [10.0], policy)
     for key in entries:
-        ref = K.sum_series_fixed(*key, P, 10.0, 20000)
+        ref = sum_series_fixed(*key, P, 10.0, 20000)
         assert not over[key][0]
         # the omitted tail is a small multiple of epsilon (terms ~ j^-4)
         assert abs(vals[key][0] - ref) <= 50.0 * policy.epsilon, key
@@ -461,17 +463,13 @@ def test_mode_value_rejects_outside_reference_element():
         K.mode_value(1, p, np.array([0.5, 1.2]))
 
 
-ALL_ENTRIES = [(name, m, l) for name in K.FAMILY_ORDER
-               for m, l in K.FAMILIES[name].index_pairs]
-
-
 @pytest.mark.parametrize("P,S", [(0.5, 1.0), (3.5, 100.0), (0.0, 0.3)])
 def test_green_oracle_matches_mode_series(P, S):
     # the high-precision Green's-function oracle against mpmath.nsum of
     # the mode series itself, on the A1 and B1 blocks (the other families
-    # are their sums, see test_series_family_sums)
-    blocks = [(name, m, l) for name in ("A1", "B1")
-              for m, l in K.FAMILIES[name].index_pairs]
+    # are their sums, see test_properties.py::
+    # test_series_blocks_families_match_term_sums)
+    blocks = family_entries(("A1", "B1"))
     want = [float(nsum_kernel(*entry, P, S)) for entry in blocks]
     got = green_kernels(blocks, P, S)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -483,29 +481,10 @@ def test_series_block_symmetry():
     rng = np.random.default_rng(23)
     P = np.concatenate([[0.0, 1e-5, 1e-3], rng.uniform(0.0, 10.0, 20)])
     S = rng.uniform(0.01, 100.0, P.size)
-    for name in ("A1", "B1"):
-        for n_modes in (1, 2, 7, 60):
-            d00 = K.sum_series_fixed(name, 0, 0, P, S, n_modes)
-            d11 = K.sum_series_fixed(name, 1, 1, P, S, n_modes)
-            np.testing.assert_allclose(d00, d11, rtol=1e-12, atol=0)
-
-
-def test_series_family_sums():
-    # d0 = a0 + a1 and e0 = c0 + c1 make every family a sum of A1 or B1
-    # entries, for any number of modes
-    rng = np.random.default_rng(29)
-    P = np.concatenate([[0.0, 1e-5, 1e-3], rng.uniform(0.0, 10.0, 20)])
-    S = rng.uniform(0.01, 100.0, P.size)
-    for n_modes in (1, 3, 40):
-        for name, m, l in ALL_ENTRIES:
-            fam = K.FAMILIES[name]
-            ms = (0, 1) if fam.side1 == "d" else (m,)
-            ls = (0, 1) if fam.side2 == "e" else (l,)
-            block = name[0] + "1"
-            want = sum(K.sum_series_fixed(block, i, j, P, S, n_modes)
-                       for i in ms for j in ls)
-            got = K.sum_series_fixed(name, m, l, P, S, n_modes)
-            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
+    for n_modes in (1, 2, 7, 60):
+        for block in K.series_blocks(P, S, n_modes):
+            np.testing.assert_allclose(block[0, 0], block[1, 1], rtol=1e-12,
+                                       atol=0)
 
 
 def test_closed_form_kernels_agree_with_long_series():
@@ -514,7 +493,7 @@ def test_closed_form_kernels_agree_with_long_series():
     P = np.array([0.0, 0.5, 2.0, 6.0])
     S = np.array([0.5, 3.0, 1.0, 10.0])
     got = K.closed_form_kernels(ALL_ENTRIES, P, S)
-    want = np.array([K.sum_series_fixed(*entry, P, S, 20000)
+    want = np.array([sum_series_fixed(*entry, P, S, 20000)
                      for entry in ALL_ENTRIES])
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
 

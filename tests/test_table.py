@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from spectral_vms import table as T
-from spectral_vms.kernels import FAMILIES, closed_form_kernels
+from spectral_vms.kernels import closed_form_kernels
+
+from oracles import ALL_ENTRIES
 
 
 def small_table(delta=0.5, m=6):
@@ -13,11 +15,9 @@ def test_generate_matches_direct_sums():
     grid = T.TableGrid(delta=10.0, m=2)
     table = T.generate_table(grid)
     for name in T.TABLE_FAMILIES:
-        fam = FAMILIES[name]
         for i, P in enumerate(grid.axis()):
             vals = closed_form_kernels([(name, 0, 1)], P, grid.axis())
-            np.testing.assert_array_equal(
-                table.values[name][fam.entry(0, 1), i], vals[0])
+            np.testing.assert_array_equal(table.values[name][1, i], vals[0])
 
 
 def test_generate_all_families_shapes():
@@ -109,9 +109,8 @@ def test_bad_magic_rejected(tmp_path):
 def make_synthetic_table(func, delta=0.5, m=8, family="A1"):
     grid = T.TableGrid(delta=delta, m=m)
     axis = grid.axis()
-    fam = FAMILIES[family]
-    vals = np.empty((fam.n_entries, m, m))
-    for e in range(fam.n_entries):
+    vals = np.empty((4, m, m))
+    for e in range(4):
         vals[e] = func(axis[:, None], axis[None, :])
     return T.KernelTable(grid=grid, values={family: vals})
 
@@ -137,19 +136,18 @@ def test_interpolate_exact_at_nodes_and_bilinear():
 def test_interpolate_node_value_is_stored_value():
     table = small_table()
     grid = table.grid
-    fam = FAMILIES["B1"]
     for i in (0, 2, 5):
         for j in (1, 3, 4):
             got = T.interpolate(table, grid.delta * (i + 1),
                                 grid.delta * (j + 1))["B1"][1, 0]
-            want = table.values["B1"][fam.entry(1, 0), i, j]
+            want = table.values["B1"][2, i, j]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_interpolate_cell_center_mean():
     table = small_table()
     grid = table.grid
-    arr = table.values["A1"][FAMILIES["A1"].entry(0, 1)]
+    arr = table.values["A1"][1]
     P = grid.delta * 2.5
     S = grid.delta * 3.5
     got = T.interpolate(table, P, S)["A1"][0, 1]
@@ -180,6 +178,12 @@ def test_interpolate_clamp_extrapolates_continuously():
                   [1.0, 1.0, 1.0])
     T.interpolate(table, -1.0, pmax + 1.0)
     assert table.clamp_count == before + 3
+    # points on the top edges lie in the last cell: exact node values,
+    # and not counted
+    delta = table.grid.delta
+    got = T.interpolate(table, [pmax, delta], [pmax, pmax])["A1"][0, 0]
+    assert got.tolist() == [1.0 / (2 * pmax), 1.0 / (delta + pmax)]
+    assert table.clamp_count == before + 3
 
 
 def test_interpolation_error_against_direct_sums():
@@ -200,23 +204,36 @@ def test_interpolation_error_against_direct_sums():
 
 
 def test_table_provider_sums_interpolated_blocks():
-    # A2..A4 and B2..B4 are the sums of interpolated A1/B1 entries, and
-    # at grid nodes every family reproduces the closed forms
+    # the provider's blocks are the interpolated A1/B1 blocks, and at
+    # grid nodes every family summed from them reproduces the closed forms
+    from spectral_vms.kernels import kernels_from_blocks
     from spectral_vms.vms_feasible import TableKernelProvider
 
     table = small_table()
     provider = TableKernelProvider(table)
-    entries = [(name, m, l) for name in FAMILIES
-               for m, l in FAMILIES[name].index_pairs]
     P = np.array([1.0, 1.7, 2.5])
     S = np.array([0.5, 2.2, 3.0])
-    got = provider.kernels(entries, P, S)
+    a1, b1 = provider.blocks(P, S)
     blocks = T.interpolate(table, P, S)
-    for row, (name, m, l) in enumerate(entries):
-        fam = FAMILIES[name]
-        ms = (0, 1) if fam.side1 == "d" else (m,)
-        ls = (0, 1) if fam.side2 == "e" else (l,)
-        want = sum(blocks[name[0] + "1"][mi, li] for mi in ms for li in ls)
-        np.testing.assert_allclose(got[row], want, rtol=1e-15, atol=0)
-    direct = closed_form_kernels(entries, P[[0, 2]], S[[0, 2]])
+    assert a1.tobytes() == blocks["A1"].tobytes()
+    assert b1.tobytes() == blocks["B1"].tobytes()
+    got = kernels_from_blocks(ALL_ENTRIES, (a1, b1))
+    direct = closed_form_kernels(ALL_ENTRIES, P[[0, 2]], S[[0, 2]])
     np.testing.assert_allclose(got[:, [0, 2]], direct, rtol=1e-14, atol=0)
+
+
+def test_provider_kernel_is_the_derived_entry():
+    # the scalar kernel() of both providers is one entry summed from
+    # their blocks
+    from spectral_vms.kernels import kernels_from_blocks
+    from spectral_vms.vms_feasible import (DirectKernelProvider,
+                                           TableKernelProvider)
+
+    for provider in (DirectKernelProvider(), TableKernelProvider(
+            small_table())):
+        for name, m, l in (("A1", 1, 0), ("A2", 0, 1), ("B3", 1, 0),
+                           ("B4", 0, 0)):
+            want = kernels_from_blocks([(name, m, l)],
+                                       provider.blocks([1.7], [2.2]))
+            got = provider.kernel(name, m, l, 1.7, 2.2)
+            assert type(got) is float and got == want[0, 0]

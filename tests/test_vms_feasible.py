@@ -227,3 +227,40 @@ def test_force_vectors_validate_the_source():
     with pytest.raises(ValueError, match="non-finite"):
         F._force_vectors(mesh, mats,
                          lambda x, t: np.where(x > 0.5, np.inf, 1.0), 0.0)
+
+
+def test_source_evaluated_once_per_time_level(monkeypatch):
+    # step n + 1 reuses the force vectors that step n formed at t_{n+1},
+    # so a run calls the source once for the load and once at the
+    # element midpoints per step; the carried vectors are, bit for bit,
+    # those of the old snapshot at t_n
+    mesh = build_uniform_mesh(0.0, 1.0, 10)
+    times = []
+
+    def source(x, t):
+        times.append(t)
+        return np.cos(3.0 * x) + x * t
+
+    cfg = F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.05, 5), mu=0.1,
+                           velocity=lambda x, t: 2.0 + np.sin(x + 20.0 * t),
+                           source=source, initial=lambda x: x * (1 - x))
+    F.run_feasible(cfg)
+    assert len(times) == 10
+    assert sorted(set(times)) == [0.01 * (n + 1) for n in range(5)]
+
+    original = F.step_feasible
+    checked = []
+
+    def checking(n, u, sys_new, sys_old, carry, config):
+        if sys_old is not None:
+            fresh = F._force_vectors(config.mesh, sys_old, config.source,
+                                     n * config.tgrid.dt)
+            assert sorted(carry[1]) == sorted(fresh)
+            for name, vec in fresh.items():
+                assert carry[1][name].tobytes() == vec.tobytes(), name
+            checked.append(n)
+        return original(n, u, sys_new, sys_old, carry, config)
+
+    monkeypatch.setattr(F, "step_feasible", checking)
+    F.run_feasible(cfg)
+    assert checked == [1, 2, 3, 4]
