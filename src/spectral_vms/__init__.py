@@ -9,7 +9,7 @@ from .baselines import StabChoice, cfl_bound, run_galerkin, run_stabilized, tau
 from .kernels import (ElementParams, closed_form_kernels, element_params,
                       beta, mode_value)
 from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,
-                       VelocityField, build_uniform_mesh, solve_tridiag)
+                       build_uniform_mesh, solve_tridiag)
 from .table import (KernelTable, TableGrid, generate_table, interpolate,
                     load_table, save_table)
 from .vms_feasible import (DirectKernelProvider, FeasibleConfig,

@@ -12,7 +12,7 @@ import numpy as np
 from . import mesh_fem
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
                        assemble_load, assemble_mass, assemble_stiffness,
-                       solve_tridiag)
+                       combine, solve_tridiag)
 
 __all__ = ["StabChoice", "tau", "cfl_bound", "assemble_stab_matrix",
            "step_matrices", "step_galerkin", "step_stabilized",
@@ -38,8 +38,10 @@ def tau(choice, a, mu, h, dt):
     """Stabilization coefficient, elementwise over arrays of a and h."""
     a_abs = np.abs(np.asarray(a, dtype=float))
     h = np.asarray(h, dtype=float)
-    if mu <= 0.0 or np.any(h <= 0.0) or dt <= 0.0:
-        raise ValueError("mu, h and dt must be positive")
+    mesh_fem.check_positive("mu", mu)
+    mesh_fem.check_positive("dt", dt)
+    if not np.all(h > 0.0):
+        raise ValueError("h must be positive")
     P = a_abs * h / (2.0 * mu)
     # the branch not taken may divide by a = 0; np.where discards it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -80,13 +82,12 @@ def step_matrices(mesh, a_elem, mu, dt, choice=None):
     """(lhs, mass) of one implicit-Euler step: lhs = M + dt R, plus
     dt a^2 tau M_s when a StabChoice is given."""
     m = assemble_mass(mesh)
-    lhs = m + dt * assemble_stiffness(mesh, a_elem, mu)
-    if choice is not None:
-        a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
-                                 (mesh.n_elems,))
-        coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
-        lhs = lhs + dt * assemble_stab_matrix(mesh, coeff)
-    return lhs, m
+    r = assemble_stiffness(mesh, a_elem, mu)
+    if choice is None:
+        return combine(lambda m, r: m + dt * r, m, r), m
+    coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
+    return combine(lambda m, r, s: m + dt * r + dt * s, m, r,
+                   assemble_stab_matrix(mesh, coeff)), m
 
 
 def _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new):
@@ -117,19 +118,17 @@ def step_stabilized(u_prev, matrices, mesh, dt, f=None, bc=None,
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
 
-def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None,
-                 velocity_rule="midpoint"):
-    return run_stabilized(None, mesh, tgrid, velocity, mu, initial, f, bc,
-                          velocity_rule)
+def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None):
+    return run_stabilized(None, mesh, tgrid, velocity, mu, initial, f, bc)
 
 
 def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
-                   bc=None, velocity_rule="midpoint"):
+                   bc=None):
     """March step_stabilized, or step_galerkin when choice is None."""
     dt = tgrid.dt
     step = step_galerkin if choice is None else step_stabilized
     history, _ = mesh_fem.march(
-        mesh, tgrid, velocity, velocity_rule, mesh.interpolate(initial),
+        mesh, tgrid, velocity, mesh.interpolate(initial),
         lambda a_elem: step_matrices(mesh, a_elem, mu, dt, choice),
         lambda n, u, matrices, _old, _carry: (
             step(u, matrices, mesh, dt, f, bc, (n + 1) * dt), None))

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 argument/validation error, 3 numerical failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .analysis import (FLOAT_FMT, PRESETS, convergence_order,
                        shared_test1_runs, test1_bc, time_convergence_study,
                        write_report_csv, write_solutions_csv)
 from .mesh_fem import (DirichletBC, SingularSystemError, TimeGrid,
-                       build_uniform_mesh)
+                       build_uniform_mesh, check_positive)
 from .vms_feasible import DirectKernelProvider, TableKernelProvider
 
 
@@ -157,7 +158,13 @@ def cmd_solve(args):
     if args.steps is not None:
         tgrid = TimeGrid.from_dt(args.dt, args.steps)
     else:
-        tgrid = TimeGrid(args.t_final, int(round(args.t_final / args.dt)))
+        t_final = check_positive("t_final", args.t_final)
+        dt = check_positive("dt", args.dt)
+        steps = t_final / dt
+        if not (math.isfinite(steps)
+                and abs(round(steps) * dt - t_final) <= 1e-9 * t_final):
+            raise ValidationError("--t-final must be a multiple of --dt")
+        tgrid = TimeGrid(t_final, round(steps))
     bc = test1_bc(args.a, args.mu) if args.bc == "test1" \
         else DirichletBC.homogeneous()
     provider = _make_provider(args) if args.method == "spectral-feasible" \

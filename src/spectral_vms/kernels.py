@@ -77,8 +77,10 @@ def element_params(a, h, mu, dt):
     elementwise over the broadcast shape of a and h."""
     a, h = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(h, dtype=float))
-    if np.any(h <= 0.0) or mu <= 0.0 or dt <= 0.0:
-        raise ValueError("h, mu and dt must be positive")
+    if not np.all(h > 0.0):
+        raise ValueError("h must be positive")
+    mesh_fem.check_positive("mu", mu)
+    mesh_fem.check_positive("dt", dt)
     if not np.all(np.isfinite(a)):
         raise ValueError("velocity must be finite")
     P = np.abs(a) * h / (2.0 * mu)

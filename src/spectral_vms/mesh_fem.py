@@ -1,6 +1,10 @@
 """1D P1 finite element basics: meshes, mass/stiffness assembly, Dirichlet
-handling, tridiagonal (Thomas) solves, piecewise-constant velocity
+handling, tridiagonal (Thomas) solves, the element-midpoint velocity
 projection and the backward-Euler march that every method runs on.
+
+The advection velocity is a number or a pointwise callable a(x, t); every
+method sees it as one constant per element, its value at the element
+midpoint.
 
 All solvers in this package produce tridiagonal systems, so the linear
 algebra layer stores only the three central diagonals.  A system is
@@ -21,11 +25,11 @@ __all__ = [
     "Mesh1D",
     "TimeGrid",
     "DirichletBC",
-    "VelocityField",
     "TriDiag",
     "TriDiagSystem",
     "ThomasFactors",
     "SingularSystemError",
+    "check_positive",
     "build_uniform_mesh",
     "point_values",
     "project_velocity",
@@ -34,6 +38,7 @@ __all__ = [
     "assemble_load",
     "sum_element_vectors",
     "tridiags_from_blocks",
+    "combine",
     "factor_tridiag",
     "solve_tridiag",
     "apply_dirichlet",
@@ -48,6 +53,16 @@ _NON_FINITE = "tridiagonal solve produced non-finite values"
 
 class SingularSystemError(RuntimeError):
     """Raised when tridiagonal elimination meets a vanishing pivot."""
+
+
+def check_positive(name, value):
+    """value as a float; raises ValueError naming it unless it is finite
+    and positive (a NaN passes a `value <= 0` check)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("%s must be finite and positive, got %r"
+                         % (name, value))
+    return value
 
 
 class Mesh1D:
@@ -103,15 +118,13 @@ class TimeGrid:
     def __init__(self, t_final, n_steps):
         if n_steps < 1:
             raise ValueError("need at least one time step")
-        if t_final <= 0.0:
-            raise ValueError("final time must be positive")
-        self.t_final = float(t_final)
+        self.t_final = check_positive("t_final", t_final)
         self.n_steps = int(n_steps)
         self.dt = self.t_final / self.n_steps
 
     @classmethod
     def from_dt(cls, dt, n_steps):
-        return cls(dt * n_steps, n_steps)
+        return cls(check_positive("dt", dt) * n_steps, n_steps)
 
     def times(self):
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
@@ -134,36 +147,6 @@ class DirichletBC:
             raise ValueError("boundary values must be finite")
         return gl, gr
 
-
-class VelocityField:
-    """Advection velocity a(x, t), possibly constant.
-
-    A constant field only skips the pointwise evaluation in
-    project_velocity; march reuses a snapshot's matrices whenever the
-    projected velocity is unchanged, constant field or not.
-    """
-
-    def __init__(self, a):
-        if callable(a):
-            self.func = a
-            self.constant = None
-        else:
-            self.constant = float(a)
-            self.func = lambda x, t: self.constant
-
-    @property
-    def is_constant(self):
-        return self.constant is not None
-
-    def __call__(self, x, t=0.0):
-        return self.func(x, t)
-
-
-# 4-point Gauss-Legendre rule on [0, 1], used for element averages of the
-# velocity.
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-_GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
 
 # Gauss points per element of the P1 load, the rule of the full method's
 # source projection: for f = cos 3x + x t on elements up to 0.8 wide, one
@@ -218,23 +201,14 @@ def _at_points(f, x, t):
                     dtype=float).reshape(x.shape)
 
 
-def project_velocity(a, mesh, t=0.0, rule="midpoint"):
-    """Per-element constant velocities a_K.
-
-    rule='midpoint' evaluates a at element midpoints; rule='average'
-    uses a 4-point Gauss mean over each element.
-    """
-    if not isinstance(a, VelocityField):
-        a = VelocityField(a)
-    if a.is_constant:
-        return np.full(mesh.n_elems, a.constant)
-    if rule == "midpoint":
+def project_velocity(a, mesh, t=0.0):
+    """Per-element constant velocities a_K: a number, or a callable a(x, t)
+    evaluated at the element midpoints.  Raises ValueError on a
+    non-finite value."""
+    if callable(a):
         vals = _at_points(a, mesh.midpoints, t)
-    elif rule == "average":
-        xq = mesh.nodes[:-1, None] + mesh.h[:, None] * _GAUSS_X
-        vals = np.sum(_at_points(a, xq, t) * _GAUSS_W, axis=1)
     else:
-        raise ValueError("unknown projection rule %r" % rule)
+        vals = np.full(mesh.n_elems, float(a))
     if not np.all(np.isfinite(vals)):
         raise ValueError("velocity projection produced non-finite values")
     return vals
@@ -260,20 +234,6 @@ class TriDiag:
     @property
     def n(self):
         return self.diag.size
-
-    def __add__(self, other):
-        return TriDiag(self.sub + other.sub, self.diag + other.diag,
-                       self.sup + other.sup)
-
-    def __sub__(self, other):
-        return TriDiag(self.sub - other.sub, self.diag - other.diag,
-                       self.sup - other.sup)
-
-    def __mul__(self, scalar):
-        return TriDiag(self.sub * scalar, self.diag * scalar,
-                       self.sup * scalar)
-
-    __rmul__ = __mul__
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -409,6 +369,13 @@ def tridiags_from_blocks(blocks):
     return [TriDiag(b[:, 1, 0], d, b[:, 0, 1]) for b, d in zip(blocks, diag)]
 
 
+def combine(f, *mats):
+    """The TriDiag whose bands are f of the matching bands of mats, such
+    as combine(lambda m, r: m + dt * r, mass, stiffness) for M + dt R."""
+    return TriDiag(*(f(*bands) for bands in zip(
+        *((m.sub, m.diag, m.sup) for m in mats))))
+
+
 def sum_element_vectors(local):
     """Node vectors summing (..., n_elems, 2) element vectors onto nodes
     k, k+1."""
@@ -432,8 +399,7 @@ def assemble_stiffness(mesh, a_elem, mu):
 
     a_elem gives the per-element constant velocity.
     """
-    if mu <= 0.0:
-        raise ValueError("diffusion coefficient must be positive")
+    check_positive("mu", mu)
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float), (mesh.n_elems,))
     adv = (a_elem / 2.0)[:, None, None] * np.array([[-1.0, 1.0],
                                                     [-1.0, 1.0]])
@@ -475,13 +441,13 @@ def apply_dirichlet(sys, bc, t):
     return TriDiagSystem(m, rhs)
 
 
-def march(mesh, tgrid, velocity, rule, u0, build, step, carry=None):
+def march(mesh, tgrid, velocity, u0, build, step, carry=None):
     """Backward-Euler march from the nodal values u0 over tgrid.
 
     Step n goes to t_{n+1} = (n + 1) dt with the snapshot build(a_elem)
-    of the velocity projected (by rule) at t_{n+1}; a snapshot is built
-    again only when the projection changes.  step(n, u, snap, snap_old,
-    carry) returns (u_next, carry): snap_old is the previous step's
+    of the velocity projected at t_{n+1}; a snapshot is built again only
+    when the projection changes.  step(n, u, snap, snap_old, carry)
+    returns (u_next, carry): snap_old is the previous step's
     snapshot (None at step 0, so the step knows it is the first) and
     carry what the method passes from step to step.  Returns the
     (n_steps + 1, n_nodes) history and the final carry.
@@ -490,7 +456,7 @@ def march(mesh, tgrid, velocity, rule, u0, build, step, carry=None):
     history[0] = u = u0
     snap = a_snap = None
     for n in range(tgrid.n_steps):
-        a_elem = project_velocity(velocity, mesh, (n + 1) * tgrid.dt, rule)
+        a_elem = project_velocity(velocity, mesh, (n + 1) * tgrid.dt)
         # released before the next build, so at most one older snapshot
         # is alive while a new one is assembled
         snap_old = snap

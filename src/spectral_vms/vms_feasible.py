@@ -15,9 +15,9 @@ import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
 from .kernels import FAMILY_ORDER
-from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
-                       apply_dirichlet, assemble_load, assemble_mass,
-                       assemble_stiffness, solve_tridiag)
+from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
+                       assemble_load, assemble_mass, assemble_stiffness,
+                       combine, solve_tridiag)
 
 __all__ = ["DirectKernelProvider", "TableKernelProvider",
            "NullKernelProvider", "FeasibleConfig", "FeasibleMatrices",
@@ -81,14 +81,6 @@ class NullKernelProvider:
         return zero, zero
 
 
-def _combine(f, *mats):
-    """The TriDiag whose bands are f of the matching bands of mats: the
-    band arithmetic of f applied to the TriDiags, with no TriDiag per
-    operation."""
-    return TriDiag(*(f(*bands) for bands in zip(
-        *((m.sub, m.diag, m.sup) for m in mats))))
-
-
 @dataclass
 class FeasibleMatrices:
     """Subgrid matrices of one velocity snapshot, physical units.
@@ -115,34 +107,34 @@ class FeasibleMatrices:
     def a1_dt_a3(self):
         """A1 + dt A3, applied to u^n at the new level."""
         dt = self.dt
-        return _combine(lambda a1, a3: a1 + dt * a3, self.A1, self.A3)
+        return combine(lambda a1, a3: a1 + dt * a3, self.A1, self.A3)
 
     @cached_property
     def a1_dt_a2(self):
         """A1 + dt A2, applied to u^n at the old level."""
         dt = self.dt
-        return _combine(lambda a1, a2: a1 + dt * a2, self.A1, self.A2)
+        return combine(lambda a1, a2: a1 + dt * a2, self.A1, self.A2)
 
     @cached_property
     def b_main(self):
         """B1 + dt B2 + dt B3 + dt^2 B4, the main-text pairing on u^n."""
         dt = self.dt
-        return _combine(lambda b1, b2, b3, b4:
-                        b1 + dt * b2 + dt * b3 + dt * dt * b4,
-                        self.B1, self.B2, self.B3, self.B4)
+        return combine(lambda b1, b2, b3, b4:
+                       b1 + dt * b2 + dt * b3 + dt * dt * b4,
+                       self.B1, self.B2, self.B3, self.B4)
 
     @cached_property
     def b1_dt_b3(self):
         """B1 + dt B3, the main-text pairing on u^{n-1}."""
         dt = self.dt
-        return _combine(lambda b1, b3: b1 + dt * b3, self.B1, self.B3)
+        return combine(lambda b1, b3: b1 + dt * b3, self.B1, self.B3)
 
     @cached_property
     def b_appendix(self):
         """(1 + dt) B3 + dt (1 + dt) B4, the appendix pairing on u^n."""
         dt = self.dt
-        return _combine(lambda b3, b4: (1.0 + dt) * b3
-                        + dt * (1.0 + dt) * b4, self.B3, self.B4)
+        return combine(lambda b3, b4: (1.0 + dt) * b3
+                       + dt * (1.0 + dt) * b4, self.B3, self.B4)
 
 
 def _element_blocks(provider, params, index):
@@ -195,10 +187,10 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     mats = dict(zip(FAMILY_ORDER, mesh_fem.tridiags_from_blocks(
         _mirror(np.stack(blocks), a_elem, 2))))
     mass = assemble_mass(mesh)
-    lhs = _combine(lambda m, r, a1, a2, a3, a4:
-                   m + dt * r - (a1 + dt * a2 + dt * a3 + dt * dt * a4),
-                   mass, assemble_stiffness(mesh, a_elem, mu), mats["A1"],
-                   mats["A2"], mats["A3"], mats["A4"])
+    lhs = combine(lambda m, r, a1, a2, a3, a4:
+                  m + dt * r - (a1 + dt * a2 + dt * a3 + dt * dt * a4),
+                  mass, assemble_stiffness(mesh, a_elem, mu), mats["A1"],
+                  mats["A2"], mats["A3"], mats["A4"])
     return FeasibleMatrices(**mats, mass=mass, lhs=lhs, a_elem=a_elem,
                             element_blocks=element_blocks, dt=dt)
 
@@ -240,11 +232,10 @@ class FeasibleConfig:
     initial: object = None
     provider: object = None
     g_pairing: str = "main"
-    velocity_rule: str = "midpoint"
 
     def __post_init__(self):
-        if not isinstance(self.velocity, VelocityField):
-            self.velocity = VelocityField(self.velocity)
+        if not callable(self.velocity):
+            self.velocity = float(self.velocity)
         if self.bc is None:
             self.bc = DirichletBC.homogeneous()
         if self.provider is None:
@@ -280,7 +271,9 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
         if config.g_pairing == "main":
             rhs += sys_new.b_main.matvec(u)
             rhs -= sys_new.b1_dt_b3.matvec(u_prev)
-            rhs -= dt * fv_new["F3"] + dt * dt * fv_new["F4"]
+            # the beta^2 source terms belong to the subgrid state
+            # rebuilt at t_n, so they come from the source at t_n
+            rhs -= dt * fv_old["F3"] + dt * dt * fv_old["F4"]
         else:
             # literal reading of the boxed G1 definition: both G vectors
             # carry the advective pairing
@@ -298,8 +291,7 @@ def run_feasible(config):
     """
     mesh, dt = config.mesh, config.tgrid.dt
     history, _ = mesh_fem.march(
-        mesh, config.tgrid, config.velocity, config.velocity_rule,
-        mesh.interpolate(config.initial),
+        mesh, config.tgrid, config.velocity, mesh.interpolate(config.initial),
         lambda a_elem: assemble_matrices(mesh, a_elem, config.mu, dt,
                                          config.provider),
         lambda *step: step_feasible(*step, config))

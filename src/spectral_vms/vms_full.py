@@ -13,12 +13,12 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import kernels, mesh_fem
-from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, VelocityField,
-                       apply_dirichlet, assemble_load, assemble_mass,
-                       assemble_stiffness, solve_tridiag, sum_element_vectors)
+from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
+                       assemble_load, assemble_mass, assemble_stiffness,
+                       combine, solve_tridiag, sum_element_vectors)
 
-__all__ = ["FullVmsConfig", "SubgridState", "FullVmsResult", "init_state",
-           "step_full", "run_full", "approximate_subgrid_state"]
+__all__ = ["FullVmsConfig", "FullVmsResult", "init_state", "step_full",
+           "run_full", "approximate_subgrid_state"]
 
 
 @dataclass
@@ -32,30 +32,14 @@ class FullVmsConfig:
     initial: object = None
     n_modes: int = 10
     project_initial_subgrid: bool = False
-    velocity_rule: str = "midpoint"
-    source_gauss: int = 32
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("need at least one subgrid mode")
-        if not isinstance(self.velocity, VelocityField):
-            self.velocity = VelocityField(self.velocity)
+        if not callable(self.velocity):
+            self.velocity = float(self.velocity)
         if self.bc is None:
             self.bc = DirichletBC.homogeneous()
-
-
-@dataclass
-class SubgridState:
-    """Per-element mode amplitudes c_j of the subgrid field."""
-
-    amplitudes: np.ndarray  # (n_elems, n_modes)
-
-    @classmethod
-    def zeros(cls, n_elems, n_modes):
-        return cls(np.zeros((n_elems, n_modes)))
-
-    def copy(self):
-        return SubgridState(self.amplitudes.copy())
 
 
 class _Snapshot:
@@ -85,17 +69,16 @@ class _Snapshot:
         mass = assemble_mass(mesh)
         trial = self.mass_phi_pz + dt * self.adv_phi_pz
         closure = np.einsum("kj,kmj,klj->klm", self.beta, trial, self.test_b)
-        lhs = mass + dt * assemble_stiffness(mesh, self.a_elem,
-                                             self.config.mu) \
-            - TriDiag.from_blocks(closure)
+        lhs = combine(lambda m, r, c: m + dt * r - c, mass,
+                      assemble_stiffness(mesh, self.a_elem, self.config.mu),
+                      TriDiag.from_blocks(closure))
         return lhs, mass
 
     def source_modes(self, t):
         """(n_elems, J) source projections <f, p z_j>."""
         c = self.config
         return kernels.source_mode_projection(
-            c.source, t, c.mesh, self.params, self.index, c.n_modes,
-            c.source_gauss)
+            c.source, t, c.mesh, self.params, self.index, c.n_modes)
 
 
 def _pair(arr, u):
@@ -104,7 +87,8 @@ def _pair(arr, u):
 
 
 def init_state(config):
-    """Initial nodal interpolant and subgrid amplitudes.
+    """Initial nodal interpolant and (n_elems, n_modes) subgrid mode
+    amplitudes c_j.
 
     Amplitudes start at zero unless project_initial_subgrid is set, in
     which case the interpolation remainder u0 - I_h(u0) is projected onto
@@ -113,18 +97,18 @@ def init_state(config):
     mesh = config.mesh
     u0 = mesh.interpolate(config.initial)
     if not (config.project_initial_subgrid and config.initial is not None):
-        return u0, SubgridState.zeros(mesh.n_elems, config.n_modes)
-    a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0,
-                                       config.velocity_rule)
+        return u0, np.zeros((mesh.n_elems, config.n_modes))
+    a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0)
     params, index = kernels.distinct_element_params(
         a_elem, mesh.h, config.mu, config.tgrid.dt)
-    return u0, SubgridState(kernels.source_mode_projection(
+    return u0, kernels.source_mode_projection(
         lambda x, t: config.initial(x), 0.0, mesh, params, index,
-        config.n_modes, n_gauss=64, nodal=u0))
+        config.n_modes, n_gauss=64, nodal=u0)
 
 
-def step_full(u_prev, state, n, config, ctx):
-    """One backward-Euler spectral step; returns (u_next, state_next).
+def step_full(u_prev, c, n, config, ctx):
+    """One backward-Euler spectral step from the nodal values u_prev and
+    the subgrid amplitudes c; returns (u_next, c_next).
 
     ctx is the _Snapshot of the velocity at the new time level; passing
     the same one to every step reuses its assembled matrices.
@@ -132,7 +116,7 @@ def step_full(u_prev, state, n, config, ctx):
     mesh, dt = config.mesh, config.tgrid.dt
     t1 = (n + 1) * dt
     lhs, mass = ctx.matrices
-    c, b, test_b = state.amplitudes, ctx.beta, ctx.test_b
+    b, test_b = ctx.beta, ctx.test_b
     proj_u = _pair(ctx.mass_phi_pz, u_prev)
     known = c + proj_u
     # per-element subgrid carry-over, minus the (u^n, p z_j)-driven part
@@ -151,7 +135,7 @@ def step_full(u_prev, state, n, config, ctx):
     u_next = solve_tridiag(sys)
     resid = known - _pair(ctx.mass_phi_pz, u_next) \
         - dt * _pair(ctx.adv_phi_pz, u_next)
-    return u_next, SubgridState(b * resid)
+    return u_next, b * resid
 
 
 def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
@@ -167,7 +151,7 @@ def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
         - dt * _pair(ctx.adv_phi_pz, u_prev)
     if config.source is not None:
         resid += dt * ctx.source_modes(t0)
-    return SubgridState(ctx.beta * resid)
+    return ctx.beta * resid
 
 
 @dataclass
@@ -182,7 +166,7 @@ class FullVmsResult:
         step = c.tgrid.n_steps
         mesh, u, amps = c.mesh, self.history[step], self.amplitudes
         a_elem = mesh_fem.project_velocity(c.velocity, mesh,
-                                           step * c.tgrid.dt, c.velocity_rule)
+                                           step * c.tgrid.dt)
         params, index = kernels.distinct_element_params(
             a_elem, mesh.h, c.mu, c.tgrid.dt)
         xhat = np.linspace(0.0, 1.0, points_per_elem)
@@ -198,10 +182,10 @@ class FullVmsResult:
 def run_full(config):
     """March the full spectral method over the whole time grid; the
     result keeps every nodal level but only the final amplitudes."""
-    u0, state = init_state(config)
-    history, state = mesh_fem.march(
-        config.mesh, config.tgrid, config.velocity, config.velocity_rule,
-        u0, partial(_Snapshot, config),
-        lambda n, u, ctx, _old, state: step_full(u, state, n, config, ctx),
-        carry=state)
-    return FullVmsResult(config, history, state.amplitudes)
+    u0, amplitudes = init_state(config)
+    history, amplitudes = mesh_fem.march(
+        config.mesh, config.tgrid, config.velocity, u0,
+        partial(_Snapshot, config),
+        lambda n, u, ctx, _old, c: step_full(u, c, n, config, ctx),
+        carry=amplitudes)
+    return FullVmsResult(config, history, amplitudes)

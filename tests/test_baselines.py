@@ -112,7 +112,8 @@ def test_stabilized_solvable_table_cases():
     # on all three comparison cases; Hauke's smaller tau loses dominance
     # at P >= 3 but the systems remain well solvable
     from spectral_vms.mesh_fem import (TriDiagSystem, assemble_mass,
-                                       assemble_stiffness, solve_tridiag)
+                                       assemble_stiffness, combine,
+                                       solve_tridiag)
     rng = np.random.default_rng(9)
     for (a, mu, h, dt) in [(300.0, 1.0, 0.02, 1e-2),
                            (100.0, 0.5, 1e-2, 1e-3),
@@ -120,8 +121,9 @@ def test_stabilized_solvable_table_cases():
         mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
         for kind in ("OneD", "Codina", "Hauke", "Franca"):
             t = tau(StabChoice(kind), a, mu, h, dt)
-            m = assemble_mass(mesh) + dt * assemble_stiffness(
-                mesh, a, mu) + (dt * a * a * t) * assemble_stab_matrix(mesh)
+            m = combine(lambda m, r, s: m + dt * r + (dt * a * a * t) * s,
+                        assemble_mass(mesh), assemble_stiffness(mesh, a, mu),
+                        assemble_stab_matrix(mesh))
             if kind != "Hauke":
                 dom = np.abs(m.diag[1:-1]) - np.abs(m.sub[:-1]) \
                     - np.abs(m.sup[1:])

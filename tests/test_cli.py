@@ -1,9 +1,11 @@
 import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from spectral_vms.analysis import METHODS
 from spectral_vms.cli import main
 
 
@@ -32,6 +34,38 @@ def test_solve_validation_errors(tmp_path):
     rc = main(["solve", "--method", "spectral-feasible", "--provider",
                "table", "--steps", "1", "--out", out])
     assert rc == 2
+
+
+@pytest.mark.parametrize("t_final, dt, steps", [("0.0105", "0.001", None),
+                                                 ("1e300", "1e-300", None),
+                                                 ("0.01", "0.001", "10")])
+def test_solve_t_final_must_be_a_multiple_of_dt(tmp_path, capsys, t_final,
+                                                dt, steps):
+    out = tmp_path / "x.csv"
+    rc = main(["solve", "--method", "galerkin", "--h", "0.5", "--dt", dt,
+               "--t-final", t_final, "--out", str(out)])
+    if steps is None:
+        assert rc == 2
+        assert "--t-final must be a multiple of --dt" \
+            in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert rc == 0
+        assert "(%s steps" % steps in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", ["--a=nan", "--a=inf", "--mu=nan",
+                                 "--mu=inf", "--dt=nan"])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_non_finite_parameter_exits_2(tmp_path, capsys, method, bad):
+    argv = ["solve", "--method", method, "--h", "0.25", "--steps", "2",
+            "--modes", "4", "--out", str(tmp_path / "x.csv"), bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "non-finite" in err or "finite and positive" in err
 
 
 def test_solve_bad_flag_exits_2(capsys):

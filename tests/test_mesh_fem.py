@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from spectral_vms.mesh_fem import (
-    DirichletBC, Mesh1D, SingularSystemError, TriDiag, TriDiagSystem,
-    VelocityField, apply_dirichlet, assemble_load, assemble_mass,
-    assemble_stiffness, build_uniform_mesh, point_values, project_velocity,
-    solve_tridiag)
+    DirichletBC, Mesh1D, SingularSystemError, TimeGrid, TriDiag,
+    TriDiagSystem, apply_dirichlet, assemble_load, assemble_mass,
+    assemble_stiffness, build_uniform_mesh, combine, point_values,
+    project_velocity, solve_tridiag)
 
 
 def test_uniform_mesh_basics():
@@ -30,18 +32,27 @@ def test_mesh_validation():
 
 def test_project_velocity_constant_and_midpoint():
     mesh = Mesh1D([0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(
-        project_velocity(VelocityField(1000.0), mesh), [1000.0, 1000.0])
-    vals = project_velocity(VelocityField(lambda x, t: x), mesh)
-    np.testing.assert_allclose(vals, [0.25, 0.75])
+    np.testing.assert_array_equal(project_velocity(1000.0, mesh),
+                                  [1000.0, 1000.0])
+    vals = project_velocity(lambda x, t: x + t, mesh, 0.5)
+    np.testing.assert_allclose(vals, [0.75, 1.25])
 
 
-def test_project_velocity_average_first_order():
-    a = VelocityField(lambda x, t: np.sin(np.pi * x))
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf,
+                               lambda x, t: np.nan if x > 0.5 else x])
+def test_project_velocity_rejects_non_finite(a):
+    # a constant goes through the same finiteness check as a callable
+    with pytest.raises(ValueError, match="velocity projection"):
+        project_velocity(a, build_uniform_mesh(0.0, 1.0, 4))
+
+
+def test_project_velocity_midpoint_first_order():
+    def a(x, t):
+        return math.sin(math.pi * x)
     errs = []
     for n in (16, 32):
         mesh = build_uniform_mesh(0.0, 1.0, n)
-        vals = project_velocity(a, mesh, rule="average")
+        vals = project_velocity(a, mesh)
         # dense sampling of the max deviation from the cell values
         worst = 0.0
         for k in range(mesh.n_elems):
@@ -88,8 +99,8 @@ def test_stiffness_rows():
 
 def test_stiffness_advection_skew_and_diffusion_rowsum():
     mesh = build_uniform_mesh(0.0, 1.0, 10)
-    adv = assemble_stiffness(mesh, 3.0, 1.0) - assemble_stiffness(
-        mesh, 0.0, 1.0)
+    adv = combine(np.subtract, assemble_stiffness(mesh, 3.0, 1.0),
+                  assemble_stiffness(mesh, 0.0, 1.0))
     dense = adv.to_dense()
     skew = dense + dense.T
     assert np.all(skew[1:-1, :] == 0.0)
@@ -101,6 +112,28 @@ def test_stiffness_requires_positive_mu():
     mesh = build_uniform_mesh(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         assemble_stiffness(mesh, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_mu_dt_and_t_final_must_be_finite_and_positive(bad):
+    # NaN compares false, so a plain `<= 0` check would let it through
+    from spectral_vms.baselines import StabChoice, tau
+    from spectral_vms.kernels import element_params
+    mesh = build_uniform_mesh(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        assemble_stiffness(mesh, 1.0, bad)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        element_params(1.0, 0.25, bad, 0.1)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        element_params(1.0, 0.25, 1.0, bad)
+    with pytest.raises(ValueError, match="mu must be finite and positive"):
+        tau(StabChoice("Codina"), 1.0, bad, 0.25, 0.1)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        tau(StabChoice("Hauke"), 1.0, 1.0, 0.25, bad)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        TimeGrid(bad, 3)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        TimeGrid.from_dt(bad, 3)
 
 
 def test_solve_identity_and_2x2():
@@ -153,7 +186,8 @@ def test_singular_system_detected():
 
 def test_dirichlet_homogeneous_and_test1_values():
     mesh = build_uniform_mesh(0.0, 1.0, 4)
-    m = assemble_mass(mesh) + 0.1 * assemble_stiffness(mesh, 1.0, 20.0)
+    m = combine(lambda m, r: m + 0.1 * r, assemble_mass(mesh),
+                assemble_stiffness(mesh, 1.0, 20.0))
     rhs = np.ones(mesh.n_nodes)
     sys = apply_dirichlet(TriDiagSystem(m, rhs), DirichletBC.homogeneous(),
                           0.0)
@@ -173,7 +207,8 @@ def test_dirichlet_elimination_consistency():
     # solving the reduced interior system equals the modified full solve
     rng = np.random.default_rng(11)
     mesh = build_uniform_mesh(0.0, 1.0, 8)
-    m = assemble_mass(mesh) + 0.05 * assemble_stiffness(mesh, 2.0, 1.0)
+    m = combine(lambda m, r: m + 0.05 * r, assemble_mass(mesh),
+                assemble_stiffness(mesh, 2.0, 1.0))
     rhs = rng.standard_normal(mesh.n_nodes)
     gl, gr = 0.7, -0.2
     sys = apply_dirichlet(TriDiagSystem(m, rhs), DirichletBC(gl, gr), 0.0)
@@ -292,7 +327,8 @@ def test_nan_on_the_diagonal_is_a_non_finite_solution():
 
 def test_dirichlet_rows_are_built_once_per_matrix():
     mesh = build_uniform_mesh(0.0, 1.0, 4)
-    m = assemble_mass(mesh) + 0.1 * assemble_stiffness(mesh, 1.0, 2.0)
+    m = combine(lambda m, r: m + 0.1 * r, assemble_mass(mesh),
+                assemble_stiffness(mesh, 1.0, 2.0))
     bc = DirichletBC(lambda t: t, lambda t: 1.0 - t)
     first = apply_dirichlet(TriDiagSystem(m, np.ones(5)), bc, 0.25)
     second = apply_dirichlet(TriDiagSystem(m, np.zeros(5)), bc, 0.5)

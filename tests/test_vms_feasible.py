@@ -76,17 +76,23 @@ def _full_equiv_config(mesh, tgrid, a, mu, f, bc, J):
                            bc=bc, source=f, initial=None, n_modes=J)
 
 
-@pytest.mark.parametrize("a", [35.0, -35.0])
-def test_one_level_history_matches_full_method(a):
+@pytest.mark.parametrize("a, rate", [
+    pytest.param(35.0, 0.0, id="35.0"), pytest.param(-35.0, 0.0, id="-35.0"),
+    pytest.param(35.0, 3.0, id="35.0-source-linear-in-t"),
+    pytest.param(-35.0, 3.0, id="-35.0-source-linear-in-t")])
+def test_one_level_history_matches_full_method(a, rate):
     # feasible stepping == full stepping whose subgrid state is rebuilt
-    # from the two-level residual each step
+    # from the two-level residual each step; a source that moves in time
+    # checks that every history term takes the source at its own level
     mesh = build_uniform_mesh(0.0, 1.0, 4)
     mu, dt, J, steps = 0.8, 0.01, 4, 4
     tgrid = TimeGrid(dt * steps, steps)
     bc = DirichletBC(lambda t: 0.1 * np.sin(t), lambda t: 0.2 + t)
 
     def f(x, t):
-        return 0.7  # element-constant source keeps both paths exact
+        # constant in x: the element-constant source keeps both paths
+        # exact
+        return 0.7 + rate * t
 
     def ic(x):
         return np.sin(np.pi * x) + 0.3 * x
@@ -101,7 +107,7 @@ def test_one_level_history_matches_full_method(a):
     ctx = V._Snapshot(vcfg, project_velocity(vcfg.velocity, mesh))
     u = mesh.interpolate(ic)
     ref = [u.copy()]
-    state = V.SubgridState.zeros(mesh.n_elems, J)
+    state = np.zeros((mesh.n_elems, J))
     for n in range(steps):
         if n > 0:
             state = V.approximate_subgrid_state(ref[n - 1], ref[n], n, vcfg,
