@@ -12,7 +12,14 @@ solved by Thomas elimination without pivoting, split into a
 factorisation, computed once per left-hand side and cached on its
 read-only TriDiag, and a substitution per right-hand side.  A pivot
 failure raises SingularSystemError at the first solve with the matrix
-(and at every later one).
+(and at every later one).  Below BLOCK_MIN_ROWS rows the substitution is
+the one-pass loop over Python floats.  From there on it runs in blocks
+of floor(sqrt(n / 12)) rows, as numpy sweeps over all blocks at once
+plus a loop over the block boundaries; its solutions differ from the
+loop's by rounding (at most 7e-15 of max|u| on the compare presets'
+references).  Factors whose block impulse responses would grow keep the
+loop, and so does a blocked solution that is not finite: the loop
+computes it again and decides.
 """
 
 import math
@@ -28,6 +35,7 @@ __all__ = [
     "TriDiag",
     "TriDiagSystem",
     "ThomasFactors",
+    "BlockedFactors",
     "SingularSystemError",
     "check_positive",
     "build_uniform_mesh",
@@ -257,13 +265,15 @@ class TriDiag:
                    np.max(np.abs(self.sup), initial=0.0))
 
     def factors(self):
-        """The ThomasFactors of this matrix, computed at the first call.
+        """The Thomas factors of this matrix as solve_tridiag uses them,
+        ThomasFactors or BlockedFactors, computed at the first call.
 
         A matrix whose elimination fails caches nothing, so every solve
         with it raises SingularSystemError again.
         """
         if self._factors is None:
-            self._factors = factor_tridiag(self)
+            self._factors = _substitution_factors(factor_tridiag(self),
+                                                  _block_size(self.n))
         return self._factors
 
     def dirichlet_rows(self):
@@ -346,8 +356,35 @@ def solve_tridiag(sys):
     Raises SingularSystemError when the factorisation meets a tiny pivot
     and FloatingPointError when the solution is not finite.
     """
-    f = sys.matrix.factors()
-    r = sys.rhs.tolist()
+    return _substitute(sys.matrix.factors(), sys.rhs)
+
+
+def _solve_in_blocks(sys, b):
+    """solve_tridiag with b rows per block in place of _block_size's
+    choice, factoring the matrix afresh; b = 1 is the one-pass loop."""
+    return _substitute(_substitution_factors(factor_tridiag(sys.matrix), b),
+                       sys.rhs)
+
+
+def _substitute(f, rhs):
+    """x with L U x = rhs for ThomasFactors or BlockedFactors f.
+
+    A blocked solution that is not finite, as when a block's local
+    solution overflows where the one-pass loop's values do not, is
+    computed again, once, by the loop, whose result decides.
+    """
+    if isinstance(f, BlockedFactors):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _blocked_substitution(f, rhs)
+        if np.all(np.isfinite(x)):
+            return x
+        f = _unblocked(f)
+    return _thomas_substitution(f, rhs)
+
+
+def _thomas_substitution(f, rhs):
+    """The one-pass forward and back substitution on Python floats."""
+    r = rhs.tolist()
     for i, w in enumerate(f.multipliers):
         r[i + 1] -= w * r[i]
     x = r[-1] / f.pivots[-1]
@@ -359,6 +396,111 @@ def solve_tridiag(sys):
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(_NON_FINITE)
     return x
+
+
+# Row count from which solve_tridiag substitutes in blocks; below it the
+# one-pass loop is faster.
+BLOCK_MIN_ROWS = 300
+
+
+def _block_size(n):
+    """Rows per block of the substitution of an n-row system:
+    floor(sqrt(n / 12)) from BLOCK_MIN_ROWS rows, else 1.
+
+    A solve costs about b numpy sweeps over n / b blocks plus a Python
+    loop over the n / b block boundaries; for n = 321 to 6401 this b was
+    faster than half or twice its value.
+    """
+    return math.isqrt(n // 12) if n >= BLOCK_MIN_ROWS else 1
+
+
+# The Thomas factors of an n-row matrix laid out for substitution in nb
+# blocks of b rows (the partition method of H. H. Wang, ACM TOMS 7(2),
+# 1981, on the two bidiagonal factors).  Row i = k b + j sits at [j, k]
+# of the (b, nb) arrays, rows from n on being identity rows: mult[j, k]
+# multiplies row i - 1 into row i in L, piv and sup are U's diagonal and
+# superdiagonal.  fwd[j, k] is the response of row i of L y = r to a unit
+# first entry of block k, the product of -mult over the block's rows 1..j;
+# bwd[j, k] that of U x = y to a unit last entry, the product of -sup/piv
+# over rows j..b-2.  ends holds, as Python floats per block, mult[0],
+# fwd[b-1], sup[b-1], piv[b-1] and bwd[0]: what the boundary loops read.
+BlockedFactors = namedtuple("BlockedFactors",
+                            "n mult piv sup fwd bwd ends")
+
+
+def _unblocked(f):
+    """The ThomasFactors that BlockedFactors f lays out."""
+    return ThomasFactors(*(a.T.ravel()[lo:hi].tolist() for a, lo, hi in (
+        (f.mult, 1, f.n), (f.piv, 0, f.n), (f.sup, 0, f.n - 1))))
+
+
+def _substitution_factors(f, b):
+    """ThomasFactors f as they are for b = 1, else as BlockedFactors."""
+    if b == 1:
+        return f
+    n = len(f.pivots)
+    nb = -(-n // b)
+
+    def layout(values, pad, first_row):
+        out = np.full(nb * b, pad)
+        out[first_row:first_row + len(values)] = values
+        return out.reshape(nb, b).T.copy()
+
+    mult = layout(f.multipliers, 0.0, 1)
+    piv = layout(f.pivots, 1.0, 0)
+    sup = layout(f.sup, 0.0, 0)
+    fwd, bwd = -mult, -sup / piv
+    if max(np.max(np.abs(fwd)), np.max(np.abs(bwd))) > 1.0:
+        # an impulse response that grows makes the sum of a block's local
+        # solution and its carried part cancel digits that the one-pass
+        # loop keeps
+        return f
+    fwd[0] = 1.0
+    fwd = np.cumprod(fwd, axis=0)
+    bwd[b - 1] = 1.0
+    bwd = np.cumprod(bwd[::-1], axis=0)[::-1].copy()
+    ends = tuple(row.tolist() for row in (mult[0], fwd[b - 1], sup[b - 1],
+                                          piv[b - 1], bwd[0]))
+    return BlockedFactors(n, mult, piv, sup, fwd, bwd, ends)
+
+
+def _blocked_substitution(f, rhs):
+    """x with L U x = rhs, in blocks; see BlockedFactors.
+
+    Each sweep solves all blocks at once with a zero entry carried in,
+    a Python loop over the block boundaries computes each block's carried
+    entry with the one-pass loop's formula, and one update adds the
+    carried entry times the block's impulse response.
+    """
+    b, nb = f.mult.shape
+    mult0, fwd_last, sup_last, piv_last, bwd0 = f.ends
+    buf = np.zeros(nb * b)
+    buf[:f.n] = rhs
+    y = buf.reshape(nb, b).T  # y[j, k] is row k b + j, in place
+    # L y = r: rows 1.. of each block with y[0] taken as zero
+    for j in range(2, b):
+        y[j] -= f.mult[j] * y[j - 1]
+    first = y[0].tolist()
+    last = y[b - 1].tolist()
+    for k in range(1, nb):
+        first[k] -= mult0[k] * (last[k - 1] + fwd_last[k - 1] * first[k - 1])
+    first = np.array(first)
+    y[1:] += f.fwd[1:] * first
+    y[0] = first
+    # U x = y: rows ..b-2 of each block with x[b-1] taken as zero
+    y[b - 2] /= f.piv[b - 2]
+    for j in range(b - 3, -1, -1):
+        y[j] = (y[j] - f.sup[j] * y[j + 1]) / f.piv[j]
+    last = y[b - 1].tolist()
+    start = y[0].tolist()
+    x = 0.0
+    for k in range(nb - 1, -1, -1):
+        last[k] = (last[k] - sup_last[k] * x) / piv_last[k]
+        x = start[k] + bwd0[k] * last[k]
+    last = np.array(last)
+    y[:b - 1] += f.bwd[:b - 1] * last
+    y[b - 1] = last
+    return buf[:f.n]
 
 
 def tridiags_from_blocks(blocks):

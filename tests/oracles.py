@@ -395,18 +395,18 @@ def nsum_kernel(family, m, l, P, S, dps=30):
                 + mp.nsum(lambda k: term(2 * k - 1), [1, mp.inf]))
 
 
-def thomas_solve(sys):
-    """Thomas elimination in one pass over numpy scalars; raises
+def thomas_solve(sys, dtype=np.float64):
+    """Thomas elimination in one pass over numpy scalars of dtype; raises
     SingularSystemError on tiny pivots and FloatingPointError when the
     solution is not finite."""
-    a, d, c = sys.matrix.sub, sys.matrix.diag, sys.matrix.sup
-    n = d.size
+    a, c = sys.matrix.sub.astype(dtype), sys.matrix.sup.astype(dtype)
+    dd = sys.matrix.diag.astype(dtype)
+    rr = sys.rhs.astype(dtype)
+    n = dd.size
     scale = sys.matrix.max_abs()
     if scale == 0.0:
         raise SingularSystemError("zero matrix")
     tol = PIVOT_RTOL * scale
-    dd = d.copy()
-    rr = sys.rhs.copy()
     for i in range(1, n):
         if abs(dd[i - 1]) < tol:
             raise SingularSystemError("pivot %d below tolerance" % (i - 1))
@@ -415,7 +415,7 @@ def thomas_solve(sys):
         rr[i] -= w * rr[i - 1]
     if abs(dd[n - 1]) < tol:
         raise SingularSystemError("pivot %d below tolerance" % (n - 1))
-    x = np.empty(n)
+    x = np.empty(n, dtype)
     x[n - 1] = rr[n - 1] / dd[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (rr[i] - c[i] * x[i + 1]) / dd[i]

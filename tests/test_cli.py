@@ -196,6 +196,25 @@ def test_config_file_defaults_and_override(tmp_path):
     assert (tmp_path / "override.csv").exists()
 
 
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "from_config.csv"
+    flags = {"method": "galerkin", "h": 0.5, "dt": 0.1, "steps": 1,
+             "a": 0.0}
+    cfg.write_text(json.dumps(dict(flags, out=str(out))))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    # the same command without --config parses without the config's values
+    assert main(["solve"]) == 2
+    assert "--method" in capsys.readouterr().err
+    argv = ["solve"] + [a for k, v in flags.items()
+                        for a in ("--" + k, str(v))]
+    assert main(argv) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--config={cfg}"], ["--conf", "{cfg}"]])
 def test_config_file_read_in_every_argparse_spelling(tmp_path, flag):
     cfg = tmp_path / "cfg.json"

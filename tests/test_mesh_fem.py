@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import thomas_solve
+
+from spectral_vms import mesh_fem
 from spectral_vms.mesh_fem import (
     DirichletBC, Mesh1D, SingularSystemError, TimeGrid, TriDiag,
     TriDiagSystem, apply_dirichlet, assemble_load, assemble_mass,
@@ -336,3 +339,79 @@ def test_dirichlet_rows_are_built_once_per_matrix():
     # only the right-hand sides carry the boundary values of their time
     assert (first.rhs[0], first.rhs[-1]) == (0.25, 0.75)
     assert (second.rhs[0], second.rhs[-1]) == (0.5, 0.5)
+
+
+def _decaying_solution_of_growing_recurrence(n):
+    # y_i = r_i - 2 y_{i-1}, with r chosen so that y = 2^-i cos i: a block
+    # of b rows would sum a local solution and a carried part of size 2^b
+    # that cancel (at n = b = 40 the residual was 2e7 eps ||A|| ||x||)
+    m = TriDiag(np.full(n - 1, 2.0), np.ones(n), np.zeros(n - 1))
+    return m, m.matvec(0.5 ** np.arange(n) * np.cos(np.arange(n)))
+
+
+def _overflowing_impulse_products(n):
+    # multipliers 1e14: the impulse products of a block of 24 rows pass
+    # the largest float, and the loop's solution e_{n-1} is finite
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return TriDiag(np.full(n - 1, 1e14), np.ones(n), np.zeros(n - 1)), rhs
+
+
+@pytest.mark.parametrize("make", [_decaying_solution_of_growing_recurrence,
+                                  _overflowing_impulse_products])
+def test_growing_impulse_response_keeps_the_one_pass_loop(make):
+    n = 64
+    m, rhs = make(n)
+    system = TriDiagSystem(m, rhs)
+    want = mesh_fem._solve_in_blocks(system, 1)
+    for b in (2, 8, 24, n):
+        factors = mesh_fem._substitution_factors(
+            mesh_fem.factor_tridiag(m), b)
+        assert not isinstance(factors, mesh_fem.BlockedFactors)
+        assert mesh_fem._solve_in_blocks(system, b).tobytes() \
+            == want.tobytes()
+
+
+def test_overflowing_blocked_solution_falls_back_to_the_loop():
+    # the block sums form 1e308 / 0.5 = inf before the carried entry
+    # cancels half of it; the loop divides 1e308 - 0.5e308 and is finite
+    m = TriDiag([0.0], [0.5, 1.0], [0.5])
+    factors = mesh_fem._substitution_factors(mesh_fem.factor_tridiag(m), 2)
+    assert isinstance(factors, mesh_fem.BlockedFactors)
+    system = TriDiagSystem(m, [1e308, 1e308])
+    with np.errstate(all="raise"):
+        x = mesh_fem._solve_in_blocks(system, 2)
+    np.testing.assert_array_equal(x, [1e308, 1e308])
+    assert x.tobytes() == mesh_fem._solve_in_blocks(system, 1).tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double wider than a double")
+@pytest.mark.parametrize("preset", ["test2-big-peclet", "test2-small-dt",
+                                    "test2-cfl", "test3-a", "test3-b",
+                                    "test3-c"])
+def test_blocked_solve_of_the_fine_reference_is_as_accurate_as_the_loop(
+        preset):
+    # the first step of the 64x finer Galerkin run that stands in for the
+    # semi-discrete reference (n = 3201 and 6401); against the loop in
+    # long double, the loop's own float64 error reaches 4.8e-12 of max|x|
+    # (test3-c) and the blocked path's stays within 1.01 times it
+    from spectral_vms.analysis import PRESETS
+    from spectral_vms.baselines import step_matrices
+    p = PRESETS[preset]
+    mesh = p.mesh()
+    fine = build_uniform_mesh(0.0, 1.0, 64 * p.n_elems)
+    lhs, mass = step_matrices(fine, np.full(fine.n_elems, p.a), p.mu, p.dt)
+    u0 = np.interp(fine.nodes, mesh.nodes, mesh.interpolate(p.initial()))
+    system = apply_dirichlet(TriDiagSystem(lhs, mass.matvec(u0)),
+                             p.dirichlet(), p.dt)
+    assert isinstance(system.matrix.factors(), mesh_fem.BlockedFactors)
+    exact = thomas_solve(system, np.longdouble)
+    scale = float(np.max(np.abs(exact)))
+
+    def error(x):
+        return float(np.max(np.abs(x - exact)))
+
+    loop = error(mesh_fem._solve_in_blocks(system, 1))
+    assert error(solve_tridiag(system)) \
+        <= 2.0 * loop + 4.0 * np.finfo(float).eps * scale
