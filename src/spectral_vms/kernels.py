@@ -669,20 +669,17 @@ def element_mode_arrays(params, n_modes):
 _PROJECTION_BLOCK_FLOATS = 1 << 18
 
 
-def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32,
-                           nodal=None):
+def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32):
     """Per-mode weighted source terms <f, p z_j> on every element, as an
     (n_elems, n_modes) array.
 
     f(x, t) is an array callable; element k has the parameters at entry
-    index[k] of the params arrays.  With nodal values u, the projected
-    function is the bubble f - I_h u, f minus the element's linear
-    interpolant of u.  The weighted mode p z_j equals sqrt(2/h)
-    exp(-sign(a) P xhat) sin(j pi xhat).  An n_gauss Gauss rule is
-    applied per panel, with enough panels that the highest requested
-    mode is resolved.  f is called once per block of elements, each
-    block holding at most _PROJECTION_BLOCK_FLOATS products of mode and
-    quadrature values.
+    index[k] of the params arrays.  The weighted mode p z_j equals
+    sqrt(2/h) exp(-sign(a) P xhat) sin(j pi xhat).  An n_gauss Gauss
+    rule is applied per panel, with enough panels that the highest
+    requested mode is resolved.  f is called once per block of elements,
+    each block holding at most _PROJECTION_BLOCK_FLOATS products of mode
+    and quadrature values.
     """
     panels = max(1, int(np.ceil(n_modes / 8.0)))
     xg, wg = _composite_gauss01(n_gauss, panels)
@@ -696,10 +693,6 @@ def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32,
         rows = slice(start, start + block)
         x = x_left[rows] + h[rows] * xg
         fx = mesh_fem.point_values(f, x, t, name="projected function")
-        if nodal is not None:
-            s = (x - x_left[rows]) / h[rows]
-            fx = fx - (nodal[:-1, None][rows] * (1.0 - s)
-                       + nodal[1:, None][rows] * s)
         # elementwise product and .sum over the quadrature axis, not
         # matmul or einsum: the arithmetic of a one-element projection, so
         # the result does not move by roundoff with the block layout

@@ -137,13 +137,12 @@ class FeasibleMatrices:
                        + dt * (1.0 + dt) * b4, self.B3, self.B4)
 
 
-def _element_blocks(provider, params, index):
+def _element_blocks(provider, params):
     """The A1 and B1 kernel blocks of every element, arrays (n_elems, 2,
     2) indexed [k, m, l], from one provider query over the distinct
     (P, S) of the elements."""
     (P, S), key_of = kernels.distinct_rows((params.P, params.S))
-    gather = key_of[index]
-    return tuple(np.moveaxis(block, -1, 0)[gather]
+    return tuple(np.moveaxis(block, -1, 0)[key_of]
                  for block in provider.blocks(P, S))
 
 
@@ -171,8 +170,8 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     """
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
-    params, index = kernels.distinct_element_params(a_elem, mesh.h, mu, dt)
-    element_blocks = _element_blocks(provider, params, index)
+    element_blocks = _element_blocks(
+        provider, kernels.element_params(a_elem, mesh.h, mu, dt))
     h = mesh.h[:, None, None]
     a_abs = np.abs(a_elem)[:, None, None]
     blocks = []

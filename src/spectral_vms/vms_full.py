@@ -46,29 +46,33 @@ class _Snapshot:
     """Element data of one velocity snapshot, stacked over elements.
 
     The kernels.element_mode_arrays entries, computed once per distinct
-    (a, h) in one call, are gathered into (n_elems, 2, J) arrays and beta
-    into an (n_elems, J) array; element k has the parameters at entry
-    index[k] of params.
+    (a, h) in one call, are combined into trial = (phi_m, p z_j) +
+    dt b(phi_m, p z_j) and test_b = (z_j, phi_l) + dt b(z_j, phi_l), and
+    gathered into (n_elems, 2, J) arrays and beta into an (n_elems, J)
+    array; element k has the parameters at entry index[k] of params.
     """
 
     def __init__(self, config, a_elem):
         self.config = config
         self.a_elem = a_elem
+        dt = config.tgrid.dt
         self.params, self.index = kernels.distinct_element_params(
-            a_elem, config.mesh.h, config.mu, config.tgrid.dt)
+            a_elem, config.mesh.h, config.mu, dt)
         per_key = kernels.element_mode_arrays(self.params, config.n_modes)
+        per_key["trial"] = per_key["mass_phi_pz"] \
+            + dt * per_key.pop("adv_phi_pz")
+        per_key["test_b"] = per_key["mass_z_phi"] \
+            + dt * per_key.pop("adv_z_phi")
         for name, arr in per_key.items():
             setattr(self, name, arr[self.index])
-        # (z_j, phi_l) + dt b(z_j, phi_l)
-        self.test_b = self.mass_z_phi + config.tgrid.dt * self.adv_z_phi
 
     @cached_property
     def matrices(self):
         """(lhs, mass): M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4), and M."""
         mesh, dt = self.config.mesh, self.config.tgrid.dt
         mass = assemble_mass(mesh)
-        trial = self.mass_phi_pz + dt * self.adv_phi_pz
-        closure = np.einsum("kj,kmj,klj->klm", self.beta, trial, self.test_b)
+        closure = np.einsum("kj,kmj,klj->klm", self.beta, self.trial,
+                            self.test_b)
         lhs = combine(lambda m, r, c: m + dt * r - c, mass,
                       assemble_stiffness(mesh, self.a_elem, self.config.mu),
                       TriDiag.from_blocks(closure))
@@ -92,7 +96,8 @@ def init_state(config):
 
     Amplitudes start at zero unless project_initial_subgrid is set, in
     which case the interpolation remainder u0 - I_h(u0) is projected onto
-    the first modes in the weighted inner product.
+    the first modes in the weighted inner product: u0 by quadrature,
+    minus the closed-form pairing (phi_m, p z_j) of I_h(u0).
     """
     mesh = config.mesh
     u0 = mesh.interpolate(config.initial)
@@ -101,41 +106,38 @@ def init_state(config):
     a_elem = mesh_fem.project_velocity(config.velocity, mesh, 0.0)
     params, index = kernels.distinct_element_params(
         a_elem, mesh.h, config.mu, config.tgrid.dt)
-    return u0, kernels.source_mode_projection(
+    mass_phi_pz = kernels.element_mode_arrays(
+        params, config.n_modes)["mass_phi_pz"]
+    projected = kernels.source_mode_projection(
         lambda x, t: config.initial(x), 0.0, mesh, params, index,
-        config.n_modes, n_gauss=64, nodal=u0)
+        config.n_modes, n_gauss=64)
+    return u0, projected - _pair(mass_phi_pz[index], u0)
 
 
 def step_full(u_prev, c, n, config, ctx):
     """One backward-Euler spectral step from the nodal values u_prev and
     the subgrid amplitudes c; returns (u_next, c_next).
 
-    ctx is the _Snapshot of the velocity at the new time level; passing
-    the same one to every step reuses its assembled matrices.
+    With known = c + (phi_m, p z_j) u^n [+ dt f_j], the new amplitudes
+    are beta (known - trial u^{n+1}).  ctx is the _Snapshot of the
+    velocity at the new time level; passing the same one to every step
+    reuses its assembled matrices.
     """
     mesh, dt = config.mesh, config.tgrid.dt
     t1 = (n + 1) * dt
     lhs, mass = ctx.matrices
-    b, test_b = ctx.beta, ctx.test_b
-    proj_u = _pair(ctx.mass_phi_pz, u_prev)
-    known = c + proj_u
-    # per-element subgrid carry-over, minus the (u^n, p z_j)-driven part
-    # of the closure
-    local = np.einsum("kj,klj->kl", (1.0 - b) * c, ctx.mass_z_phi) \
-        - np.einsum("kj,klj->kl", b * (c * dt), ctx.adv_z_phi) \
-        - np.einsum("kj,klj->kl", b * proj_u, test_b)
+    known = c + _pair(ctx.mass_phi_pz, u_prev)
     if config.source is not None:
-        f_mode = ctx.source_modes(t1)
-        known += dt * f_mode
-        local -= np.einsum("kj,klj->kl", b * dt * f_mode, test_b)
+        known += dt * ctx.source_modes(t1)
+    # the subgrid carry-over minus the u^{n+1}-free part of the closure
+    local = np.einsum("kj,klj->kl", c, ctx.mass_z_phi) \
+        - np.einsum("kj,klj->kl", ctx.beta * known, ctx.test_b)
     rhs = mass.matvec(u_prev) + dt * assemble_load(mesh, config.source, t1) \
         + sum_element_vectors(local)
 
     sys = apply_dirichlet(TriDiagSystem(lhs, rhs), config.bc, t1)
     u_next = solve_tridiag(sys)
-    resid = known - _pair(ctx.mass_phi_pz, u_next) \
-        - dt * _pair(ctx.adv_phi_pz, u_next)
-    return u_next, b * resid
+    return u_next, ctx.beta * (known - _pair(ctx.trial, u_next))
 
 
 def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
@@ -145,12 +147,10 @@ def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
     into step_full reproduces the tabulated method's one-level history
     exactly (constant-in-time velocity).
     """
-    dt = config.tgrid.dt
-    t0 = n * dt
-    resid = _pair(ctx.mass_phi_pz, u_prevprev - u_prev) \
-        - dt * _pair(ctx.adv_phi_pz, u_prev)
+    resid = _pair(ctx.mass_phi_pz, u_prevprev) - _pair(ctx.trial, u_prev)
     if config.source is not None:
-        resid += dt * ctx.source_modes(t0)
+        dt = config.tgrid.dt
+        resid += dt * ctx.source_modes(n * dt)
     return ctx.beta * resid
 
 

@@ -639,8 +639,10 @@ def _full_lhs_amplification(config):
     """
     mesh, dt = config.mesh, config.tgrid.dt
     ctx = V._Snapshot(config, project_velocity(config.velocity, mesh, dt))
-    trial = np.abs(ctx.mass_phi_pz) + dt * np.abs(ctx.adv_phi_pz)
-    test = np.abs(ctx.mass_z_phi) + dt * np.abs(ctx.adv_z_phi)
+    arr = {name: value[ctx.index] for name, value in
+           K.element_mode_arrays(ctx.params, config.n_modes).items()}
+    trial = np.abs(arr["mass_phi_pz"]) + dt * np.abs(arr["adv_phi_pz"])
+    test = np.abs(arr["mass_z_phi"]) + dt * np.abs(arr["adv_z_phi"])
     closure = np.einsum("kj,kmj,klj->klm", np.abs(ctx.beta), trial, test)
     terms = (assemble_mass(mesh).to_dense()
              + dt * np.abs(assemble_stiffness(mesh, ctx.a_elem,
