@@ -55,7 +55,6 @@ def build_parser():
     off.add_argument("--delta", type=float, default=0.02)
     off.add_argument("--m", type=int, default=1000)
     off.add_argument("--workers", type=int, default=1)
-    off.add_argument("--progress", action="store_true")
     off.add_argument("--out")
 
     sol = sub.add_parser("solve", help="run one method")
@@ -145,8 +144,7 @@ def _make_provider(args):
 def cmd_offline(args):
     _require(args, "out")
     grid = table_mod.TableGrid(delta=args.delta, m=args.m)
-    table = table_mod.generate_table(grid, workers=args.workers,
-                                     progress=args.progress)
+    table = table_mod.generate_table(grid, workers=args.workers)
     table_mod.save_table(table, args.out)
     print("wrote %s (delta=%g, m=%d, %d families)"
           % (args.out, grid.delta, grid.m, len(table.families())))

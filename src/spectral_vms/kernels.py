@@ -12,8 +12,9 @@ Exponentials are evaluated in midpoint-shifted form (exp(+-P/2) factors
 kept symbolic until products are formed) so large-P products do not
 overflow prematurely.
 
-The feasible method's eight kernel families are sums of the entries of
-two 2x2 blocks, A1 and B1, at the element's (P, S).  green_blocks
+The feasible method's kernels, the eight families below and the
+pairings vms_feasible assembles, are sums of the entries of two 2x2
+blocks, A1 and B1, at the element's (P, S).  green_blocks
 evaluates them in closed form, as bilinear forms of the element Green's
 function; series_blocks sums exactly n modes of their series.  No solver
 path uses the epsilon-truncated series (sum_series_multi,
@@ -242,8 +243,6 @@ FAMILIES = {
         Family("B4", 2, "d", "e"),
     ]
 }
-
-FAMILY_ORDER = ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4"]
 
 
 def _entry_sides(fam, m, l, sides):

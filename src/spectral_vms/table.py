@@ -78,7 +78,7 @@ def _compute_row(args):
     return a1.reshape(4, -1), b1.reshape(4, -1)
 
 
-def generate_table(grid, workers=1, progress=False):
+def generate_table(grid, workers=1):
     """Tabulate the A1 and B1 kernels over the whole (P, S) grid.
 
     Rows (fixed P) are evaluated one at a time, so temporaries stay
@@ -98,8 +98,6 @@ def generate_table(grid, workers=1, progress=False):
     for i, (a1, b1) in enumerate(results):
         values["A1"][:, i, :] = a1
         values["B1"][:, i, :] = b1
-        if progress and (i + 1) % 50 == 0:
-            print("table rows %d/%d" % (i + 1, grid.m), flush=True)
     return KernelTable(grid=grid, values=values)
 
 

@@ -1,23 +1,27 @@
 """Feasible spectral multiscale stepper.
 
-Drops the deepest level of the subgrid history so each step becomes a
-two-level linear recursion on nodal values whose extra matrices depend
-only on the per-element parameters (P, S).  Those dimensionless kernels
-are sums of entries of the A1 and B1 blocks, which come from a provider:
-closed forms from the element Green's function, series over a fixed
-number of modes, or interpolation of an offline table.
+Drops the deepest level of the subgrid history: the amplitudes that
+vms_full.step_full carries are rebuilt every step from the two-level
+residual, so each step becomes a two-level linear recursion on nodal
+values.  Every operator of that recursion is a pairing sum_j w_j T_j X_j
+of a trial side T, step_full's trial (phi_m, p z_j) + dt b(phi_m, p z_j)
+or its plain part, with a test side X, step_full's test_b (z_j, phi_l) +
+dt b(z_j, phi_l), its plain part or the part of b alone, weighted by
+w = beta or beta^2.  On an element these depend only on the parameters
+(P, S), as sums of entries of the dimensionless A1 (beta) and B1
+(beta^2) blocks, which come from a provider: closed forms from the
+element Green's function, series over a fixed number of modes, or
+interpolation of an offline table.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
-from .kernels import FAMILY_ORDER
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
                        assemble_load, assemble_mass, assemble_stiffness,
-                       combine, solve_tridiag)
+                       combine, solve_tridiag, sum_element_vectors)
 
 __all__ = ["DirectKernelProvider", "TableKernelProvider",
            "NullKernelProvider", "FeasibleConfig", "FeasibleMatrices",
@@ -81,60 +85,27 @@ class NullKernelProvider:
         return zero, zero
 
 
+# The pairings a step applies, as (kernel block, trial side, test side):
+# "0" is the plain side, "dt" the side with dt b, and "e" the e part of
+# the test side's b alone.
+PAIRINGS = [("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0"),
+            ("A", "0", "0"), ("B", "dt", "dt"), ("B", "0", "dt"),
+            ("B", "dt", "e"), ("B", "0", "e")]
+
+
 @dataclass
 class FeasibleMatrices:
-    """Subgrid matrices of one velocity snapshot, physical units.
+    """Subgrid pairings of one velocity snapshot, physical units.
 
-    The combinations a step applies are formed at their first use and
-    kept with the snapshot, so every step with it reuses them.
+    pairings maps each key of PAIRINGS to its assembled TriDiag, and
+    row_sums to its element row sums [k, i], which times the element's
+    midpoint source give the pairing's source terms.
     """
 
-    A1: TriDiag
-    A2: TriDiag
-    A3: TriDiag
-    A4: TriDiag
-    B1: TriDiag
-    B2: TriDiag
-    B3: TriDiag
-    B4: TriDiag
+    pairings: dict
+    row_sums: dict
     mass: TriDiag
-    lhs: TriDiag  # M + dt R - (A1 + dt A2 + dt A3 + dt^2 A4)
-    a_elem: np.ndarray
-    element_blocks: tuple  # A1 and B1 kernels per element, [k, m, l]
-    dt: float
-
-    @cached_property
-    def a1_dt_a3(self):
-        """A1 + dt A3, applied to u^n at the new level."""
-        dt = self.dt
-        return combine(lambda a1, a3: a1 + dt * a3, self.A1, self.A3)
-
-    @cached_property
-    def a1_dt_a2(self):
-        """A1 + dt A2, applied to u^n at the old level."""
-        dt = self.dt
-        return combine(lambda a1, a2: a1 + dt * a2, self.A1, self.A2)
-
-    @cached_property
-    def b_main(self):
-        """B1 + dt B2 + dt B3 + dt^2 B4, the main-text pairing on u^n."""
-        dt = self.dt
-        return combine(lambda b1, b2, b3, b4:
-                       b1 + dt * b2 + dt * b3 + dt * dt * b4,
-                       self.B1, self.B2, self.B3, self.B4)
-
-    @cached_property
-    def b1_dt_b3(self):
-        """B1 + dt B3, the main-text pairing on u^{n-1}."""
-        dt = self.dt
-        return combine(lambda b1, b3: b1 + dt * b3, self.B1, self.B3)
-
-    @cached_property
-    def b_appendix(self):
-        """(1 + dt) B3 + dt (1 + dt) B4, the appendix pairing on u^n."""
-        dt = self.dt
-        return combine(lambda b3, b4: (1.0 + dt) * b3
-                       + dt * (1.0 + dt) * b4, self.B3, self.B4)
+    lhs: TriDiag  # M + dt R - A(dt, dt)
 
 
 def _element_blocks(provider, params):
@@ -146,13 +117,6 @@ def _element_blocks(provider, params):
                  for block in provider.blocks(P, S))
 
 
-def _families(k1):
-    """Kernels of families 1-4 from the blocks k1 of family 1, indexed
-    [k, m, l], [k, l], [k, m] and [k]: a d side sums over m and an e side
-    over l, because d0 = a0 + a1 and e0 = c0 + c1."""
-    return k1, k1.sum(axis=1), k1.sum(axis=2), k1.sum(axis=(1, 2))
-
-
 def _mirror(local, a_elem, n_local):
     """Flip the n_local trailing local indices of the elements with
     a < 0; the element axis comes just before them."""
@@ -161,63 +125,43 @@ def _mirror(local, a_elem, n_local):
 
 
 def assemble_matrices(mesh, a_elem, mu, dt, provider):
-    """Assemble A1..A4 and B1..B4 from per-element kernels, and the
-    left-hand side that every step with this velocity solves.
+    """Assemble the PAIRINGS from per-element kernels, and the left-hand
+    side that every step with this velocity solves.
 
-    For a < 0 the element is mirrored: the positive-velocity block is
-    built with |a| and flipped in both local indices.  The element blocks
-    of all eight families are mirrored and scattered as one stack.
+    On an element with a > 0, b(phi_m, p z_j) = (|a|/h) s_m d_j and
+    b(z_j, phi_l) = -(|a|/h) s_l e_j, where s is the sign of each hat's
+    gradient, d = a_0 + a_1 and e = c_0 + c_1 in the dimensionless sides
+    of the kernel blocks K[m, l] = sum_j w_j a_m c_l.  A pairing with
+    trial rows T[j, m] and test rows X[i, l] is then the element block
+    2 h (X K^T T^T)[i, j], where T is I or I + dt G and X is I, I - dt G
+    or -G, with G[i, :] = (|a|/h) s_i.  For a < 0 the element is
+    mirrored: the block is built with |a| and flipped in both local
+    indices.
     """
     a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
                              (mesh.n_elems,))
-    element_blocks = _element_blocks(
-        provider, kernels.element_params(a_elem, mesh.h, mu, dt))
-    h = mesh.h[:, None, None]
-    a_abs = np.abs(a_elem)[:, None, None]
-    blocks = []
-    for k1, k2, k3, k4 in map(_families, element_blocks):
-        blocks += [
-            2.0 * h * k1.transpose(0, 2, 1),
-            2.0 * a_abs * _SIGN[None, :] * k2[:, :, None],
-            -2.0 * a_abs * _SIGN[:, None] * k3[:, None, :],
-            -(2.0 * a_abs ** 2 / h)
-            * np.outer(_SIGN, _SIGN) * k4[:, None, None],
-        ]
-    mats = dict(zip(FAMILY_ORDER, mesh_fem.tridiags_from_blocks(
-        _mirror(np.stack(blocks), a_elem, 2))))
+    # G of every element
+    grad = (np.abs(a_elem) / mesh.h)[:, None, None] \
+        * np.outer(_SIGN, np.ones(2))
+    trial_dt = np.swapaxes(np.eye(2) + dt * grad, 1, 2)
+    two_h = 2.0 * mesh.h[:, None, None]
+    sides = {}
+    for name, k in zip("AB", _element_blocks(
+            provider, kernels.element_params(a_elem, mesh.h, mu, dt))):
+        plain = two_h * np.swapaxes(k, 1, 2)
+        for trial, block in (("0", plain), ("dt", plain @ trial_dt)):
+            b_part = grad @ block  # the test side's b, before its dt
+            sides[name, trial] = {"0": block, "dt": block - dt * b_part,
+                                  "e": -b_part}
+    blocks = _mirror(np.stack([sides[k, t][x] for k, t, x in PAIRINGS]),
+                     a_elem, 2)
+    pairings = dict(zip(PAIRINGS, mesh_fem.tridiags_from_blocks(blocks)))
     mass = assemble_mass(mesh)
-    lhs = combine(lambda m, r, a1, a2, a3, a4:
-                  m + dt * r - (a1 + dt * a2 + dt * a3 + dt * dt * a4),
-                  mass, assemble_stiffness(mesh, a_elem, mu), mats["A1"],
-                  mats["A2"], mats["A3"], mats["A4"])
-    return FeasibleMatrices(**mats, mass=mass, lhs=lhs, a_elem=a_elem,
-                            element_blocks=element_blocks, dt=dt)
-
-
-def _force_vectors(mesh, mats, f, t):
-    """Subgrid force vectors F1, F2 (beta weights) and F3, F4 (beta^2).
-
-    The force series Fd0, Fe0, Fbd0 and Fbe0 have the sides and weight
-    power of families 2 and 4, so they are read from those kernels.  The
-    source is projected to its element-midpoint value, matching the
-    element-constant kernel reduction.
-    """
-    if f is None:
-        return dict.fromkeys(("F1", "F2", "F3", "F4"), np.zeros(mesh.n_nodes))
-    f_mid = mesh_fem.point_values(f, mesh.nodes[:-1] + 0.5 * mesh.h, t,
-                                  name="source")[:, None]
-    a_abs = np.abs(mats.a_elem)[:, None]
-
-    def scatter(vec):
-        return mesh_fem.sum_element_vectors(_mirror(vec, mats.a_elem, 1))
-
-    out = {}
-    for (f_2, f_4), k1 in zip((("F1", "F2"), ("F3", "F4")),
-                              mats.element_blocks):
-        _, k2, _, k4 = _families(k1)
-        out[f_2] = scatter(2.0 * mesh.h[:, None] * f_mid * k2)
-        out[f_4] = scatter(-2.0 * a_abs * f_mid * _SIGN * k4[:, None])
-    return out
+    lhs = combine(lambda m, r, p: m + dt * r - p, mass,
+                  assemble_stiffness(mesh, a_elem, mu),
+                  pairings["A", "dt", "dt"])
+    return FeasibleMatrices(pairings, dict(zip(PAIRINGS, blocks.sum(axis=-1))),
+                            mass, lhs)
 
 
 @dataclass
@@ -251,36 +195,55 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
     levels (identical objects for a constant velocity).  sys_old is None
     at the first step, which drops every subgrid-history term, as a zero
     initial subgrid does; carry is not read there.  Otherwise carry is
-    (u^{n-1}, the force vectors of sys_old at t_n), as the previous step
-    returned them, so each snapshot's source is evaluated once per time
-    level.
+    (u^{n-1}, the midpoint source at t_n), as the previous step returned
+    them, so the source is evaluated once per time level.
+
+    The terms are those of vms_full.step_full, whose right-hand side
+    holds c (z_j, phi_l) - beta known test_b with known = c +
+    (phi_m, p z_j) u^n + dt f_j(t_{n+1}), once the amplitudes c are
+    rebuilt from the old level as vms_full.approximate_subgrid_state
+    does: beta_old ((phi_m, p z_j) u^{n-1} - trial u^n + dt f_j(t_n)).
+    The plain part of known gives -A(0, dt) u^n and its source; c
+    (z_j, phi_l) gives the old level's A(0, 0) u^{n-1} - A(dt, 0) u^n
+    and source; and -beta c test_b gives, with beta^2 weights, the main
+    pairing's B(dt, dt) u^n - B(0, dt) u^{n-1} and the old level's
+    source.  The appendix pairing replaces that last part with the
+    literal reading of the boxed G1 definition.
     """
     dt = config.tgrid.dt
     t1 = (n + 1) * dt
+    new = sys_new.pairings
     rhs = sys_new.mass.matvec(u)
-    rhs -= sys_new.a1_dt_a3.matvec(u)
+    rhs -= new["A", "0", "dt"].matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
-    fv_new = _force_vectors(config.mesh, sys_new, config.source, t1)
-    rhs -= dt * fv_new["F1"] + dt * dt * fv_new["F2"]
+    f_new = None if config.source is None else mesh_fem.point_values(
+        config.source, config.mesh.midpoints, t1, name="source")
+    # (weight, snapshot, pairing, midpoint source) of each source term
+    sources = [(-dt, sys_new, ("A", "0", "dt"), f_new)]
     if sys_old is not None:
-        u_prev, fv_old = carry
-        rhs -= sys_old.a1_dt_a2.matvec(u)
-        rhs += sys_old.A1.matvec(u_prev)
-        rhs += dt * fv_old["F1"]
+        old, (u_prev, f_old) = sys_old.pairings, carry
+        rhs -= old["A", "dt", "0"].matvec(u)
+        rhs += old["A", "0", "0"].matvec(u_prev)
+        sources.append((dt, sys_old, ("A", "0", "0"), f_old))
         if config.g_pairing == "main":
-            rhs += sys_new.b_main.matvec(u)
-            rhs -= sys_new.b1_dt_b3.matvec(u_prev)
+            rhs += new["B", "dt", "dt"].matvec(u)
+            rhs -= new["B", "0", "dt"].matvec(u_prev)
             # the beta^2 source terms belong to the subgrid state
             # rebuilt at t_n, so they come from the source at t_n
-            rhs -= dt * fv_old["F3"] + dt * dt * fv_old["F4"]
+            sources.append((-dt, sys_old, ("B", "0", "dt"), f_old))
         else:
             # literal reading of the boxed G1 definition: both G vectors
             # carry the advective pairing
-            rhs += sys_new.b_appendix.matvec(u)
-            rhs -= (1.0 + dt) * sys_new.B3.matvec(u_prev)
-            rhs -= dt * (1.0 + dt) * fv_new["F4"]
+            rhs += (1.0 + dt) * (new["B", "dt", "e"].matvec(u)
+                                 - new["B", "0", "e"].matvec(u_prev))
+            sources.append((-dt * (1.0 + dt), sys_new, ("B", "0", "e"),
+                            f_new))
+    if f_new is not None:
+        rhs += sum_element_vectors(sum(
+            weight * f_mid[:, None] * snap.row_sums[key]
+            for weight, snap, key, f_mid in sources))
     sys = apply_dirichlet(TriDiagSystem(sys_new.lhs, rhs), config.bc, t1)
-    return solve_tridiag(sys), (u, fv_new)
+    return solve_tridiag(sys), (u, f_new)
 
 
 def run_feasible(config):

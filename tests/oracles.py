@@ -19,7 +19,10 @@ import numpy as np
 
 from spectral_vms import kernels as K
 from spectral_vms.kernels import FAMILIES
-from spectral_vms.mesh_fem import PIVOT_RTOL, SingularSystemError
+from spectral_vms.mesh_fem import (PIVOT_RTOL, SingularSystemError,
+                                   assemble_load, assemble_mass,
+                                   assemble_stiffness, project_velocity)
+from spectral_vms.vms_feasible import DirectKernelProvider
 
 
 @lru_cache(maxsize=64)
@@ -60,7 +63,7 @@ def family_entries(names):
             for l in ((0, 1) if FAMILIES[name].side2 == "c" else (0,))]
 
 
-ALL_ENTRIES = family_entries(K.FAMILY_ORDER)
+ALL_ENTRIES = family_entries(FAMILIES)
 
 
 def series_terms(family, m, l, P, S, n_modes):
@@ -206,6 +209,102 @@ def monolithic_step_oracle(mesh, a_elem, mu, dt, f, bc, t1, u0, c0, J):
     rhs[nn - 1] = gr_val
     sol = np.linalg.solve(A, rhs)
     return sol[:nn], sol[nn:].reshape(ne, J)
+
+
+def _family_form(mesh, a_elem, mu, dt):
+    """Dense A1..B4 of one velocity snapshot, built family by family from
+    the closed-form A1/B1 blocks, and a function of the midpoint source
+    values giving the force vectors F1..F4."""
+    h, a_abs = mesh.h, np.abs(a_elem)
+    sgn = np.array([-1.0, 1.0])
+    params = K.element_params(a_elem, h, mu, dt)
+    blocks = DirectKernelProvider().blocks(params.P, params.S)
+    mats, family_sums = {}, []
+    for prefix, block in zip("AB", blocks):
+        k1 = np.moveaxis(block, -1, 0)  # [k, m, l]
+        k2, k3, k4 = k1.sum(axis=1), k1.sum(axis=2), k1.sum(axis=(1, 2))
+        local = {
+            "1": 2.0 * h[:, None, None] * k1.transpose(0, 2, 1),
+            "2": 2.0 * a_abs[:, None, None] * sgn[None, None, :]
+            * k2[:, :, None],
+            "3": -2.0 * a_abs[:, None, None] * sgn[None, :, None]
+            * k3[:, None, :],
+            "4": -(2.0 * a_abs ** 2 / h)[:, None, None]
+            * np.outer(sgn, sgn) * k4[:, None, None],
+        }
+        for idx, elem in local.items():
+            dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
+            for k in range(mesh.n_elems):
+                block_k = elem[k][::-1, ::-1] if a_elem[k] < 0 else elem[k]
+                dense[k:k + 2, k:k + 2] += block_k
+            mats[prefix + idx] = dense
+        family_sums.append((k2, k4))
+
+    def forces(f_mid):
+        out = {}
+        for (f_2, f_4), (k2, k4) in zip((("F1", "F2"), ("F3", "F4")),
+                                        family_sums):
+            for name, local in (
+                    (f_2, 2.0 * h[:, None] * f_mid[:, None] * k2),
+                    (f_4, -2.0 * a_abs[:, None] * f_mid[:, None] * sgn
+                     * k4[:, None])):
+                vec = np.zeros(mesh.n_nodes)
+                for k in range(mesh.n_elems):
+                    vec[k:k + 2] += (local[k][::-1] if a_elem[k] < 0
+                                     else local[k])
+                out[name] = vec
+        return out
+    return mats, forces
+
+
+def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0,
+                              g_pairing):
+    """History of the feasible method written with the eight kernel
+    families A1..B4 and the force vectors F1..F4, on dense matrices.
+
+    velocity is a number or a callable a(x, t) of one point; source is a
+    callable f(x, t) of a point array, taken at the element midpoints
+    for F1..F4.  Each step solves (M + dt R - A1 - dt A2 - dt A3 -
+    dt^2 A4) u^{n+1} = rhs with Dirichlet rows, as the family form of
+    the two-level recursion had it.
+    """
+    dt = tgrid.dt
+    M = assemble_mass(mesh).to_dense()
+    history = [np.asarray(u0, dtype=float)]
+    old = None
+    for n in range(tgrid.n_steps):
+        t1 = (n + 1) * dt
+        a_elem = project_velocity(velocity, mesh, t1)
+        mats, forces = _family_form(mesh, a_elem, mu, dt)
+        A1, A2, A3, A4, B1, B2, B3, B4 = (
+            mats[name] for name in FAMILIES)
+        fv = forces(np.asarray(source(mesh.midpoints, t1), dtype=float))
+        u = history[-1]
+        rhs = M @ u - (A1 + dt * A3) @ u \
+            + dt * assemble_load(mesh, source, t1) \
+            - dt * fv["F1"] - dt * dt * fv["F2"]
+        if old is not None:
+            mats_old, fv_old = old
+            u_prev = history[-2]
+            rhs += -(mats_old["A1"] + dt * mats_old["A2"]) @ u \
+                + mats_old["A1"] @ u_prev + dt * fv_old["F1"]
+            if g_pairing == "main":
+                rhs += (B1 + dt * B2 + dt * B3 + dt * dt * B4) @ u \
+                    - (B1 + dt * B3) @ u_prev \
+                    - dt * fv_old["F3"] - dt * dt * fv_old["F4"]
+            else:
+                rhs += (1.0 + dt) * (B3 + dt * B4) @ u \
+                    - (1.0 + dt) * B3 @ u_prev \
+                    - dt * (1.0 + dt) * fv["F4"]
+        lhs = M + dt * assemble_stiffness(mesh, a_elem, mu).to_dense() \
+            - (A1 + dt * A2 + dt * A3 + dt * dt * A4)
+        for row, value in zip((0, -1), bc.values(t1)):
+            lhs[row] = 0.0
+            lhs[row, row] = 1.0
+            rhs[row] = value
+        history.append(np.linalg.solve(lhs, rhs))
+        old = (mats, fv)
+    return np.array(history)
 
 
 # --- Green's-function kernels in high precision ----------------------

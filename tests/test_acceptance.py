@@ -406,8 +406,14 @@ def test_criterion_10_reductions():
     mats = assemble_matrices(
         build_uniform_mesh(0.0, 1.0, 4), np.zeros(4), 1.0, 0.01,
         DirectKernelProvider())
-    for name in ("A2", "A3", "A4", "B2", "B3", "B4"):
-        assert getattr(mats, name).max_abs() == 0.0
+    pairs = mats.pairings
+    for key in (("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0")):
+        assert pairs[key].to_dense().tobytes() \
+            == pairs["A", "0", "0"].to_dense().tobytes()
+    assert pairs["B", "dt", "dt"].to_dense().tobytes() \
+        == pairs["B", "0", "dt"].to_dense().tobytes()
+    assert pairs["B", "dt", "e"].max_abs() == 0.0
+    assert pairs["B", "0", "e"].max_abs() == 0.0
     elapsed = time.perf_counter() - t0
     report(10, "reductions", "tau=0 and zero-kernel paths bitwise equal "
            "Galerkin; zero-velocity couplings vanish; %.1fs" % elapsed)
