@@ -662,9 +662,10 @@ def element_mode_arrays(params, n_modes):
     }
 
 
-# Floats in the (block, n_modes, points) product that
-# source_mode_projection forms per element block: about 2 MB of scratch
-# whatever the mesh size.
+# (element, mode, point) triples per element block of
+# source_mode_projection: f is called once per block, on at most this
+# many floats divided by n_modes, so the scratch stays bounded whatever
+# the mesh size.
 _PROJECTION_BLOCK_FLOATS = 1 << 18
 
 
@@ -692,10 +693,14 @@ def source_mode_projection(f, t, mesh, params, index, n_modes, n_gauss=32):
         rows = slice(start, start + block)
         x = x_left[rows] + h[rows] * xg
         fx = mesh_fem.point_values(f, x, t, name="projected function")
-        # elementwise product and .sum over the quadrature axis, not
-        # matmul or einsum: the arithmetic of a one-element projection, so
-        # the result does not move by roundoff with the block layout
-        g = expo[index[rows]] * fx * wg
-        sums[rows] = (stable * g[:, None, :]).sum(axis=2)
+        # einsum, not matmul: einsum sums each (element, mode) entry as
+        # one dot product of two contiguous quadrature rows, the same
+        # loop whatever the number of rows, so a row keeps its bits
+        # under any block layout; BLAS matmul picks its accumulation
+        # order from the operand shapes, and a row then moves by roundoff
+        g = expo[index[rows]]  # a gathered copy: expo stays as it is
+        g *= fx
+        g *= wg
+        sums[rows] = np.einsum("kq,jq->kj", g, stable)
     weight = h * np.sqrt(2.0 / h)
     return weight * sums

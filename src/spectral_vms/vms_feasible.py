@@ -166,6 +166,13 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
 
 @dataclass
 class FeasibleConfig:
+    """One feasible run.  g_pairing picks the reading of the B-pairing
+    history term: "main" or "appendix", the literal reading of the boxed
+    G1 definition.  The appendix pairing is not stable on coarse meshes:
+    on 5 uniform elements with mu 0.05, a = 2, dt 0.01 and u0 =
+    sin(pi x) it reaches max|u| 2.0e10 after 10 steps, where the main
+    pairing stays at 0.79."""
+
     mesh: object
     tgrid: object
     mu: float

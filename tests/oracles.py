@@ -120,7 +120,8 @@ def per_element_projection(f, t, p, x_left, n_modes, n_gauss):
     expo = np.exp(-p.sign_a * p.P * xg)
     stable = np.sin(np.outer(j, np.pi * xg))
     weight = p.h * np.sqrt(2.0 / p.h)
-    return weight * (stable * (expo * fx * wg)[None, :]).sum(axis=1)
+    return weight * np.einsum("kq,jq->kj", (expo * fx * wg)[None, :],
+                              stable)[0]
 
 
 def monolithic_step_oracle(mesh, a_elem, mu, dt, f, bc, t1, u0, c0, J):

@@ -145,7 +145,7 @@ def test_criterion_3_monolithic_equivalence():
         config = V.FullVmsConfig(
             mesh=mesh, tgrid=TimeGrid.from_dt(dt, 1), mu=mu, velocity=a,
             bc=bc, source=f, initial=ic, n_modes=J)
-        u0, state = V.init_state(config)
+        u0, state, _ = V.init_state(config)
         rng = np.random.default_rng(12)
         state[:] = 0.2 * rng.standard_normal(
             state.shape)

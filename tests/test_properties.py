@@ -764,7 +764,7 @@ def test_full_step_matches_monolithic_oracle(widths, speeds, signs, mu,
         mesh=mesh, tgrid=TimeGrid.from_dt(dt, 1), mu=mu, velocity=velocity,
         bc=bc, source=source, initial=lambda x: np.sin(2.0 * x + 0.3),
         n_modes=n_modes)
-    u0, state = V.init_state(config)
+    u0, state, _ = V.init_state(config)
     state[:] = 0.2 * np.random.default_rng(seed).standard_normal(
         state.shape)
     projected = project_velocity(config.velocity, mesh, dt)

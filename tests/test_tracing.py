@@ -76,6 +76,9 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
             n_modes=4)),
         lambda: vms_feasible.run_feasible(vms_feasible.FeasibleConfig(
             mesh=mesh, tgrid=tgrid, mu=1.0, velocity=5.0, initial=hat)),
+        lambda: vms_full.run_full(vms_full.FullVmsConfig(
+            mesh=mesh, tgrid=tgrid, mu=1.0, velocity=5.0, initial=np.sin,
+            n_modes=4, project_initial_subgrid=True)),
     ]
     tracer = tracing.Tracer()
     tracer.install()
@@ -88,7 +91,8 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
     expected = ["baselines.step_galerkin.calls",
                 "baselines.step_stabilized.calls",
                 "vms_full.step_full.calls",
-                "vms_feasible.step_feasible.calls"]
+                "vms_feasible.step_feasible.calls",
+                "vms_full.step_full.calls"]
     for counts, name in zip(per_run, expected):
         assert counts[name] == tgrid.n_steps, name
         assert counts["mesh_fem.solve_tridiag.calls"] == tgrid.n_steps
@@ -97,3 +101,9 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
     # a constant velocity is projected and assembled once per run
     assert per_run[3]["vms_feasible.assemble_matrices.calls"] == 1
     assert per_run[2]["vms_full.init_state.calls"] == 1
+    assert per_run[2]["kernels.element_mode_arrays.calls"] == 1
+    # the projected initial subgrid and every step share the t = 0
+    # snapshot: one element_mode_arrays call, and one projection
+    assert per_run[4]["vms_full.init_state.calls"] == 1
+    assert per_run[4]["kernels.element_mode_arrays.calls"] == 1
+    assert per_run[4]["kernels.source_mode_projection.calls"] == 1

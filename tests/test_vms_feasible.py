@@ -192,6 +192,18 @@ def test_g_pairing_flag_changes_result_only_slightly():
     assert 0.0 < diff < 0.05  # the readings differ, but not wildly
 
 
+def test_main_pairing_stays_bounded_on_a_coarse_mesh():
+    # on this case the appendix pairing reaches max|u| 2.0e10 after 10
+    # steps; the main pairing decays from max|u0| = sin(2 pi / 5)
+    mesh = build_uniform_mesh(0.0, 1.0, 5)
+    cfg = F.FeasibleConfig(
+        mesh=mesh, tgrid=TimeGrid(0.1, 10), mu=0.05, velocity=2.0,
+        initial=lambda x: np.sin(np.pi * x), g_pairing="main")
+    hist = F.run_feasible(cfg)
+    assert np.all(np.isfinite(hist))
+    assert np.all(np.abs(hist) <= 1.0)
+
+
 def test_matrices_cached_for_constant_velocity(monkeypatch):
     mesh = build_uniform_mesh(0.0, 1.0, 10)
     calls = {"n": 0}

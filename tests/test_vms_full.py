@@ -63,7 +63,7 @@ def test_step_matches_monolithic_oracle(case):
         mesh=mesh, tgrid=type("T", (), {"dt": dt, "n_steps": 1,
                                         "t_final": dt})(),
         mu=mu, velocity=a, bc=bc, source=f, initial=u_init, n_modes=J)
-    u0, state = V.init_state(config)
+    u0, state, _ = V.init_state(config)
     rng = np.random.default_rng(5)
     state[:] = 0.1 * rng.standard_normal(state.shape)
 
@@ -73,6 +73,48 @@ def test_step_matches_monolithic_oracle(case):
         mesh, a_elem, mu, dt, f, bc, dt, u0, state, J)
     assert np.max(np.abs(u1 - u_ref)) < 1e-10
     assert np.max(np.abs(state1 - c_ref)) < 1e-10
+
+
+# Bound on each chained step's gap to the monolithic oracle, relative to
+# the oracle's max|u| for the nodal values and its max|c| for the
+# amplitudes.  Measured: at most 1.2e-15 (nodal) and 2.0e-14 (amplitudes)
+# over both signs.
+CHAIN_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_folded_steps_chain_the_monolithic_oracle(sign):
+    # three sourced steps whose velocity grows in time, so that every step
+    # has its own snapshot; each step starts the oracle from the nodal
+    # values and amplitudes the previous step carried
+    from spectral_vms.mesh_fem import TimeGrid, march
+    mesh = Mesh1D([0.0, 0.15, 0.4, 0.55, 0.8, 1.0])
+    mu, dt, J, steps = 0.2, 0.02, 5, 3
+    config = V.FullVmsConfig(
+        mesh=mesh, tgrid=TimeGrid(dt * steps, steps), mu=mu,
+        velocity=lambda x, t: sign * (1.5 + 2.0 * x) * (1.0 + 20.0 * t),
+        bc=DirichletBC(lambda t: 0.2 * t, lambda t: 0.5 - t),
+        source=lambda x, t: np.cos(3.0 * x) + 2.0 * t,
+        initial=lambda x: np.sin(np.pi * x) + 0.5 * x, n_modes=J,
+        project_initial_subgrid=True)
+    u0, c0, _ = V.init_state(config)
+    snaps = []
+
+    def step(n, u, snap, _old, c):
+        u1, c1 = V.step_full(u, c, n, config, snap)
+        u_ref, c_ref = monolithic_step_oracle(
+            mesh, snap.a_elem, mu, dt, config.source, config.bc,
+            (n + 1) * dt, u, c, J)
+        assert np.max(np.abs(u1 - u_ref)) \
+            <= CHAIN_RTOL * np.max(np.abs(u_ref))
+        assert np.max(np.abs(c1 - c_ref)) \
+            <= CHAIN_RTOL * np.max(np.abs(c_ref))
+        snaps.append(snap)
+        return u1, c1
+
+    march(mesh, config.tgrid, config.velocity, u0,
+          lambda a_elem: V._Snapshot(config, a_elem), step, carry=c0)
+    assert len({id(s) for s in snaps}) == steps
 
 
 def test_zero_dynamics():
@@ -96,7 +138,7 @@ def test_init_state_piecewise_linear_no_subgrid():
     config = V.FullVmsConfig(mesh=mesh, tgrid=TimeGrid(0.1, 2), mu=1.0,
                              velocity=3.0, initial=lin, n_modes=8,
                              project_initial_subgrid=True)
-    u0, state = V.init_state(config)
+    u0, state, _ = V.init_state(config)
     np.testing.assert_allclose(u0, 2.0 * mesh.nodes - 0.3)
     np.testing.assert_allclose(state, 0.0, atol=1e-15)
 
@@ -110,7 +152,7 @@ def test_init_state_hat_ic():
 
     config = V.FullVmsConfig(mesh=mesh, tgrid=TimeGrid(9e-3, 9), mu=1.0,
                              velocity=1000.0, initial=hat, n_modes=10)
-    u0, state = V.init_state(config)
+    u0, state, _ = V.init_state(config)
     want = np.array([hat(x) for x in mesh.nodes])
     np.testing.assert_array_equal(u0, want)
     np.testing.assert_array_equal(state, 0.0)
@@ -146,7 +188,7 @@ def test_init_state_projection_matches_quadrature_oracle():
                                  velocity=a, initial=np.exp,
                                  n_modes=n_modes,
                                  project_initial_subgrid=True)
-        u0, state = V.init_state(config)
+        u0, state, _ = V.init_state(config)
         a_elem = project_velocity(config.velocity, mesh)
         j = np.arange(1, n_modes + 1)[:, None]
         for k in range(mesh.n_elems):
@@ -342,7 +384,7 @@ def test_non_finite_source_fails_in_the_projection():
         mesh=build_uniform_mesh(0.0, 1.0, 6), tgrid=TimeGrid(0.02, 2),
         mu=0.5, velocity=2.0, n_modes=4,
         source=lambda x, t: np.where(x > 0.7, np.nan, 1.0))
-    u0, state = V.init_state(config)
+    u0, state, _ = V.init_state(config)
     with pytest.raises(ValueError, match="projected function produced "
                                          "non-finite values"):
         V.step_full(u0, state, 0, config, _snapshot(config, 1))
@@ -360,7 +402,7 @@ def test_run_full_time_dependent_velocity_matches_fresh_steps():
         bc=DirichletBC(0.0, 1.0), project_initial_subgrid=True)
     res = V.run_full(config)
     dt = config.tgrid.dt
-    u, state = V.init_state(config)
+    u, state, _ = V.init_state(config)
     for n in range(config.tgrid.n_steps):
         u, state = V.step_full(u, state, n, config, _snapshot(config, n + 1))
         np.testing.assert_array_equal(res.history[n + 1], u)
