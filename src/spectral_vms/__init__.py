@@ -5,7 +5,7 @@ kernel tables and experiment tooling."""
 from .analysis import (ErrorReport, ExperimentPreset, PRESETS, error_norms,
                        convergence_order, reference_solution, run_experiment,
                        run_method)
-from .baselines import StabChoice, cfl_bound, run_galerkin, run_stabilized, tau
+from .baselines import cfl_bound, run_galerkin, run_stabilized, tau
 from .kernels import (ElementParams, closed_form_kernels, element_params,
                       beta, mode_value)
 from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,

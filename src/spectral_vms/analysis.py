@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import StabChoice, run_galerkin, run_stabilized
+from .baselines import run_galerkin, run_stabilized
 from .kernels import element_params
 from .mesh_fem import (DirichletBC, TimeGrid, assemble_mass,
                        assemble_stiffness, build_uniform_mesh)
@@ -156,17 +156,14 @@ _STAB_OF = {"stab-1d": "OneD", "stab-codina": "Codina",
 
 
 def run_method(method, mesh, tgrid, a, mu, initial=None, bc=None,
-               source=None, n_modes=150, provider=None, g_pairing="main",
-               franca_threshold=1.0):
+               source=None, n_modes=150, provider=None):
     """Dispatch one solver; returns the (n_steps+1, n_nodes) history."""
     if method == "galerkin":
         return run_galerkin(mesh, tgrid, a, mu, initial=initial, f=source,
                             bc=bc)
     if method in _STAB_OF:
-        choice = StabChoice(_STAB_OF[method],
-                            franca_threshold=franca_threshold)
-        return run_stabilized(choice, mesh, tgrid, a, mu, initial=initial,
-                              f=source, bc=bc)
+        return run_stabilized(_STAB_OF[method], mesh, tgrid, a, mu,
+                              initial=initial, f=source, bc=bc)
     if method == "spectral-full":
         config = FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                                bc=bc, source=source, initial=initial,
@@ -176,7 +173,7 @@ def run_method(method, mesh, tgrid, a, mu, initial=None, bc=None,
         provider = provider or DirectKernelProvider()
         config = FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                                 bc=bc, source=source, initial=initial,
-                                provider=provider, g_pairing=g_pairing)
+                                provider=provider)
         return run_feasible(config)
     raise ValueError("unknown method %r" % method)
 

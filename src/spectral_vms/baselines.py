@@ -2,10 +2,8 @@
 
 The stabilized schemes add dt a^2 tau M_s to the Galerkin matrix, where
 M_s is (1/h) tridiag(-1, 2, -1) and tau is one of four published
-coefficient choices.
+coefficient choices, named by a kind string of STAB_KINDS.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,28 +12,17 @@ from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
                        assemble_load, assemble_mass, assemble_stiffness,
                        combine, solve_tridiag)
 
-__all__ = ["StabChoice", "tau", "cfl_bound", "assemble_stab_matrix",
-           "step_matrices", "step_galerkin", "step_stabilized",
-           "run_galerkin", "run_stabilized", "STAB_KINDS"]
+__all__ = ["tau", "cfl_bound", "assemble_stab_matrix", "step_matrices",
+           "step_galerkin", "step_stabilized", "run_galerkin",
+           "run_stabilized", "STAB_KINDS"]
 
 STAB_KINDS = ("OneD", "Codina", "Hauke", "Franca")
 
 
-@dataclass(frozen=True)
-class StabChoice:
-    kind: str
-    franca_threshold: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in STAB_KINDS:
-            raise ValueError("unknown stabilization kind %r" % self.kind)
-        if not (np.isfinite(self.franca_threshold)
-                and self.franca_threshold > 0.0):
-            raise ValueError("Franca threshold must be positive")
-
-
-def tau(choice, a, mu, h, dt):
-    """Stabilization coefficient, elementwise over arrays of a and h."""
+def tau(kind, a, mu, h, dt):
+    """Stabilization coefficient of a kind, elementwise over a and h."""
+    if kind not in STAB_KINDS:
+        raise ValueError("unknown stabilization kind %r" % (kind,))
     a_abs = np.abs(np.asarray(a, dtype=float))
     h = np.asarray(h, dtype=float)
     mesh_fem.check_positive("mu", mu)
@@ -45,20 +32,20 @@ def tau(choice, a, mu, h, dt):
     P = a_abs * h / (2.0 * mu)
     # the branch not taken may divide by a = 0; np.where discards it
     with np.errstate(divide="ignore", invalid="ignore"):
-        if choice.kind == "OneD":
+        if kind == "OneD":
             # mu/a^2 (P coth P - 1); series limit P^2/3 for tiny P
             out = np.where(P < 1e-4, h ** 2 / (12.0 * mu),
                            mu / a_abs ** 2 * (P / np.tanh(P) - 1.0))
-        elif choice.kind == "Codina":
+        elif kind == "Codina":
             out = 1.0 / np.hypot(4.0 * mu / h ** 2, 2.0 * a_abs / h)
-        elif choice.kind == "Hauke":
+        elif kind == "Hauke":
             # the advective candidate is inf at a = 0 and drops out
             out = np.minimum(np.minimum(h ** 2 / (24.24 * mu), dt),
                              h / (np.sqrt(3.0) * a_abs))
         else:
-            # Franca: (h/|a|) min(P, Pbar); the P branch equals h^2/(2 mu)
-            out = np.where(P <= choice.franca_threshold, h ** 2 / (2.0 * mu),
-                           h / a_abs * choice.franca_threshold)
+            # Franca, Frey and Hughes (CMAME 95, 1992): (h/|a|) min(P, 1);
+            # the P branch equals h^2/(2 mu)
+            out = np.where(P <= 1.0, h ** 2 / (2.0 * mu), h / a_abs)
     return out[()]
 
 
@@ -78,14 +65,14 @@ def assemble_stab_matrix(mesh, coeff=1.0):
                                * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def step_matrices(mesh, a_elem, mu, dt, choice=None):
+def step_matrices(mesh, a_elem, mu, dt, kind=None):
     """(lhs, mass) of one implicit-Euler step: lhs = M + dt R, plus
-    dt a^2 tau M_s when a StabChoice is given."""
+    dt a^2 tau M_s when a stabilization kind is given."""
     m = assemble_mass(mesh)
     r = assemble_stiffness(mesh, a_elem, mu)
-    if choice is None:
+    if kind is None:
         return combine(lambda m, r: m + dt * r, m, r), m
-    coeff = a_elem * a_elem * tau(choice, a_elem, mu, mesh.h, dt)
+    coeff = a_elem * a_elem * tau(kind, a_elem, mu, mesh.h, dt)
     return combine(lambda m, r, s: m + dt * r + dt * s, m, r,
                    assemble_stab_matrix(mesh, coeff)), m
 
@@ -113,7 +100,7 @@ def step_stabilized(u_prev, matrices, mesh, dt, f=None, bc=None,
     """Stabilized step (M + dt R + dt a^2 tau M_s) u = M u_prev + dt F.
 
     matrices is the step_matrices pair of the step's velocity and
-    StabChoice, as in step_galerkin.
+    stabilization kind, as in step_galerkin.
     """
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
@@ -122,14 +109,14 @@ def run_galerkin(mesh, tgrid, velocity, mu, initial=None, f=None, bc=None):
     return run_stabilized(None, mesh, tgrid, velocity, mu, initial, f, bc)
 
 
-def run_stabilized(choice, mesh, tgrid, velocity, mu, initial=None, f=None,
+def run_stabilized(kind, mesh, tgrid, velocity, mu, initial=None, f=None,
                    bc=None):
-    """March step_stabilized, or step_galerkin when choice is None."""
+    """March step_stabilized of the kind, or step_galerkin if kind is None."""
     dt = tgrid.dt
-    step = step_galerkin if choice is None else step_stabilized
+    step = step_galerkin if kind is None else step_stabilized
     history, _ = mesh_fem.march(
         mesh, tgrid, velocity, mesh.interpolate(initial),
-        lambda a_elem: step_matrices(mesh, a_elem, mu, dt, choice),
+        lambda a_elem: step_matrices(mesh, a_elem, mu, dt, kind),
         lambda n, u, matrices, _old, _carry: (
             step(u, matrices, mesh, dt, f, bc, (n + 1) * dt), None))
     return history

@@ -73,9 +73,6 @@ def build_parser():
     sol.add_argument("--provider", choices=("direct", "table"),
                      default="direct")
     sol.add_argument("--table")
-    sol.add_argument("--g-pairing", choices=("main", "appendix"),
-                     default="main")
-    sol.add_argument("--franca-pbar", type=float, default=1.0)
     sol.add_argument("--out")
 
     cmp_ = sub.add_parser("compare", help="run a preset's method set")
@@ -177,9 +174,7 @@ def cmd_solve(args):
         else None
     hist = run_method(args.method, mesh, tgrid, args.a, args.mu,
                       initial=_make_ic(args, mesh), bc=bc,
-                      n_modes=args.modes, provider=provider,
-                      g_pairing=args.g_pairing,
-                      franca_threshold=args.franca_pbar)
+                      n_modes=args.modes, provider=provider)
     write_solutions_csv(args.out, mesh, tgrid, {args.method: hist})
     print("wrote %s (%d steps, %d nodes)" % (args.out, tgrid.n_steps,
                                              mesh.n_nodes))

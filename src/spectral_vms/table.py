@@ -167,6 +167,9 @@ def load_table(path):
         if count != BLOCK_ENTRIES:
             raise TableFormatError("entry count mismatch for %s" % name)
         names.append(name)
+    if tuple(names) != TABLE_FAMILIES:
+        raise TableFormatError("table holds families %s, not %s"
+                               % (names, list(TABLE_FAMILIES)))
     pos += -pos % 8
     payload_bytes = 8 * BLOCK_ENTRIES * m * m * len(names)
     expected = pos + payload_bytes + DIGEST_SIZE

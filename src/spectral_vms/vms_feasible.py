@@ -6,8 +6,8 @@ residual, so each step becomes a two-level linear recursion on nodal
 values.  Every operator of that recursion is a pairing sum_j w_j T_j X_j
 of a trial side T, step_full's trial (phi_m, p z_j) + dt b(phi_m, p z_j)
 or its plain part, with a test side X, step_full's test_b (z_j, phi_l) +
-dt b(z_j, phi_l), its plain part or the part of b alone, weighted by
-w = beta or beta^2.  On an element these depend only on the parameters
+dt b(z_j, phi_l) or its plain part, weighted by w = beta or beta^2: six
+pairings in all.  On an element these depend only on the parameters
 (P, S), as sums of entries of the dimensionless A1 (beta) and B1
 (beta^2) blocks, which come from a provider: closed forms from the
 element Green's function, series over a fixed number of modes, or
@@ -86,11 +86,9 @@ class NullKernelProvider:
 
 
 # The pairings a step applies, as (kernel block, trial side, test side):
-# "0" is the plain side, "dt" the side with dt b, and "e" the e part of
-# the test side's b alone.
+# "0" is the plain side and "dt" the side with dt b.
 PAIRINGS = [("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0"),
-            ("A", "0", "0"), ("B", "dt", "dt"), ("B", "0", "dt"),
-            ("B", "dt", "e"), ("B", "0", "e")]
+            ("A", "0", "0"), ("B", "dt", "dt"), ("B", "0", "dt")]
 
 
 @dataclass
@@ -133,8 +131,8 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     gradient, d = a_0 + a_1 and e = c_0 + c_1 in the dimensionless sides
     of the kernel blocks K[m, l] = sum_j w_j a_m c_l.  A pairing with
     trial rows T[j, m] and test rows X[i, l] is then the element block
-    2 h (X K^T T^T)[i, j], where T is I or I + dt G and X is I, I - dt G
-    or -G, with G[i, :] = (|a|/h) s_i.  For a < 0 the element is
+    2 h (X K^T T^T)[i, j], where T is I or I + dt G and X is I or
+    I - dt G, with G[i, :] = (|a|/h) s_i.  For a < 0 the element is
     mirrored: the block is built with |a| and flipped in both local
     indices.
     """
@@ -145,16 +143,14 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
         * np.outer(_SIGN, np.ones(2))
     trial_dt = np.swapaxes(np.eye(2) + dt * grad, 1, 2)
     two_h = 2.0 * mesh.h[:, None, None]
-    sides = {}
+    local = {}
     for name, k in zip("AB", _element_blocks(
             provider, kernels.element_params(a_elem, mesh.h, mu, dt))):
         plain = two_h * np.swapaxes(k, 1, 2)
         for trial, block in (("0", plain), ("dt", plain @ trial_dt)):
-            b_part = grad @ block  # the test side's b, before its dt
-            sides[name, trial] = {"0": block, "dt": block - dt * b_part,
-                                  "e": -b_part}
-    blocks = _mirror(np.stack([sides[k, t][x] for k, t, x in PAIRINGS]),
-                     a_elem, 2)
+            local[name, trial, "0"] = block
+            local[name, trial, "dt"] = block - dt * (grad @ block)
+    blocks = _mirror(np.stack([local[key] for key in PAIRINGS]), a_elem, 2)
     pairings = dict(zip(PAIRINGS, mesh_fem.tridiags_from_blocks(blocks)))
     mass = assemble_mass(mesh)
     lhs = combine(lambda m, r, p: m + dt * r - p, mass,
@@ -166,12 +162,7 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
 
 @dataclass
 class FeasibleConfig:
-    """One feasible run.  g_pairing picks the reading of the B-pairing
-    history term: "main" or "appendix", the literal reading of the boxed
-    G1 definition.  The appendix pairing is not stable on coarse meshes:
-    on 5 uniform elements with mu 0.05, a = 2, dt 0.01 and u0 =
-    sin(pi x) it reaches max|u| 2.0e10 after 10 steps, where the main
-    pairing stays at 0.79."""
+    """One feasible run."""
 
     mesh: object
     tgrid: object
@@ -181,7 +172,6 @@ class FeasibleConfig:
     source: object = None
     initial: object = None
     provider: object = None
-    g_pairing: str = "main"
 
     def __post_init__(self):
         if not callable(self.velocity):
@@ -190,8 +180,6 @@ class FeasibleConfig:
             self.bc = DirichletBC.homogeneous()
         if self.provider is None:
             self.provider = DirectKernelProvider()
-        if self.g_pairing not in ("main", "appendix"):
-            raise ValueError("g_pairing must be 'main' or 'appendix'")
 
 
 def step_feasible(n, u, sys_new, sys_old, carry, config):
@@ -212,10 +200,10 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
     does: beta_old ((phi_m, p z_j) u^{n-1} - trial u^n + dt f_j(t_n)).
     The plain part of known gives -A(0, dt) u^n and its source; c
     (z_j, phi_l) gives the old level's A(0, 0) u^{n-1} - A(dt, 0) u^n
-    and source; and -beta c test_b gives, with beta^2 weights, the main
-    pairing's B(dt, dt) u^n - B(0, dt) u^{n-1} and the old level's
-    source.  The appendix pairing replaces that last part with the
-    literal reading of the boxed G1 definition.
+    and source; and -beta c test_b gives, with beta^2 weights,
+    B(dt, dt) u^n - B(0, dt) u^{n-1} and the old level's source.  The
+    literal reading of the paper's boxed G1 definition is not used: its
+    (1 + dt) factor adds a number to a time, and it diverges.
     """
     dt = config.tgrid.dt
     t1 = (n + 1) * dt
@@ -232,19 +220,11 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
         rhs -= old["A", "dt", "0"].matvec(u)
         rhs += old["A", "0", "0"].matvec(u_prev)
         sources.append((dt, sys_old, ("A", "0", "0"), f_old))
-        if config.g_pairing == "main":
-            rhs += new["B", "dt", "dt"].matvec(u)
-            rhs -= new["B", "0", "dt"].matvec(u_prev)
-            # the beta^2 source terms belong to the subgrid state
-            # rebuilt at t_n, so they come from the source at t_n
-            sources.append((-dt, sys_old, ("B", "0", "dt"), f_old))
-        else:
-            # literal reading of the boxed G1 definition: both G vectors
-            # carry the advective pairing
-            rhs += (1.0 + dt) * (new["B", "dt", "e"].matvec(u)
-                                 - new["B", "0", "e"].matvec(u_prev))
-            sources.append((-dt * (1.0 + dt), sys_new, ("B", "0", "e"),
-                            f_new))
+        rhs += new["B", "dt", "dt"].matvec(u)
+        rhs -= new["B", "0", "dt"].matvec(u_prev)
+        # the beta^2 source terms belong to the subgrid state rebuilt at
+        # t_n, so they come from the source at t_n
+        sources.append((-dt, sys_old, ("B", "0", "dt"), f_old))
     if f_new is not None:
         rhs += sum_element_vectors(sum(
             weight * f_mid[:, None] * snap.row_sums[key]

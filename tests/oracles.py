@@ -258,8 +258,7 @@ def _family_form(mesh, a_elem, mu, dt):
     return mats, forces
 
 
-def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0,
-                              g_pairing):
+def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0):
     """History of the feasible method written with the eight kernel
     families A1..B4 and the force vectors F1..F4, on dense matrices.
 
@@ -289,14 +288,9 @@ def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0,
             u_prev = history[-2]
             rhs += -(mats_old["A1"] + dt * mats_old["A2"]) @ u \
                 + mats_old["A1"] @ u_prev + dt * fv_old["F1"]
-            if g_pairing == "main":
-                rhs += (B1 + dt * B2 + dt * B3 + dt * dt * B4) @ u \
-                    - (B1 + dt * B3) @ u_prev \
-                    - dt * fv_old["F3"] - dt * dt * fv_old["F4"]
-            else:
-                rhs += (1.0 + dt) * (B3 + dt * B4) @ u \
-                    - (1.0 + dt) * B3 @ u_prev \
-                    - dt * (1.0 + dt) * fv["F4"]
+            rhs += (B1 + dt * B2 + dt * B3 + dt * dt * B4) @ u \
+                - (B1 + dt * B3) @ u_prev \
+                - dt * fv_old["F3"] - dt * dt * fv_old["F4"]
         lhs = M + dt * assemble_stiffness(mesh, a_elem, mu).to_dense() \
             - (A1 + dt * A2 + dt * A3 + dt * dt * A4)
         for row, value in zip((0, -1), bc.values(t1)):
@@ -306,6 +300,65 @@ def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0,
         history.append(np.linalg.solve(lhs, rhs))
         old = (mats, fv)
     return np.array(history)
+
+
+def exact_step(nodes, a_elem, mu, dt, u0, f0=0.0, bc=(0.0, 0.0), dps=60):
+    """Nodal values of one exact backward-Euler step u + dt (a u' - mu
+    u'') = u0 + dt f0 with u = bc at the two ends, for a constant per
+    element, u0 the piecewise-linear function of the nodal values u0 and
+    a constant source f0.
+
+    On element k, where u0 = alpha + beta x, u = u_p + C1 e^{r1 (x -
+    x_{k+1})} + C2 e^{r2 (x - x_k)} with u_p = alpha + dt (f0 - a beta) +
+    beta x and r1 > 0 > r2 the roots of dt mu r^2 - dt a r - 1 = 0, so
+    both exponentials are at most 1 on the element.  The two Dirichlet
+    rows and the continuity of u and u' at the interior nodes give a
+    2N x 2N system for the C's, solved in dps-digit arithmetic.
+    """
+    n = len(a_elem)
+    with mp.workdps(dps):
+        x = [mp.mpf(float(v)) for v in nodes]
+        u0 = [mp.mpf(float(v)) for v in u0]
+        mu, dt, f0 = mp.mpf(mu), mp.mpf(dt), mp.mpf(f0)
+        pieces = []
+        for k in range(n):
+            a = mp.mpf(float(a_elem[k]))
+            beta = (u0[k + 1] - u0[k]) / (x[k + 1] - x[k])
+            alpha = u0[k] - beta * x[k]
+            root = mp.sqrt(a * a + 4 * mu / dt)
+            pieces.append((alpha + dt * (f0 - a * beta), beta,
+                           (a + root) / (2 * mu), (a - root) / (2 * mu)))
+
+        def rows(k, at):
+            """(u_p, coefficient of C1, of C2) of u and of u' at x[at]."""
+            c, beta, r1, r2 = pieces[k]
+            e1 = mp.exp(r1 * (x[at] - x[k + 1]))
+            e2 = mp.exp(r2 * (x[at] - x[k]))
+            return (c + beta * x[at], e1, e2), (beta, r1 * e1, r2 * e2)
+
+        lhs, rhs = mp.zeros(2 * n, 2 * n), mp.zeros(2 * n, 1)
+
+        def put(row, k, terms, sign=1):
+            lhs[row, 2 * k] += sign * terms[1]
+            lhs[row, 2 * k + 1] += sign * terms[2]
+            rhs[row] -= sign * terms[0]
+
+        put(0, 0, rows(0, 0)[0])
+        rhs[0] += mp.mpf(float(bc[0]))
+        for i in range(1, n):
+            for row, (left, right) in zip((2 * i - 1, 2 * i),
+                                          zip(rows(i - 1, i), rows(i, i))):
+                put(row, i - 1, left)
+                put(row, i, right, -1)
+        put(2 * n - 1, n - 1, rows(n - 1, n)[0])
+        rhs[2 * n - 1] += mp.mpf(float(bc[1]))
+        coef = mp.lu_solve(lhs, rhs)
+        values = []
+        for i in range(n + 1):
+            k = max(i - 1, 0)
+            p, e1, e2 = rows(k, i)[0]
+            values.append(p + coef[2 * k] * e1 + coef[2 * k + 1] * e2)
+        return np.array([float(v) for v in values])
 
 
 # --- Green's-function kernels in high precision ----------------------

@@ -1,29 +1,34 @@
 import numpy as np
 import pytest
 
-from spectral_vms.baselines import (StabChoice, assemble_stab_matrix,
-                                    cfl_bound, run_galerkin, run_stabilized,
+from spectral_vms.baselines import (assemble_stab_matrix, cfl_bound,
+                                    run_galerkin, run_stabilized,
                                     step_galerkin, step_matrices,
                                     step_stabilized, tau)
 from spectral_vms.mesh_fem import TimeGrid, build_uniform_mesh
 
 
+def test_tau_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown stabilization kind"):
+        tau("bogus", 1.0, 1.0, 0.1, 0.01)
+
+
 def test_tau_codina_zero_velocity():
     h, mu = 0.1, 2.0
-    assert tau(StabChoice("Codina"), 0.0, mu, h, 1.0) == pytest.approx(
+    assert tau("Codina", 0.0, mu, h, 1.0) == pytest.approx(
         h ** 2 / (4.0 * mu))
 
 
 def test_tau_oned_small_peclet_limit():
     h, mu = 0.05, 1.0
     want = h ** 2 / (12.0 * mu)
-    got = tau(StabChoice("OneD"), 1e-5 * 2 * mu / h, mu, h, 1.0)
+    got = tau("OneD", 1e-5 * 2 * mu / h, mu, h, 1.0)
     assert abs(got - want) / want <= 1e-6
     # smooth across the series switch
     a_lo = 0.99e-4 * 2 * mu / h
     a_hi = 1.01e-4 * 2 * mu / h
-    lo = tau(StabChoice("OneD"), a_lo, mu, h, 1.0)
-    hi = tau(StabChoice("OneD"), a_hi, mu, h, 1.0)
+    lo = tau("OneD", a_lo, mu, h, 1.0)
+    hi = tau("OneD", a_hi, mu, h, 1.0)
     assert lo == pytest.approx(hi, rel=1e-6)
 
 
@@ -31,27 +36,26 @@ def test_tau_oned_formula():
     a, mu, h = 300.0, 1.0, 0.02
     P = a * h / (2 * mu)
     want = mu / a ** 2 * (P / np.tanh(P) - 1.0)
-    assert tau(StabChoice("OneD"), a, mu, h, 1.0) == pytest.approx(want)
+    assert tau("OneD", a, mu, h, 1.0) == pytest.approx(want)
 
 
 def test_tau_hauke_branches():
-    got = tau(StabChoice("Hauke"), 1000.0, 1.0, 0.02, 1e-3)
+    got = tau("Hauke", 1000.0, 1.0, 0.02, 1e-3)
     assert got == pytest.approx(0.02 / (np.sqrt(3.0) * 1000.0), rel=1e-12)
     assert got == pytest.approx(1.1547e-5, rel=1e-4)
     # dt branch
-    assert tau(StabChoice("Hauke"), 1.0, 1.0, 1.0, 1e-9) == 1e-9
+    assert tau("Hauke", 1.0, 1.0, 1.0, 1e-9) == 1e-9
 
 
 def test_tau_franca_threshold_and_continuity():
     h, mu = 0.01, 1.0
     # diffusion-dominated branch: (h/|a|) P = h^2 / (2 mu)
-    assert tau(StabChoice("Franca"), 10.0, mu, h, 1.0) == pytest.approx(
+    assert tau("Franca", 10.0, mu, h, 1.0) == pytest.approx(
         h ** 2 / (2 * mu))
     # advection-dominated branch
     a = 1000.0
-    assert tau(StabChoice("Franca", franca_threshold=1.0), a, mu, h, 1.0) \
-        == pytest.approx(h / a)
-    assert tau(StabChoice("Franca"), 0.0, mu, h, 1.0) == pytest.approx(
+    assert tau("Franca", a, mu, h, 1.0) == pytest.approx(h / a)
+    assert tau("Franca", 0.0, mu, h, 1.0) == pytest.approx(
         h ** 2 / (2 * mu))
 
 
@@ -81,7 +85,7 @@ def test_zero_velocity_stabilized_equals_galerkin_bitwise():
                         mesh, 0.01)
     for kind in ("OneD", "Codina", "Hauke", "Franca"):
         got = step_stabilized(u0, step_matrices(mesh, np.zeros(12), 1.0,
-                                                0.01, StabChoice(kind)),
+                                                0.01, kind),
                               mesh, 0.01)
         np.testing.assert_array_equal(got, ref)
 
@@ -120,7 +124,7 @@ def test_stabilized_solvable_table_cases():
                            (700.0, 1.0, 1e-2, 1e-2)]:
         mesh = build_uniform_mesh(0.0, 1.0, int(round(1.0 / h)))
         for kind in ("OneD", "Codina", "Hauke", "Franca"):
-            t = tau(StabChoice(kind), a, mu, h, dt)
+            t = tau(kind, a, mu, h, dt)
             m = combine(lambda m, r, s: m + dt * r + (dt * a * a * t) * s,
                         assemble_mass(mesh), assemble_stiffness(mesh, a, mu),
                         assemble_stab_matrix(mesh))
@@ -141,7 +145,6 @@ def test_run_stabilized_smoke():
     def hat(x):
         return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
 
-    hist = run_stabilized(StabChoice("Codina"), mesh, tgrid, 300.0, 1.0,
-                          initial=hat)
+    hist = run_stabilized("Codina", mesh, tgrid, 300.0, 1.0, initial=hat)
     assert hist.shape == (4, 21)
     assert np.all(np.isfinite(hist))

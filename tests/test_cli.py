@@ -1,12 +1,15 @@
 import importlib
 import json
+import pathlib
+import shlex
 import warnings
 
 import numpy as np
 import pytest
 
+from spectral_vms import table as table_mod
 from spectral_vms.analysis import METHODS
-from spectral_vms.cli import main
+from spectral_vms.cli import build_parser, main
 
 
 def test_solve_smoke(tmp_path, capsys):
@@ -98,6 +101,18 @@ def test_table_info_rejects_version_1(tmp_path, capsys):
     assert main(["table-info", "--table", str(table)]) == 2
     err = capsys.readouterr().err
     assert "version 1" in err and "spectral-vms offline" in err
+
+
+def test_solve_with_a1_only_table_exits_2(tmp_path, capsys):
+    table = tmp_path / "a1.bin"
+    grid = table_mod.TableGrid(delta=0.5, m=3)
+    table_mod.save_table(table_mod.KernelTable(
+        grid=grid, values={"A1": np.ones((4, 3, 3))}), table)
+    rc = main(["solve", "--method", "spectral-feasible", "--h", "0.5",
+               "--dt", "0.1", "--steps", "1", "--provider", "table",
+               "--table", str(table), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "holds families ['A1']" in capsys.readouterr().err
 
 
 def test_table_info_missing_file():
@@ -269,3 +284,28 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     rc = main(["solve", "--method", "galerkin", "--h", "0.5", "--dt",
                "0.1", "--steps", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+
+
+def _readme_commands():
+    """Every spectral-vms command of README's "Command line" block, with
+    backslash continuations joined, as argument lists."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in joined.splitlines()
+            if line.startswith("spectral-vms ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "offline", "table-info", "solve", "compare", "convergence"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: spectral-vms %s"
+                        % " ".join(argv))

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,20 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\0" * 100)
     with pytest.raises(T.TableFormatError):
+        T.load_table(path)
+
+
+@pytest.mark.parametrize("families", [["A1"], ["A1", "A1"], ["B1", "A1"]])
+def test_families_other_than_a1_then_b1_rejected(tmp_path, families):
+    # a well-formed file whose family list is not exactly A1, B1 fails to
+    # load, instead of failing later in the first lookup of B1
+    grid = T.TableGrid(delta=0.5, m=3)
+    table = types.SimpleNamespace(grid=grid, values={
+        name: np.ones((4, 3, 3)) for name in T.TABLE_FAMILIES},
+        families=lambda: families)
+    path = tmp_path / "kernels.bin"
+    T.save_table(table, path)
+    with pytest.raises(T.TableFormatError, match="holds families"):
         T.load_table(path)
 
 

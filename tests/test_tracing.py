@@ -68,8 +68,7 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
 
     runs = [
         lambda: baselines.run_galerkin(mesh, tgrid, 5.0, 1.0, initial=hat),
-        lambda: baselines.run_stabilized(baselines.StabChoice("Codina"),
-                                         mesh, tgrid, 5.0, 1.0,
+        lambda: baselines.run_stabilized("Codina", mesh, tgrid, 5.0, 1.0,
                                          initial=hat),
         lambda: vms_full.run_full(vms_full.FullVmsConfig(
             mesh=mesh, tgrid=tgrid, mu=1.0, velocity=5.0, initial=hat,

@@ -29,8 +29,7 @@ def _bands(mat):
 
 def test_zero_velocity_kills_advective_families():
     # at a = 0 the dt b parts of both sides vanish: every pairing with a
-    # dt side equals its plain pairing bit for bit, and the pairings of
-    # the e part of b alone are zero
+    # dt side equals its plain pairing bit for bit
     mesh = build_uniform_mesh(0.0, 1.0, 5)
     provider = F.DirectKernelProvider()
     mats = F.assemble_matrices(mesh, np.zeros(5), 1.0, 0.01, provider)
@@ -38,8 +37,6 @@ def test_zero_velocity_kills_advective_families():
     for key in (("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0")):
         assert _bands(pairs[key]) == _bands(pairs["A", "0", "0"]), key
     assert _bands(pairs["B", "dt", "dt"]) == _bands(pairs["B", "0", "dt"])
-    for key in (("B", "dt", "e"), ("B", "0", "e")):
-        assert pairs[key].max_abs() == 0.0, key
     assert pairs["A", "0", "0"].max_abs() > 0.0
     assert pairs["B", "0", "dt"].max_abs() > 0.0
 
@@ -50,7 +47,7 @@ def test_direct_provider_rejects_policy_with_n_modes():
 
 
 def test_entry_level_equivalence_brute_force():
-    # every entry of the eight assembled pairings equals the matching
+    # every entry of the six assembled pairings equals the matching
     # combination of the families' quadrature-plus-long-summation double
     # sums of the defining series
     mesh = build_uniform_mesh(0.0, 0.08, 2)  # h = 0.04
@@ -74,13 +71,10 @@ def test_entry_level_equivalence_brute_force():
             "3": -2.0 * a * sgn[:, None] * ref_k3[None, :],
             "4": -(2.0 * a ** 2 / h) * np.outer(sgn, sgn) * ref_k4,
         }
+        combos = {("0", "dt"): fam["1"] + dt * fam["3"]}
         if prefix == "A":
-            combos = {("0", "0"): fam["1"],
-                      ("dt", "0"): fam["1"] + dt * fam["2"]}
-        else:
-            combos = {("0", "e"): fam["3"],
-                      ("dt", "e"): fam["3"] + dt * fam["4"]}
-        combos["0", "dt"] = fam["1"] + dt * fam["3"]
+            combos["0", "0"] = fam["1"]
+            combos["dt", "0"] = fam["1"] + dt * fam["2"]
         combos["dt", "dt"] = fam["1"] + dt * fam["2"] + dt * fam["3"] \
             + dt * dt * fam["4"]
         for (trial, test), block in combos.items():
@@ -173,32 +167,14 @@ def test_null_provider_reduces_to_galerkin():
     np.testing.assert_array_equal(hist, ref)
 
 
-def test_g_pairing_flag_changes_result_only_slightly():
-    mesh = build_uniform_mesh(0.0, 1.0, 50)
-    a, mu, dt = 300.0, 1.0, 1e-2
-    tgrid = TimeGrid(3 * dt, 3)
-
-    def hat(x):
-        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
-
-    hists = {}
-    for pairing in ("main", "appendix"):
-        cfg = F.FeasibleConfig(
-            mesh=mesh, tgrid=tgrid, mu=mu, velocity=a, initial=hat,
-            provider=F.DirectKernelProvider(),
-            g_pairing=pairing)
-        hists[pairing] = F.run_feasible(cfg)
-    diff = np.max(np.abs(hists["main"] - hists["appendix"]))
-    assert 0.0 < diff < 0.05  # the readings differ, but not wildly
-
-
 def test_main_pairing_stays_bounded_on_a_coarse_mesh():
-    # on this case the appendix pairing reaches max|u| 2.0e10 after 10
-    # steps; the main pairing decays from max|u0| = sin(2 pi / 5)
+    # on this case the literal reading of the boxed G1 definition reaches
+    # max|u| 2.0e10 after 10 steps; the step decays from max|u0| =
+    # sin(2 pi / 5)
     mesh = build_uniform_mesh(0.0, 1.0, 5)
     cfg = F.FeasibleConfig(
         mesh=mesh, tgrid=TimeGrid(0.1, 10), mu=0.05, velocity=2.0,
-        initial=lambda x: np.sin(np.pi * x), g_pairing="main")
+        initial=lambda x: np.sin(np.pi * x))
     hist = F.run_feasible(cfg)
     assert np.all(np.isfinite(hist))
     assert np.all(np.abs(hist) <= 1.0)
@@ -248,13 +224,6 @@ def test_run_keeps_only_the_current_snapshots(monkeypatch):
     F.run_feasible(cfg)
     assert len(snapshots) == n_steps
     assert max(alive_before) == 1
-
-
-def test_step_feasible_rejects_bad_pairing():
-    mesh = build_uniform_mesh(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.01, 1), mu=1.0,
-                         velocity=1.0, g_pairing="nonsense")
 
 
 def test_force_vectors_validate_the_source():
@@ -310,15 +279,14 @@ def test_source_evaluated_once_per_time_level(monkeypatch):
 
 # Relative to the oracle's max |u|.  Both sides sum the same kernel
 # entries in a different order and solve once per step, so they agree to
-# roundoff: the largest gap measured over these cases was 1.5e-15, and
-# 2.3e-14 over a wider sweep of mu, |a| and dt on this mesh, where the
-# appendix pairing's history grew 30-fold in three steps.
+# roundoff: the largest gap measured over these cases was 2.9e-16, and
+# 1.9e-14 over a wider sweep on this mesh (both signs, mu in [1e-3, 1],
+# |a| in [0.5, 500], dt in [5e-3, 0.5]).
 FAMILY_FORM_RTOL = 1e-13
 
 
-@pytest.mark.parametrize("pairing", ["main", "appendix"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_steps_match_the_family_form_oracle(sign, pairing):
+def test_steps_match_the_family_form_oracle(sign):
     # three sourced steps on a nonuniform mesh against the eight kernel
     # families and the F1-F4 force vectors; the velocity and the source
     # move enough per step that a term taken at the wrong time level or
@@ -338,8 +306,8 @@ def test_steps_match_the_family_form_oracle(sign, pairing):
 
     hist = F.run_feasible(F.FeasibleConfig(
         mesh=mesh, tgrid=tgrid, mu=mu, velocity=velocity, bc=bc,
-        source=source, initial=initial, g_pairing=pairing))
+        source=source, initial=initial))
     ref = feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc,
-                                    mesh.interpolate(initial), pairing)
+                                    mesh.interpolate(initial))
     gap = np.max(np.abs(hist - ref)) / np.max(np.abs(ref))
     assert gap <= FAMILY_FORM_RTOL
