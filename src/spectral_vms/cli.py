@@ -30,15 +30,47 @@ class ValidationError(Exception):
     pass
 
 
-def _load_config_defaults(path, parser):
-    """Apply the JSON object in `path` as parser defaults (flags still win)."""
+def _config_value(action, key, value):
+    """value, the config file's entry under key, converted and checked as
+    the argument of action's flag is; raises ValidationError naming
+    key."""
+    items = value if action.nargs == "*" and isinstance(value, list) \
+        else [value]
+    checked = []
+    for item in items:
+        if item is None or isinstance(item, (list, dict)):
+            raise ValidationError("config key %r: %s needs one value, not %s"
+                                  % (key, action.option_strings[0],
+                                     json.dumps(item)))
+        try:
+            item = (action.type or str)(str(item))
+        except ValueError:
+            raise ValidationError("config key %r: invalid %s value %r"
+                                  % (key, action.type.__name__, item)) \
+                from None
+        if action.choices is not None and item not in action.choices:
+            raise ValidationError(
+                "config key %r: %r is not one of %s"
+                % (key, item, ", ".join(map(str, action.choices))))
+        checked.append(item)
+    return checked if action.nargs == "*" else checked[0]
+
+
+def _load_config_defaults(path, parser, command):
+    """Apply the JSON object in `path` as parser defaults (flags still
+    win); the values of command's options pass their flags' checks."""
     if not path:
         raise ValidationError("--config needs a file name")
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    defaults = {k.replace("-", "_"): v for k, v in data.items()}
+    keys = {k.replace("-", "_"): k for k in data}
+    defaults = {dest: data[k] for dest, k in keys.items()}
+    for action in parser.sub_map[command]._actions:
+        if action.dest in defaults and action.option_strings:
+            defaults[action.dest] = _config_value(
+                action, keys[action.dest], defaults[action.dest])
     parser.set_defaults(**defaults)
     for sub in parser.sub_map.values():
         sub.set_defaults(**defaults)
@@ -251,7 +283,7 @@ def main(argv=None):
             # the config's values become defaults of this call's parser
             # alone
             parser = build_parser()
-            _load_config_defaults(args.config, parser)
+            _load_config_defaults(args.config, parser, args.command)
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValidationError, ValueError, OSError,

@@ -18,8 +18,8 @@ blocks, A1 and B1, at the element's (P, S).  green_blocks
 evaluates them in closed form, as bilinear forms of the element Green's
 function; series_blocks sums exactly n modes of their series.  No solver
 path uses the epsilon-truncated series (sum_series_multi,
-sum_series_batch, TruncationPolicy); they stay only while the
-benchmark's tracer and online workload name them (ROADMAP item 1).
+sum_series_batch, TruncationPolicy); they stay while perfbench names
+them, in the benchmark's tracer and online workload.
 """
 
 import warnings

@@ -12,14 +12,14 @@ solved by Thomas elimination without pivoting, split into a
 factorisation, computed once per left-hand side and cached on its
 read-only TriDiag, and a substitution per right-hand side.  A pivot
 failure raises SingularSystemError at the first solve with the matrix
-(and at every later one).  Below BLOCK_MIN_ROWS rows the substitution is
-the one-pass loop over Python floats.  From there on it runs in blocks
-of floor(sqrt(n / 12)) rows, as numpy sweeps over all blocks at once
-plus a loop over the block boundaries; its solutions differ from the
-loop's by rounding (at most 7e-15 of max|u| on the compare presets'
-references).  Factors whose block impulse responses would grow keep the
-loop, and so does a blocked solution that is not finite: the loop
-computes it again and decides.
+(and at every later one).  Below DOUBLING_MIN_ROWS rows the substitution
+is the one-pass loop over Python floats.  From there on each of its two
+bidiagonal sweeps is recursive doubling: ceil(log2 n) numpy passes of
+strides 1, 2, 4, ..., with the coefficient products of each pass laid
+out once per matrix.  Its solutions differ from the loop's by rounding.
+Factors with a multiplier or a ratio sup / pivot above 1 in magnitude
+keep the loop, and so does a doubled solution that is not finite: the
+loop computes it again and decides.
 """
 
 import math
@@ -35,7 +35,7 @@ __all__ = [
     "TriDiag",
     "TriDiagSystem",
     "ThomasFactors",
-    "BlockedFactors",
+    "DoublingFactors",
     "SingularSystemError",
     "check_positive",
     "build_uniform_mesh",
@@ -266,14 +266,13 @@ class TriDiag:
 
     def factors(self):
         """The Thomas factors of this matrix as solve_tridiag uses them,
-        ThomasFactors or BlockedFactors, computed at the first call.
+        ThomasFactors or DoublingFactors, computed at the first call.
 
         A matrix whose elimination fails caches nothing, so every solve
         with it raises SingularSystemError again.
         """
         if self._factors is None:
-            self._factors = _substitution_factors(factor_tridiag(self),
-                                                  _block_size(self.n))
+            self._factors = _substitution_factors(factor_tridiag(self))
         return self._factors
 
     def dirichlet_rows(self):
@@ -359,26 +358,20 @@ def solve_tridiag(sys):
     return _substitute(sys.matrix.factors(), sys.rhs)
 
 
-def _solve_in_blocks(sys, b):
-    """solve_tridiag with b rows per block in place of _block_size's
-    choice, factoring the matrix afresh; b = 1 is the one-pass loop."""
-    return _substitute(_substitution_factors(factor_tridiag(sys.matrix), b),
-                       sys.rhs)
-
-
 def _substitute(f, rhs):
-    """x with L U x = rhs for ThomasFactors or BlockedFactors f.
+    """x with L U x = rhs for ThomasFactors or DoublingFactors f.
 
-    A blocked solution that is not finite, as when a block's local
-    solution overflows where the one-pass loop's values do not, is
-    computed again, once, by the loop, whose result decides.
+    A doubled solution that is not finite, as when y / p overflows where
+    the one-pass loop's (y - c x) / p does not, is computed again, once,
+    by the loop, whose result decides.
     """
-    if isinstance(f, BlockedFactors):
+    if isinstance(f, DoublingFactors):
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _blocked_substitution(f, rhs)
+            x = _doubled_substitution(f, rhs)
         if np.all(np.isfinite(x)):
             return x
-        f = _unblocked(f)
+        f = ThomasFactors((-f.forward[0]).tolist(), f.pivots.tolist(),
+                          f.sup.tolist())
     return _thomas_substitution(f, rhs)
 
 
@@ -398,109 +391,63 @@ def _thomas_substitution(f, rhs):
     return x
 
 
-# Row count from which solve_tridiag substitutes in blocks; below it the
-# one-pass loop is faster.
-BLOCK_MIN_ROWS = 300
+# Row count from which solve_tridiag substitutes by recursive doubling;
+# below it the one-pass loop is faster.
+DOUBLING_MIN_ROWS = 300
+
+# The Thomas factors of an n-row matrix laid out for substitution by
+# recursive doubling (H. S. Stone, J. ACM 20(1), 1973).  L y = r is the
+# recurrence y_i = r_i + g_i y_{i-1} with g_i = -multiplier_i, and U x = y
+# is x_i = y_i / p_i + e_i x_{i+1} with e_i = -sup_i / p_i.  forward[j]
+# holds, for each row i from k = 2^j on, the product of g over rows
+# i - k + 1 .. i; backward[j], for each row i up to n - 1 - k, that of e
+# over rows i .. i + k - 1.  Level j + 1 is c[k:] * c[:-k] of level j.
+# pivots and sup are U's diagonal and superdiagonal.
+DoublingFactors = namedtuple("DoublingFactors",
+                             "pivots sup forward backward")
 
 
-def _block_size(n):
-    """Rows per block of the substitution of an n-row system:
-    floor(sqrt(n / 12)) from BLOCK_MIN_ROWS rows, else 1.
-
-    A solve costs about b numpy sweeps over n / b blocks plus a Python
-    loop over the n / b block boundaries; for n = 321 to 6401 this b was
-    faster than half or twice its value.
-    """
-    return math.isqrt(n // 12) if n >= BLOCK_MIN_ROWS else 1
-
-
-# The Thomas factors of an n-row matrix laid out for substitution in nb
-# blocks of b rows (the partition method of H. H. Wang, ACM TOMS 7(2),
-# 1981, on the two bidiagonal factors).  Row i = k b + j sits at [j, k]
-# of the (b, nb) arrays, rows from n on being identity rows: mult[j, k]
-# multiplies row i - 1 into row i in L, piv and sup are U's diagonal and
-# superdiagonal.  fwd[j, k] is the response of row i of L y = r to a unit
-# first entry of block k, the product of -mult over the block's rows 1..j;
-# bwd[j, k] that of U x = y to a unit last entry, the product of -sup/piv
-# over rows j..b-2.  ends holds, as Python floats per block, mult[0],
-# fwd[b-1], sup[b-1], piv[b-1] and bwd[0]: what the boundary loops read.
-BlockedFactors = namedtuple("BlockedFactors",
-                            "n mult piv sup fwd bwd ends")
-
-
-def _unblocked(f):
-    """The ThomasFactors that BlockedFactors f lays out."""
-    return ThomasFactors(*(a.T.ravel()[lo:hi].tolist() for a, lo, hi in (
-        (f.mult, 1, f.n), (f.piv, 0, f.n), (f.sup, 0, f.n - 1))))
-
-
-def _substitution_factors(f, b):
-    """ThomasFactors f as they are for b = 1, else as BlockedFactors."""
-    if b == 1:
-        return f
+def _substitution_factors(f):
+    """ThomasFactors f below DOUBLING_MIN_ROWS rows or when a coefficient
+    grows, else f as DoublingFactors."""
     n = len(f.pivots)
-    nb = -(-n // b)
-
-    def layout(values, pad, first_row):
-        out = np.full(nb * b, pad)
-        out[first_row:first_row + len(values)] = values
-        return out.reshape(nb, b).T.copy()
-
-    mult = layout(f.multipliers, 0.0, 1)
-    piv = layout(f.pivots, 1.0, 0)
-    sup = layout(f.sup, 0.0, 0)
-    fwd, bwd = -mult, -sup / piv
-    if max(np.max(np.abs(fwd)), np.max(np.abs(bwd))) > 1.0:
-        # an impulse response that grows makes the sum of a block's local
-        # solution and its carried part cancel digits that the one-pass
-        # loop keeps
+    if n < DOUBLING_MIN_ROWS:
         return f
-    fwd[0] = 1.0
-    fwd = np.cumprod(fwd, axis=0)
-    bwd[b - 1] = 1.0
-    bwd = np.cumprod(bwd[::-1], axis=0)[::-1].copy()
-    ends = tuple(row.tolist() for row in (mult[0], fwd[b - 1], sup[b - 1],
-                                          piv[b - 1], bwd[0]))
-    return BlockedFactors(n, mult, piv, sup, fwd, bwd, ends)
+    pivots, sup, g = (np.fromiter(v, float, len(v))
+                      for v in (f.pivots, f.sup, f.multipliers))
+    g, e = -g, -sup / pivots[:-1]
+    if max(np.max(np.abs(g)), np.max(np.abs(e))) > 1.0:
+        # a coefficient above 1 makes the products of a level grow, and
+        # the sums that carry them cancel digits that the one-pass loop
+        # keeps
+        return f
+    forward, backward = [g], [e]
+    k = 1
+    while 2 * k < n:
+        g, e = g[k:] * g[:-k], e[k:] * e[:-k]
+        forward.append(g)
+        backward.append(e)
+        k *= 2
+    return DoublingFactors(pivots, sup, forward, backward)
 
 
-def _blocked_substitution(f, rhs):
-    """x with L U x = rhs, in blocks; see BlockedFactors.
+def _doubled_substitution(f, rhs):
+    """x with L U x = rhs by recursive doubling; see DoublingFactors.
 
-    Each sweep solves all blocks at once with a zero entry carried in,
-    a Python loop over the block boundaries computes each block's carried
-    entry with the one-pass loop's formula, and one update adds the
-    carried entry times the block's impulse response.
+    After the sweep of stride k, each row holds the sum of its recurrence
+    over the 2k rows that end (forward) or start (back) at it.
     """
-    b, nb = f.mult.shape
-    mult0, fwd_last, sup_last, piv_last, bwd0 = f.ends
-    buf = np.zeros(nb * b)
-    buf[:f.n] = rhs
-    y = buf.reshape(nb, b).T  # y[j, k] is row k b + j, in place
-    # L y = r: rows 1.. of each block with y[0] taken as zero
-    for j in range(2, b):
-        y[j] -= f.mult[j] * y[j - 1]
-    first = y[0].tolist()
-    last = y[b - 1].tolist()
-    for k in range(1, nb):
-        first[k] -= mult0[k] * (last[k - 1] + fwd_last[k - 1] * first[k - 1])
-    first = np.array(first)
-    y[1:] += f.fwd[1:] * first
-    y[0] = first
-    # U x = y: rows ..b-2 of each block with x[b-1] taken as zero
-    y[b - 2] /= f.piv[b - 2]
-    for j in range(b - 3, -1, -1):
-        y[j] = (y[j] - f.sup[j] * y[j + 1]) / f.piv[j]
-    last = y[b - 1].tolist()
-    start = y[0].tolist()
-    x = 0.0
-    for k in range(nb - 1, -1, -1):
-        last[k] = (last[k] - sup_last[k] * x) / piv_last[k]
-        x = start[k] + bwd0[k] * last[k]
-    last = np.array(last)
-    y[:b - 1] += f.bwd[:b - 1] * last
-    y[b - 1] = last
-    return buf[:f.n]
+    y = np.array(rhs, dtype=float)
+    k = 1
+    for g in f.forward:
+        y[k:] += g * y[:-k]
+        k *= 2
+    x = y / f.pivots
+    k = 1
+    for e in f.backward:
+        x[:-k] += e * x[k:]
+        k *= 2
+    return x
 
 
 def tridiags_from_blocks(blocks):

@@ -17,8 +17,8 @@ import numpy as np
 from .kernels import green_blocks
 # Bound here, though the table no longer sums series, because the
 # benchmark's tracer (perfbench/tracing.py) wraps this binding and
-# perfbench/test_perfbench.py asserts that it does; it goes when the
-# benchmark is re-pointed (ROADMAP item 1).
+# perfbench/test_perfbench.py asserts that it does; it stays while
+# perfbench names it.
 from .kernels import sum_series_multi  # noqa: F401
 
 __all__ = ["TableGrid", "KernelTable", "TableFormatError",

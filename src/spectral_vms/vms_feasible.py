@@ -42,8 +42,8 @@ class DirectKernelProvider:
     function, or series summed over exactly n_modes modes.
 
     policy is accepted and unused, but not together with n_modes: the
-    benchmark's online workload still passes a TruncationPolicy (ROADMAP
-    item 1 removes it).
+    benchmark's online workload still passes a TruncationPolicy; it stays
+    while perfbench names it.
     """
 
     def __init__(self, policy=None, n_modes=None):
@@ -196,7 +196,7 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
     The terms are those of vms_full.step_full, whose right-hand side
     holds c (z_j, phi_l) - beta known test_b with known = c +
     (phi_m, p z_j) u^n + dt f_j(t_{n+1}), once the amplitudes c are
-    rebuilt from the old level as vms_full.approximate_subgrid_state
+    rebuilt from the old level as tests/oracles.approximate_subgrid_state
     does: beta_old ((phi_m, p z_j) u^{n-1} - trial u^n + dt f_j(t_n)).
     The plain part of known gives -A(0, dt) u^n and its source; c
     (z_j, phi_l) gives the old level's A(0, 0) u^{n-1} - A(dt, 0) u^n

@@ -27,7 +27,7 @@ from .mesh_fem import (DirichletBC, TriDiagSystem, apply_dirichlet,
                        tridiags_from_blocks)
 
 __all__ = ["FullVmsConfig", "FullVmsResult", "init_state", "step_full",
-           "run_full", "approximate_subgrid_state"]
+           "run_full"]
 
 
 @dataclass
@@ -181,43 +181,11 @@ def step_full(u_prev, c, n, config, ctx):
     return u_next, c_next
 
 
-def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
-    """Amplitudes rebuilt from the two-level residual instead of carried.
-
-    ctx is the _Snapshot of the velocity at time level n.  Feeding these
-    into step_full reproduces the tabulated method's one-level history
-    exactly (constant-in-time velocity).
-    """
-    state = _pair(ctx.carry, u_prevprev, u_prev)
-    if config.source is not None:
-        dt = config.tgrid.dt
-        state += ctx.beta * (dt * ctx.source_modes(n * dt))
-    return state
-
-
 @dataclass
 class FullVmsResult:
     config: FullVmsConfig
     history: np.ndarray  # (n_steps + 1, n_nodes)
     amplitudes: np.ndarray  # (n_elems, n_modes), final time level only
-
-    def sample(self, points_per_elem=8):
-        """Dense samples of nodal-plus-subgrid field at the final time."""
-        c = self.config
-        step = c.tgrid.n_steps
-        mesh, u, amps = c.mesh, self.history[step], self.amplitudes
-        a_elem = mesh_fem.project_velocity(c.velocity, mesh,
-                                           step * c.tgrid.dt)
-        params, index = kernels.distinct_element_params(
-            a_elem, mesh.h, c.mu, c.tgrid.dt)
-        xhat = np.linspace(0.0, 1.0, points_per_elem)
-        j = np.arange(1, amps.shape[1] + 1)[:, None]
-        # (n_elems, J, points)
-        modes = kernels.mode_value(j, params, xhat)[index]
-        sub = np.einsum("kj,kjx->kx", amps, modes) / np.sqrt(mesh.h)[:, None]
-        lin = u[:-1, None] * (1.0 - xhat) + u[1:, None] * xhat
-        xs = mesh.nodes[:-1, None] + mesh.h[:, None] * xhat
-        return xs.ravel(), (lin + sub).ravel()
 
 
 def run_full(config):

@@ -23,6 +23,7 @@ from spectral_vms.mesh_fem import (PIVOT_RTOL, SingularSystemError,
                                    assemble_load, assemble_mass,
                                    assemble_stiffness, project_velocity)
 from spectral_vms.vms_feasible import DirectKernelProvider
+from spectral_vms.vms_full import _pair
 
 
 @lru_cache(maxsize=64)
@@ -617,6 +618,40 @@ def reconstruct_subgrid(amplitudes, p, xhat):
             out += c * np.sqrt(2.0 / p.h) * np.exp(p.sign_a * p.P * xhat) \
                 * np.sin((idx + 1) * np.pi * xhat)
     return out
+
+
+def sample_full_result(res, points_per_elem=8):
+    """Dense samples of the nodal-plus-subgrid field of a FullVmsResult
+    at the final time: (points, values), points_per_elem per element."""
+    c = res.config
+    step = c.tgrid.n_steps
+    mesh, u, amps = c.mesh, res.history[step], res.amplitudes
+    a_elem = project_velocity(c.velocity, mesh, step * c.tgrid.dt)
+    params, index = K.distinct_element_params(a_elem, mesh.h, c.mu,
+                                              c.tgrid.dt)
+    xhat = np.linspace(0.0, 1.0, points_per_elem)
+    j = np.arange(1, amps.shape[1] + 1)[:, None]
+    # (n_elems, J, points)
+    modes = K.mode_value(j, params, xhat)[index]
+    sub = np.einsum("kj,kjx->kx", amps, modes) / np.sqrt(mesh.h)[:, None]
+    lin = u[:-1, None] * (1.0 - xhat) + u[1:, None] * xhat
+    xs = mesh.nodes[:-1, None] + mesh.h[:, None] * xhat
+    return xs.ravel(), (lin + sub).ravel()
+
+
+def approximate_subgrid_state(u_prevprev, u_prev, n, config, ctx):
+    """Full-method amplitudes rebuilt from the two-level residual instead
+    of carried.
+
+    ctx is the vms_full._Snapshot of the velocity at time level n.
+    Feeding these into vms_full.step_full reproduces the feasible
+    method's one-level history exactly (constant-in-time velocity).
+    """
+    state = _pair(ctx.carry, u_prevprev, u_prev)
+    if config.source is not None:
+        dt = config.tgrid.dt
+        state += ctx.beta * (dt * ctx.source_modes(n * dt))
+    return state
 
 
 def per_key_mode_arrays(p, n_modes):

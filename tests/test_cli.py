@@ -240,6 +240,47 @@ def test_config_file_read_in_every_argparse_spelling(tmp_path, flag):
     assert out.exists()
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"steps": 2.5}, "steps"),  # was 2 steps of 0.0125, not of 0.01
+    ({"bc": "bogus", "provider": "nope"}, "bc"),
+    ({"provider": "nope"}, "provider"),
+    ({"steps": True}, "steps"),
+    ({"a": None}, "a"),
+])
+def test_config_values_pass_their_flags_checks(tmp_path, capsys, config,
+                                               key):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "from_config.csv"
+    cfg.write_text(json.dumps(config))
+    argv = ["solve", "--method", "galerkin", "--h", "0.5", "--dt", "0.01",
+            "--out", str(out)]
+    if "steps" not in config:
+        argv += ["--steps", "2"]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config key %r: " % key)
+    assert not out.exists()
+    # the same values as flags are rejected by argparse
+    flags = [a for k, v in config.items() if v is not None
+             for a in ("--" + k, str(v))]
+    if flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+def test_config_list_option_takes_a_list_or_one_value(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for methods in (["galerkin"], "galerkin"):
+        out = tmp_path / str(len(methods))
+        cfg.write_text(json.dumps({"methods": methods}))
+        assert main(["compare", "--preset", "test1", "--refine", "4",
+                     "--out", str(out), "--config", str(cfg)]) == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["galerkin"]
+
+
 def test_config_file_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")

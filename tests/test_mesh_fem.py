@@ -342,16 +342,16 @@ def test_dirichlet_rows_are_built_once_per_matrix():
 
 
 def _decaying_solution_of_growing_recurrence(n):
-    # y_i = r_i - 2 y_{i-1}, with r chosen so that y = 2^-i cos i: a block
-    # of b rows would sum a local solution and a carried part of size 2^b
-    # that cancel (at n = b = 40 the residual was 2e7 eps ||A|| ||x||)
+    # y_i = r_i - 2 y_{i-1}, with r chosen so that y = 2^-i cos i: the
+    # products of a doubling level would reach 2^k, and the sums that
+    # carry them would cancel digits the loop keeps
     m = TriDiag(np.full(n - 1, 2.0), np.ones(n), np.zeros(n - 1))
     return m, m.matvec(0.5 ** np.arange(n) * np.cos(np.arange(n)))
 
 
 def _overflowing_impulse_products(n):
-    # multipliers 1e14: the impulse products of a block of 24 rows pass
-    # the largest float, and the loop's solution e_{n-1} is finite
+    # multipliers 1e14: the products of the level of stride 32 pass the
+    # largest float, and the loop's solution e_{n-1} is finite
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return TriDiag(np.full(n - 1, 1e14), np.ones(n), np.zeros(n - 1)), rhs
@@ -360,29 +360,34 @@ def _overflowing_impulse_products(n):
 @pytest.mark.parametrize("make", [_decaying_solution_of_growing_recurrence,
                                   _overflowing_impulse_products])
 def test_growing_impulse_response_keeps_the_one_pass_loop(make):
-    n = 64
-    m, rhs = make(n)
+    m, rhs = make(mesh_fem.DOUBLING_MIN_ROWS)
     system = TriDiagSystem(m, rhs)
-    want = mesh_fem._solve_in_blocks(system, 1)
-    for b in (2, 8, 24, n):
-        factors = mesh_fem._substitution_factors(
-            mesh_fem.factor_tridiag(m), b)
-        assert not isinstance(factors, mesh_fem.BlockedFactors)
-        assert mesh_fem._solve_in_blocks(system, b).tobytes() \
-            == want.tobytes()
+    assert isinstance(m.factors(), mesh_fem.ThomasFactors)
+    assert solve_tridiag(system).tobytes() == thomas_solve(system).tobytes()
 
 
 def test_overflowing_blocked_solution_falls_back_to_the_loop():
-    # the block sums form 1e308 / 0.5 = inf before the carried entry
-    # cancels half of it; the loop divides 1e308 - 0.5e308 and is finite
-    m = TriDiag([0.0], [0.5, 1.0], [0.5])
-    factors = mesh_fem._substitution_factors(mesh_fem.factor_tridiag(m), 2)
-    assert isinstance(factors, mesh_fem.BlockedFactors)
-    system = TriDiagSystem(m, [1e308, 1e308])
+    # the last two rows of an identity hold [[0.5, 0.5], [0, 1]]: the
+    # doubled back sweep forms 1e308 / 0.5 = inf before adding -1 times
+    # the next row; the loop divides 1e308 - 0.5e308 and is finite
+    n = mesh_fem.DOUBLING_MIN_ROWS
+    diag, sup = np.ones(n), np.zeros(n - 1)
+    diag[-2] = sup[-1] = 0.5
+    m = TriDiag(np.zeros(n - 1), diag, sup)
+    assert isinstance(m.factors(), mesh_fem.DoublingFactors)
+    rhs = np.zeros(n)
+    rhs[-2:] = 1e308
+    system = TriDiagSystem(m, rhs)
     with np.errstate(all="raise"):
-        x = mesh_fem._solve_in_blocks(system, 2)
-    np.testing.assert_array_equal(x, [1e308, 1e308])
-    assert x.tobytes() == mesh_fem._solve_in_blocks(system, 1).tobytes()
+        x = solve_tridiag(system)
+    np.testing.assert_array_equal(x, rhs)
+    assert x.tobytes() == thomas_solve(system).tobytes()
+
+
+def _dirichlet_step_system(lhs, rhs, bc, t):
+    system = apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t)
+    assert isinstance(system.matrix.factors(), mesh_fem.DoublingFactors)
+    return system
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -393,9 +398,10 @@ def test_overflowing_blocked_solution_falls_back_to_the_loop():
 def test_blocked_solve_of_the_fine_reference_is_as_accurate_as_the_loop(
         preset):
     # the first step of the 64x finer Galerkin run that stands in for the
-    # semi-discrete reference (n = 3201 and 6401); against the loop in
-    # long double, the loop's own float64 error reaches 4.8e-12 of max|x|
-    # (test3-c) and the blocked path's stays within 1.01 times it
+    # semi-discrete reference (n = 3201 and 6401), solved by recursive
+    # doubling; against the loop in long double, the loop's own float64
+    # error reaches 4.8e-12 of max|x| (test3-c) and the doubled solve's
+    # stays within 0.88-1.11 times it
     from spectral_vms.analysis import PRESETS
     from spectral_vms.baselines import step_matrices
     p = PRESETS[preset]
@@ -403,15 +409,31 @@ def test_blocked_solve_of_the_fine_reference_is_as_accurate_as_the_loop(
     fine = build_uniform_mesh(0.0, 1.0, 64 * p.n_elems)
     lhs, mass = step_matrices(fine, np.full(fine.n_elems, p.a), p.mu, p.dt)
     u0 = np.interp(fine.nodes, mesh.nodes, mesh.interpolate(p.initial()))
-    system = apply_dirichlet(TriDiagSystem(lhs, mass.matvec(u0)),
-                             p.dirichlet(), p.dt)
-    assert isinstance(system.matrix.factors(), mesh_fem.BlockedFactors)
+    system = _dirichlet_step_system(lhs, mass.matvec(u0), p.dirichlet(),
+                                    p.dt)
     exact = thomas_solve(system, np.longdouble)
     scale = float(np.max(np.abs(exact)))
 
     def error(x):
         return float(np.max(np.abs(x - exact)))
 
-    loop = error(mesh_fem._solve_in_blocks(system, 1))
+    loop = error(thomas_solve(system))
     assert error(solve_tridiag(system)) \
         <= 2.0 * loop + 4.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("n_elems, dt", [(640, 0.01), (640, 0.00125),
+                                         (2560, 0.01)])
+def test_study_left_hand_sides_take_the_doubling_path(n_elems, dt):
+    # the spectral-full systems of the criterion-4 and criterion-5
+    # studies (test1, a = 1, mu = 20, 10 modes); a factor above 1 in
+    # magnitude would send them to the loop, which is slower but
+    # otherwise gives no sign of it
+    from spectral_vms.analysis import test1_bc
+    from spectral_vms.vms_full import FullVmsConfig, _Snapshot
+    mesh = build_uniform_mesh(0.0, 1.0, n_elems)
+    config = FullVmsConfig(mesh=mesh, tgrid=TimeGrid.from_dt(dt, 1),
+                           mu=20.0, velocity=1.0, bc=test1_bc(1.0, 20.0),
+                           n_modes=10)
+    lhs, _ = _Snapshot(config, project_velocity(1.0, mesh, dt)).matrices
+    _dirichlet_step_system(lhs, np.ones(mesh.n_nodes), config.bc, dt)

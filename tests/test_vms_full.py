@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from oracles import gauss01, monolithic_step_oracle
+from oracles import gauss01, monolithic_step_oracle, sample_full_result
 
 from spectral_vms import kernels as K
 from spectral_vms.analysis import mesh_independence_study
@@ -264,7 +264,7 @@ def test_sample_reconstruction_endpoints():
                              velocity=10.0, initial=lambda x: x * (1 - x),
                              n_modes=5)
     res = V.run_full(config)
-    xs, vals = res.sample(points_per_elem=5)
+    xs, vals = sample_full_result(res, points_per_elem=5)
     assert xs.size == 30
     # at the element endpoints the sampled field equals the nodal values
     np.testing.assert_allclose(vals[0], res.history[1][0], atol=1e-12)
