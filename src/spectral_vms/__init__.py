@@ -13,8 +13,7 @@ from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,
 from .table import (KernelTable, TableGrid, generate_table, interpolate,
                     load_table, save_table)
 from .vms_feasible import (DirectKernelProvider, FeasibleConfig,
-                           NullKernelProvider, TableKernelProvider,
-                           run_feasible)
+                           TableKernelProvider, run_feasible)
 from .vms_full import FullVmsConfig, run_full
 
 __version__ = "0.1.0"

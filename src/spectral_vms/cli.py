@@ -58,7 +58,8 @@ def _config_value(action, key, value):
 
 def _load_config_defaults(path, parser, command):
     """Apply the JSON object in `path` as parser defaults (flags still
-    win); the values of command's options pass their flags' checks."""
+    win); every key must be an option of some subcommand, and the values
+    of command's options pass their flags' checks."""
     if not path:
         raise ValidationError("--config needs a file name")
     with open(path) as fh:
@@ -66,6 +67,11 @@ def _load_config_defaults(path, parser, command):
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     keys = {k.replace("-", "_"): k for k in data}
+    known = {a.dest for sub in parser.sub_map.values() for a in sub._actions}
+    unknown = [key for dest, key in keys.items() if dest not in known]
+    if unknown:
+        raise ValidationError("config key %r: no subcommand has it"
+                              % unknown[0])
     defaults = {dest: data[k] for dest, k in keys.items()}
     for action in parser.sub_map[command]._actions:
         if action.dest in defaults and action.option_strings:

@@ -12,7 +12,7 @@ Exponentials are evaluated in midpoint-shifted form (exp(+-P/2) factors
 kept symbolic until products are formed) so large-P products do not
 overflow prematurely.
 
-The feasible method's kernels, the eight families below and the six
+The feasible method's kernels, the eight families below and the five
 pairings vms_feasible assembles, are sums of the entries of two 2x2
 blocks, A1 and B1, at the element's (P, S).  green_blocks
 evaluates them in closed form, as bilinear forms of the element Green's

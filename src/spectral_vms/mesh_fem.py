@@ -81,8 +81,8 @@ class Mesh1D:
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("mesh needs at least 2 elements (3 nodes)")
         h = np.diff(nodes)
-        if np.any(h <= 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
+        if not (np.all(h > 0.0) and np.all(np.isfinite(nodes))):
+            raise ValueError("mesh nodes must be finite, strictly increasing")
         self.nodes = nodes
         self.h = h
 
@@ -124,8 +124,8 @@ class TimeGrid:
     """Uniform partition of [0, T] into N steps."""
 
     def __init__(self, t_final, n_steps):
-        if n_steps < 1:
-            raise ValueError("need at least one time step")
+        if not (n_steps >= 1 and float(n_steps).is_integer()):
+            raise ValueError("need a whole number of time steps, >= 1")
         self.t_final = check_positive("t_final", t_final)
         self.n_steps = int(n_steps)
         self.dt = self.t_final / self.n_steps

@@ -3,15 +3,18 @@
 Drops the deepest level of the subgrid history: the amplitudes that
 vms_full.step_full carries are rebuilt every step from the two-level
 residual, so each step becomes a two-level linear recursion on nodal
-values.  Every operator of that recursion is a pairing sum_j w_j T_j X_j
-of a trial side T, step_full's trial (phi_m, p z_j) + dt b(phi_m, p z_j)
-or its plain part, with a test side X, step_full's test_b (z_j, phi_l) +
-dt b(z_j, phi_l) or its plain part, weighted by w = beta or beta^2: six
+values.  Its right-hand side applies pairings sum_j w_j T_j X_j of a
+trial side T, step_full's trial (phi_m, p z_j) + dt b(phi_m, p z_j) or
+its plain part, with a test side X, step_full's test_b (z_j, phi_l) +
+dt b(z_j, phi_l) or its plain part, weighted by w = beta or beta^2: five
 pairings in all.  On an element these depend only on the parameters
 (P, S), as sums of entries of the dimensionless A1 (beta) and B1
 (beta^2) blocks, which come from a provider: closed forms from the
 element Green's function, series over a fixed number of modes, or
-interpolation of an offline table.
+interpolation of an offline table.  The left-hand side needs no
+provider: it is the Galerkin form of the step at the element L-splines
+(Hughes, CMAME 127, 1995), whose boundary fluxes _lspline_blocks gives
+exactly at every Courant number.
 """
 
 from dataclasses import dataclass
@@ -20,14 +23,12 @@ import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
-                       assemble_load, assemble_mass, assemble_stiffness,
-                       combine, solve_tridiag, sum_element_vectors)
+                       assemble_load, assemble_mass, solve_tridiag,
+                       sum_element_vectors)
 
-__all__ = ["DirectKernelProvider", "TableKernelProvider",
-           "NullKernelProvider", "FeasibleConfig", "FeasibleMatrices",
-           "assemble_matrices", "step_feasible", "run_feasible"]
-
-_SIGN = np.array([-1.0, 1.0])
+__all__ = ["DirectKernelProvider", "TableKernelProvider", "FeasibleConfig",
+           "FeasibleMatrices", "assemble_matrices", "step_feasible",
+           "run_feasible"]
 
 
 def _kernel_entry(provider, family, m, l, P, S):
@@ -77,18 +78,10 @@ class TableKernelProvider:
     kernel = _kernel_entry
 
 
-class NullKernelProvider:
-    """All kernels zero: reduces every step to plain Galerkin."""
-
-    def blocks(self, P, S):
-        zero = np.zeros((2, 2, np.size(P)))
-        return zero, zero
-
-
 # The pairings a step applies, as (kernel block, trial side, test side):
 # "0" is the plain side and "dt" the side with dt b.
-PAIRINGS = [("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0"),
-            ("A", "0", "0"), ("B", "dt", "dt"), ("B", "0", "dt")]
+PAIRINGS = [("A", "0", "dt"), ("A", "dt", "0"), ("A", "0", "0"),
+            ("B", "dt", "dt"), ("B", "0", "dt")]
 
 
 @dataclass
@@ -97,29 +90,36 @@ class FeasibleMatrices:
 
     pairings maps each key of PAIRINGS to its assembled TriDiag, and
     row_sums to its element row sums [k, i], which times the element's
-    midpoint source give the pairing's source terms.
+    midpoint source give the pairing's source terms.  lhs is exact for
+    exact subgrid scales, the element L-spline fluxes of any provider.
     """
 
     pairings: dict
     row_sums: dict
     mass: TriDiag
-    lhs: TriDiag  # M + dt R - A(dt, dt)
+    lhs: TriDiag  # M + dt R - A(dt, dt), from the L-spline fluxes
 
 
-def _element_blocks(provider, params):
-    """The A1 and B1 kernel blocks of every element, arrays (n_elems, 2,
-    2) indexed [k, m, l], from one provider query over the distinct
-    (P, S) of the elements."""
-    (P, S), key_of = kernels.distinct_rows((params.P, params.S))
-    return tuple(np.moveaxis(block, -1, 0)[key_of]
-                 for block in provider.blocks(P, S))
+def _mirror(local, a_elem):
+    """Flip both local indices of the blocks [..., k, 2, 2] where a < 0."""
+    return np.where((a_elem < 0.0)[:, None, None], local[..., ::-1, ::-1],
+                    local)
 
 
-def _mirror(local, a_elem, n_local):
-    """Flip the n_local trailing local indices of the elements with
-    a < 0; the element axis comes just before them."""
-    neg = (a_elem < 0.0).reshape((-1,) + (1,) * n_local)
-    return np.where(neg, np.flip(local, tuple(range(-n_local, 0))), local)
+def _lspline_blocks(h, a_abs, mu, dt):
+    """Element blocks [k, l, m] of M + dt R - A(dt, dt) for a >= 0: dt mu
+    (delta_l1 psi_m'(h) - delta_l0 psi_m'(0)), psi_m solving psi - dt mu
+    psi'' + dt a psi' = 0 with psi_m = 1 at node m, 0 at the other node.
+    psi = c1 e^{r1 (x - h)} + c2 e^{r2 x}, r1 > 0 > r2 the roots of dt mu
+    r^2 - dt a r - 1 = 0: no exponential exceeds 1, no entry subtracts.
+    """
+    q = np.sqrt(a_abs * a_abs + 4.0 * mu / dt)
+    r1, r2 = (a_abs + q) / (2.0 * mu), -2.0 / (dt * (a_abs + q))
+    e1, e2 = np.exp(-r1 * h), np.exp(r2 * h)
+    s = dt * mu / -np.expm1(-q * h / mu)  # dt mu / (1 - e1 e2)
+    return np.moveaxis(np.array([
+        [s * (r1 * e1 * e2 - r2), -s * (r1 - r2) * e1],
+        [-s * (r1 - r2) * e2, s * (r1 - r2 * e1 * e2)]]), -1, 0)
 
 
 def assemble_matrices(mesh, a_elem, mu, dt, provider):
@@ -132,32 +132,29 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     of the kernel blocks K[m, l] = sum_j w_j a_m c_l.  A pairing with
     trial rows T[j, m] and test rows X[i, l] is then the element block
     2 h (X K^T T^T)[i, j], where T is I or I + dt G and X is I or
-    I - dt G, with G[i, :] = (|a|/h) s_i.  For a < 0 the element is
-    mirrored: the block is built with |a| and flipped in both local
-    indices.
+    I - dt G, with G[i, :] = (|a|/h) s_i.  The left-hand side comes
+    from _lspline_blocks instead.  For a < 0 the element is mirrored:
+    each block is built with |a| and flipped in both local indices.
     """
-    a_elem = np.broadcast_to(np.asarray(a_elem, dtype=float),
-                             (mesh.n_elems,))
-    # G of every element
-    grad = (np.abs(a_elem) / mesh.h)[:, None, None] \
-        * np.outer(_SIGN, np.ones(2))
+    a_elem = np.broadcast_to(np.asarray(a_elem, float), mesh.n_elems)
+    a_abs = np.abs(a_elem)
+    grad = (a_abs / mesh.h)[:, None, None] * [[-1.0, -1.0], [1.0, 1.0]]  # G
     trial_dt = np.swapaxes(np.eye(2) + dt * grad, 1, 2)
-    two_h = 2.0 * mesh.h[:, None, None]
+    params = kernels.element_params(a_elem, mesh.h, mu, dt)
+    (P, S), key_of = kernels.distinct_rows((params.P, params.S))
     local = {}
-    for name, k in zip("AB", _element_blocks(
-            provider, kernels.element_params(a_elem, mesh.h, mu, dt))):
-        plain = two_h * np.swapaxes(k, 1, 2)
+    for name, values in zip("AB", provider.blocks(P, S)):
+        k = np.moveaxis(values, -1, 0)[key_of]  # K of every element [k, m, l]
+        plain = 2.0 * mesh.h[:, None, None] * np.swapaxes(k, 1, 2)
         for trial, block in (("0", plain), ("dt", plain @ trial_dt)):
             local[name, trial, "0"] = block
             local[name, trial, "dt"] = block - dt * (grad @ block)
-    blocks = _mirror(np.stack([local[key] for key in PAIRINGS]), a_elem, 2)
+    blocks = _mirror(np.stack([local[key] for key in PAIRINGS]), a_elem)
     pairings = dict(zip(PAIRINGS, mesh_fem.tridiags_from_blocks(blocks)))
-    mass = assemble_mass(mesh)
-    lhs = combine(lambda m, r, p: m + dt * r - p, mass,
-                  assemble_stiffness(mesh, a_elem, mu),
-                  pairings["A", "dt", "dt"])
+    lhs = TriDiag.from_blocks(_mirror(_lspline_blocks(mesh.h, a_abs, mu, dt),
+                                      a_elem))
     return FeasibleMatrices(pairings, dict(zip(PAIRINGS, blocks.sum(axis=-1))),
-                            mass, lhs)
+                            assemble_mass(mesh), lhs)
 
 
 @dataclass
@@ -201,9 +198,7 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
     The plain part of known gives -A(0, dt) u^n and its source; c
     (z_j, phi_l) gives the old level's A(0, 0) u^{n-1} - A(dt, 0) u^n
     and source; and -beta c test_b gives, with beta^2 weights,
-    B(dt, dt) u^n - B(0, dt) u^{n-1} and the old level's source.  The
-    literal reading of the paper's boxed G1 definition is not used: its
-    (1 + dt) factor adds a number to a time, and it diverges.
+    B(dt, dt) u^n - B(0, dt) u^{n-1} and the old level's source.
     """
     dt = config.tgrid.dt
     t1 = (n + 1) * dt

@@ -362,6 +362,35 @@ def exact_step(nodes, a_elem, mu, dt, u0, f0=0.0, bc=(0.0, 0.0), dps=60):
         return np.array([float(v) for v in values])
 
 
+def lspline_fluxes(h, a, mu, dt, dps=50):
+    """Element block [l, m] = dt mu (delta_l1 psi_m'(h) - delta_l0
+    psi_m'(0)) in dps-digit arithmetic, as floats, for one element of
+    width h and velocity a of either sign.
+
+    psi_m solves psi - dt mu psi'' + dt a psi' = 0 on [0, h] with psi_m = 1
+    at node m and 0 at the other node, written the textbook way: psi_m =
+    c0 e^{r0 x} + c1 e^{r1 x} with r0, r1 the roots of dt mu r^2 - dt a r
+    - 1 = 0 and the two end conditions solved by Cramer's rule.
+    """
+    with mp.workdps(dps):
+        h, a, mu, dt = (mp.mpf(float(v)) for v in (h, a, mu, dt))
+        root = mp.sqrt(a * a + 4 * mu / dt)
+        r = ((a + root) / (2 * mu), (a - root) / (2 * mu))
+        # e^{r_i x} at x = 0 and x = h
+        ends = ((mp.mpf(1), mp.mpf(1)), (mp.exp(r[0] * h), mp.exp(r[1] * h)))
+        det = ends[0][0] * ends[1][1] - ends[0][1] * ends[1][0]
+        block = np.empty((2, 2))
+        for m in (0, 1):
+            at0, ath = mp.mpf(m == 0), mp.mpf(m == 1)
+            c = ((at0 * ends[1][1] - ends[0][1] * ath) / det,
+                 (ends[0][0] * ath - ends[1][0] * at0) / det)
+            flux = [c[0] * r[0] * ends[x][0] + c[1] * r[1] * ends[x][1]
+                    for x in (0, 1)]
+            block[0, m] = float(-dt * mu * flux[0])
+            block[1, m] = float(dt * mu * flux[1])
+        return block
+
+
 # --- Green's-function kernels in high precision ----------------------
 #
 # u_m = K^{-1} phi_m for K = I + S (2P d/dx - d^2/dx^2), u(0) = u(1) = 0,

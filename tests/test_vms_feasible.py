@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import (approximate_subgrid_state, brute_series,
-                     feasible_step_family_form)
+                     feasible_step_family_form, lspline_fluxes)
 
 from spectral_vms import kernels as K
+from spectral_vms import table as T
 from spectral_vms import vms_feasible as F
 from spectral_vms import vms_full as V
-from spectral_vms.baselines import run_galerkin
 from spectral_vms.mesh_fem import (DirichletBC, Mesh1D, TimeGrid,
+                                   assemble_mass, assemble_stiffness,
                                    build_uniform_mesh, point_values,
                                    project_velocity)
 
@@ -35,7 +36,7 @@ def test_zero_velocity_kills_advective_families():
     provider = F.DirectKernelProvider()
     mats = F.assemble_matrices(mesh, np.zeros(5), 1.0, 0.01, provider)
     pairs = mats.pairings
-    for key in (("A", "dt", "dt"), ("A", "0", "dt"), ("A", "dt", "0")):
+    for key in (("A", "0", "dt"), ("A", "dt", "0")):
         assert _bands(pairs[key]) == _bands(pairs["A", "0", "0"]), key
     assert _bands(pairs["B", "dt", "dt"]) == _bands(pairs["B", "0", "dt"])
     assert pairs["A", "0", "0"].max_abs() > 0.0
@@ -48,9 +49,10 @@ def test_direct_provider_rejects_policy_with_n_modes():
 
 
 def test_entry_level_equivalence_brute_force():
-    # every entry of the six assembled pairings equals the matching
+    # every entry of the five assembled pairings equals the matching
     # combination of the families' quadrature-plus-long-summation double
-    # sums of the defining series
+    # sums of the defining series, and the closed-form left-hand side
+    # equals M + dt R minus the A(dt, dt) combination
     mesh = build_uniform_mesh(0.0, 0.08, 2)  # h = 0.04
     a, mu, dt = 120.0, 1.0, 4e-4  # P = 2.4, S = 0.25
     provider = F.DirectKernelProvider()
@@ -79,17 +81,72 @@ def test_entry_level_equivalence_brute_force():
         combos["dt", "dt"] = fam["1"] + dt * fam["2"] + dt * fam["3"] \
             + dt * dt * fam["4"]
         for (trial, test), block in combos.items():
-            got = mats.pairings[prefix, trial, test]
             dense = np.zeros((3, 3))
             for k in (0, 1):
                 dense[k:k + 2, k:k + 2] += block
+            got, atol = mats.pairings.get((prefix, trial, test)), 1e-12
+            if (prefix, trial, test) == ("A", "dt", "dt"):
+                # M + dt R - A(dt, dt) cancels into its small entries, so
+                # the series' error stays relative to A(dt, dt)
+                got, atol = mats.lhs, 1e-8 * np.max(np.abs(dense))
+                dense = assemble_mass(mesh).to_dense() + dt * \
+                    assemble_stiffness(mesh, a, mu).to_dense() - dense
             np.testing.assert_allclose(got.to_dense(), dense, rtol=1e-8,
-                                       atol=1e-12)
+                                       atol=atol)
+
+
+# Each entry of an element block against the 50-digit L-spline fluxes,
+# relative to itself.  The worst measured over this grid was 7.9e-14, on
+# an entry of 8.5e-271 = e^{-620}: an exponential e^{-x} carries the
+# rounding of x, about x ulps.  The worst gap relative to the block's
+# largest entry was 3.6e-16.
+LSPLINE_RTOL = 1e-12
+LSPLINE_PECLETS = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 13)])
+
+
+@pytest.mark.parametrize("S", np.logspace(-3.0, 4.0, 15))
+def test_lhs_blocks_are_the_lspline_fluxes(S):
+    # every P of the grid with both signs, at one S, on the elements
+    # h = 0.02 and mu = 0.5
+    h, mu = 0.02, 0.5
+    a = np.concatenate([LSPLINE_PECLETS, -LSPLINE_PECLETS]) * 2.0 * mu / h
+    dt = S * h * h / mu
+    blocks = F._mirror(F._lspline_blocks(h, np.abs(a), mu, dt), a)
+    for got, a_k in zip(blocks, a):
+        np.testing.assert_allclose(got, lspline_fluxes(h, a_k, mu, dt),
+                                   rtol=LSPLINE_RTOL, atol=0.0)
+
+
+def test_lhs_does_not_depend_on_the_provider():
+    # the left-hand side is the closed-form closure, so the J-mode series
+    # and a table give the bands of the direct provider, bit for bit
+    mesh = Mesh1D([0.0, 0.13, 0.35, 0.5, 0.78, 1.0])
+    a_elem = np.array([3.0, -40.0, 0.0, 150.0, -7.0])
+    table = T.generate_table(T.TableGrid(delta=0.5, m=8))
+    bands = [_bands(F.assemble_matrices(mesh, a_elem, 0.3, 0.02, p).lhs)
+             for p in (F.DirectKernelProvider(),
+                       F.DirectKernelProvider(n_modes=8),
+                       F.TableKernelProvider(table))]
+    assert bands[1] == bands[0]
+    assert bands[2] == bands[0]
 
 
 def _full_equiv_config(mesh, tgrid, a, mu, f, bc, J):
     return V.FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                            bc=bc, source=f, initial=None, n_modes=J)
+
+
+def _full_snapshot_with_feasible_lhs(vcfg):
+    """The full method's snapshot of its constant velocity, solving with
+    the feasible left-hand side: that is the closure summed over every
+    mode, the full method's over J, and the bridge compares the rest of
+    the two recursions."""
+    a_elem = project_velocity(vcfg.velocity, vcfg.mesh)
+    ctx = V._Snapshot(vcfg, a_elem)
+    feasible = F.assemble_matrices(vcfg.mesh, a_elem, vcfg.mu,
+                                   vcfg.tgrid.dt, F.DirectKernelProvider())
+    ctx.__dict__["matrices"] = (feasible.lhs, ctx.matrices[1])
+    return ctx
 
 
 @pytest.mark.parametrize("a, rate", [
@@ -120,7 +177,7 @@ def test_one_level_history_matches_full_method(a, rate):
 
     vcfg = _full_equiv_config(mesh, tgrid, a, mu, f, bc, J)
     # the velocity is constant, so one snapshot serves every time level
-    ctx = V._Snapshot(vcfg, project_velocity(vcfg.velocity, mesh))
+    ctx = _full_snapshot_with_feasible_lhs(vcfg)
     u = mesh.interpolate(ic)
     ref = [u.copy()]
     state = np.zeros((mesh.n_elems, J))
@@ -135,7 +192,8 @@ def test_one_level_history_matches_full_method(a, rate):
 
 
 def test_first_step_matches_full_method():
-    # with a zero initial subgrid both methods solve the same first system
+    # with a zero initial subgrid and one left-hand side both methods
+    # solve the same first system
     mesh = build_uniform_mesh(0.0, 1.0, 50)
     a, mu, dt, J = 1000.0, 1.0, 1e-3, 60
     tgrid = TimeGrid(dt, 1)
@@ -149,23 +207,10 @@ def test_first_step_matches_full_method():
     hist = F.run_feasible(fcfg)
     vcfg = V.FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                            initial=hat, n_modes=J)
-    res = V.run_full(vcfg)
-    assert np.max(np.abs(hist[1] - res.history[1])) < 1e-10
-
-
-def test_null_provider_reduces_to_galerkin():
-    mesh = build_uniform_mesh(0.0, 1.0, 20)
-    a, mu, dt = 300.0, 1.0, 1e-2
-    tgrid = TimeGrid(3 * dt, 3)
-
-    def hat(x):
-        return np.where(np.abs(x - 0.45) <= 0.25, 1.0, 0.0)
-
-    fcfg = F.FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
-                            initial=hat, provider=F.NullKernelProvider())
-    hist = F.run_feasible(fcfg)
-    ref = run_galerkin(mesh, tgrid, a, mu, initial=hat)
-    np.testing.assert_array_equal(hist, ref)
+    u0, state, _ = V.init_state(vcfg)
+    u1, _ = V.step_full(u0, state, 0, vcfg,
+                        _full_snapshot_with_feasible_lhs(vcfg))
+    assert np.max(np.abs(hist[1] - u1)) < 1e-10
 
 
 def test_main_pairing_stays_bounded_on_a_coarse_mesh():

@@ -10,17 +10,35 @@ summarised over the untraced passes, setup_s over perfbench's set-ups
 and peak_rss_mb is the one value of the untraced run.  Traced runs are
 short because perfbench's post-processing of a traced run grows with
 the square of its number of passes.
+
+Each workload also gets a layer split that perfbench's profile does not
+give: the inclusive time of each function of SPLIT, timed by a wrapper
+around every binding of it in the package, over one pass run in this
+process after one warm-up pass.  The workloads come from
+perfbench/workloads.py, compiled from its text, so nothing is written
+under perfbench/.
 """
 
+import contextlib
+import functools
+import importlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
 TRACED_SECONDS = 3.0
+# (module of spectral_vms, function) of the layer split
+SPLIT = [("mesh_fem", "factor_tridiag"), ("mesh_fem", "solve_tridiag"),
+         ("analysis", "reference_solution"),
+         ("analysis", "write_solutions_csv"), ("vms_full", "step_full"),
+         ("vms_full", "init_state"), ("vms_feasible", "assemble_matrices")]
 
 
 def perfbench(workload, seconds, trace):
@@ -44,9 +62,74 @@ def quartiles(samples):
             "samples": len(samples)}
 
 
+def load_workloads():
+    """perfbench/workloads.py as a module, compiled from its source text
+    so that no bytecode cache is written beside it; the package comes
+    from src/ of this checkout."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    module = types.ModuleType("perfbench_workloads")
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+@contextlib.contextmanager
+def timed_bindings(totals):
+    """Within the block, every package binding of each SPLIT function
+    adds its inclusive seconds to totals["module.function"]."""
+    namespaces = [m for n, m in sorted(sys.modules.items())
+                  if n.startswith("spectral_vms")]
+    patches = []  # (namespace, attribute, original)
+    for module, function in SPLIT:
+        name = "%s.%s" % (module, function)
+        original = getattr(importlib.import_module("spectral_vms." + module),
+                           function)
+
+        @functools.wraps(original)
+        def timed(*args, _original=original, _name=name, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                totals[_name] += time.perf_counter() - start
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    patches.append((ns, attr, original))
+                    setattr(ns, attr, timed)
+    try:
+        yield
+    finally:
+        for ns, attr, original in reversed(patches):
+            setattr(ns, attr, original)
+
+
+def layer_split(workloads, name):
+    """Inclusive ms of each SPLIT function over one in-process pass of
+    the workload, after one warm-up pass, with the pass's own ms."""
+    workload = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as workdir:
+        ctx = workloads.Context(workdir=workdir, table_path=os.path.join(
+            workdir, "kernels.bin"))
+        if workload.builds_table:
+            workloads.prepare(name, workdir)
+            ctx.velocity, _ = workloads.online_velocity(SEED)
+        workload.run_pass(ctx)
+        totals = dict.fromkeys(("%s.%s" % key for key in SPLIT), 0.0)
+        with timed_bindings(totals):
+            start = time.perf_counter()
+            ops = workload.run_pass(ctx)
+            wall = time.perf_counter() - start
+    return {"pass_ms": 1e3 * wall,
+            "inclusive_ms": {k: 1e3 * v for k, v in totals.items()},
+            "failed": [op.name for op in ops if op.error]}
+
+
 def record(spec):
     env = None
     workloads = {}
+    split_source = load_workloads()
     for w in spec["workloads"]:
         name = w["name"]
         untraced = perfbench(name, spec["run_seconds"], 0)
@@ -67,6 +150,7 @@ def record(spec):
             "traced_passes": len(traced["traced_wall_s"]),
             "per_layer": {k: v["value"]
                           for k, v in traced["metrics"].items()},
+            "layer_split": layer_split(split_source, name),
         }
     return {
         "environment": {
