@@ -463,94 +463,6 @@ def green_kernels(entries, P, S, dps=100):
     return np.array(out)
 
 
-# --- expression-form Green's-function kernel ---------------------------
-#
-# kernels.green_blocks as it was written before it evaluated into reused
-# buffers: every stage a fresh array.  Same operations in the same order,
-# so the package must match it bit for bit.
-
-
-def phi1_neg(y):
-    """phi1(-y) = (1 - e^{-y}) / y for y >= 0, by expm1."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = -np.expm1(-y) / y
-    return np.where(y == 0.0, 1.0, out)
-
-
-def phi2_neg(y):
-    """phi2(-y) = (e^{-y} - 1 + y) / y^2 for y >= 0: a Taylor series
-    below y = 1, the closed form above."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < 1.0
-    ys = -y[small]
-    acc = np.full_like(ys, K._PHI2_TAYLOR[-1])
-    for coef in K._PHI2_TAYLOR[-2::-1]:
-        acc = acc * ys + coef
-    out[small] = acc
-    yl = y[~small]
-    out[~small] = (np.expm1(-yl) + yl) / (yl * yl)
-    return out
-
-
-def graded_rule(lam, mu):
-    """Nodes and weights (n_points, n_nodes) on [0, 1], symmetric about
-    1/2, with panel break points min(1/2, 2^k / lam) in each half."""
-    xg, wg = K._composite_gauss01(K._GREEN_GAUSS, 1)
-    reach = np.minimum(0.5, K._GREEN_REACH / mu) * lam
-    n_breaks = 1 + max(0, int(np.ceil(np.log2(reach.max()))))
-    edges = np.minimum(0.5, 2.0 ** np.arange(n_breaks) / lam[:, None])
-    edges = np.concatenate([np.zeros((lam.size, 1)), edges,
-                            np.full((lam.size, 1), 0.5)], axis=1)
-    width = np.diff(edges, axis=1)[:, :, None]
-    x = (edges[:, :-1, None] + width * xg).reshape(lam.size, -1)
-    w = (width * wg).reshape(lam.size, -1)
-    return (np.concatenate([x, 1.0 - x[:, ::-1]], axis=1),
-            np.concatenate([w, w[:, ::-1]], axis=1))
-
-
-def green_chunk(P, S, a1, b1):
-    """Fill a1 and b1, arrays (2, 2, n), at n points."""
-    Q = np.sqrt(np.float_power(P, 2) + 1.0 / S)
-    lam = P + Q
-    mu = 1.0 / (S * lam)
-    rho = 2.0 * P / lam
-    x, w = graded_rule(lam, mu)
-    y = mu[:, None] * x
-    interior_f0 = -np.expm1(-y)  # mu x phi1(-mu x)
-    u1 = x * ((mu / lam)[:, None] + rho[:, None] * y * phi2_neg(y))
-    layer = x * np.exp(-lam[:, None] * (1.0 - x)) \
-        * phi1_neg(2.0 * Q[:, None] * x) / phi1_neg(2.0 * Q)[:, None]
-    n1 = -mu * (1.0 / lam + rho * phi2_neg(mu))
-    n_sum = -mu * phi1_neg(mu)
-    u0 = interior_f0 - u1 + (n_sum - n1)[:, None] * layer
-    u1 += n1[:, None] * layer
-    wu = (w * u0, w * u1)
-    a1[0, 0] = 0.5 * np.sum(wu[0] * (1.0 - x), axis=1)
-    a1[0, 1] = 0.5 * np.sum(wu[0] * x, axis=1)
-    a1[1, 0] = 0.5 * np.sum(wu[1] * (1.0 - x), axis=1)
-    a1[1, 1] = a1[0, 0]
-    b1[0, 0] = 0.5 * np.sum(wu[0] * u1[:, ::-1], axis=1)
-    b1[0, 1] = 0.5 * np.sum(wu[0] * u0[:, ::-1], axis=1)
-    b1[1, 0] = 0.5 * np.sum(wu[1] * u1[:, ::-1], axis=1)
-    b1[1, 1] = b1[0, 0]
-
-
-def green_blocks_reference(P, S):
-    """(A1, B1) at the points (P[k], S[k]) from green_chunk over the
-    package's chunks of _GREEN_CHUNK points."""
-    P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
-                               np.asarray(S, dtype=float))
-    P, S = P.ravel(), S.ravel()
-    a1 = np.empty((2, 2, P.size))
-    b1 = np.empty((2, 2, P.size))
-    for lo in range(0, P.size, K._GREEN_CHUNK):
-        part = slice(lo, lo + K._GREEN_CHUNK)
-        green_chunk(P[part], S[part], a1[:, :, part], b1[:, :, part])
-    return a1, b1
-
-
 def nsum_kernel(family, m, l, P, S, dps=30):
     """One kernel entry as the mode series, summed by mpmath.nsum over
     even and odd modes separately (each is free of sign changes)."""

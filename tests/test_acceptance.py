@@ -359,7 +359,7 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
 
 
 @pytest.mark.skipif(os.environ.get("SPECTRAL_VMS_FULL_TABLE") != "1",
-                    reason="full default table (m=1000) takes about 15 s; "
+                    reason="full default table (m=1000) takes about 3 s; "
                            "set SPECTRAL_VMS_FULL_TABLE=1 to run")
 def test_criterion_9_full_default_table(tmp_path):
     with warnings.catch_warnings():

@@ -1,7 +1,9 @@
+import hashlib
 import importlib
 import json
 import pathlib
 import shlex
+import struct
 import warnings
 
 import numpy as np
@@ -113,6 +115,34 @@ def test_solve_with_a1_only_table_exits_2(tmp_path, capsys):
                "--table", str(table), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "holds families ['A1']" in capsys.readouterr().err
+
+
+def test_table_with_nan_grid_exits_2(tmp_path, capsys):
+    # a digest-valid file with delta = NaN: table-info printed
+    # "delta = nan" and exited 0, and solve died with an IndexError
+    table = tmp_path / "nan.bin"
+    assert main(["offline", "--delta", "10", "--m", "2", "--out",
+                 str(table)]) == 0
+    blob = bytearray(table.read_bytes()[:-table_mod.DIGEST_SIZE])
+    blob[8:16] = struct.pack("<d", float("nan"))
+    table.write_bytes(bytes(blob) + hashlib.blake2b(
+        blob, digest_size=table_mod.DIGEST_SIZE).digest())
+    assert main(["table-info", "--table", str(table)]) == 2
+    assert "bad grid" in capsys.readouterr().err
+    rc = main(["solve", "--method", "spectral-feasible", "--h", "0.5",
+               "--dt", "0.1", "--steps", "1", "--provider", "table",
+               "--table", str(table), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "bad grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_offline_workers_below_one_exits_2(tmp_path, capsys, workers):
+    table = tmp_path / "t.bin"
+    assert main(["offline", "--delta", "10", "--m", "2", "--workers",
+                 workers, "--out", str(table)]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not table.exists()
 
 
 def test_table_info_missing_file():

@@ -502,7 +502,8 @@ def test_closed_form_kernels_agree_with_long_series():
                                  (3.0, 1e-6), (1e5, 1e-8)])
 def test_closed_form_kernels_small_s(P, S):
     # below S = 1e-3 the interior decay rate mu = Q - P can be large
-    # while still far below the layer rate P + Q; the panels follow both
+    # while still far below the layer rate P + Q; both take the closed
+    # forms of the rate integrals
     got = K.closed_form_kernels(ALL_ENTRIES, P, S)[:, 0]
     want = green_kernels(ALL_ENTRIES, P, S, dps=120)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
@@ -513,7 +514,8 @@ def test_closed_form_kernels_shapes_and_validation():
                                 [0.5, 1.0, 4.0])
     assert got.shape == (2, 3)
     assert np.all(got > 0.0)
-    for P, S in ((np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, 0.0)):
+    for P, S in ((np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, 0.0),
+                 (1e200, 1.0), (1.0, 1e-320)):
         with pytest.raises(ValueError):
             K.closed_form_kernels([("A1", 0, 0)], P, S)
 

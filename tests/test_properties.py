@@ -1,14 +1,14 @@
 """Property tests: the closed-form kernels against the high-precision
 Green's-function oracle, the array kernel paths against their per-point
-calls, green_blocks bit for bit against its expression form, the
-all-keys element paths (distinct keys, element mode arrays,
-table lookup) against their per-key and per-entry versions, detection of
-any single-byte corruption of a saved table, the tridiagonal solve
-against a dense solve on systems that are not diagonally dominant and bit
-for bit against one-pass Thomas elimination, the mirror symmetry of both
-spectral methods, one full spectral step against the dense
-monolithic solve, and one feasible step against the exact backward-Euler
-step."""
+calls, green_blocks' bits whatever points share a call, B1 as the S
+derivative of S A1, the all-keys element paths (distinct keys, element
+mode arrays, table lookup) against their per-key and per-entry versions,
+detection of any single-byte corruption of a saved table, the
+tridiagonal solve against a dense solve on systems that are not
+diagonally dominant and bit for bit against one-pass Thomas elimination,
+the mirror symmetry of both spectral methods, one full spectral step
+against the dense monolithic solve, and one feasible step against the
+exact backward-Euler step."""
 
 import functools
 import math
@@ -16,13 +16,14 @@ import os
 import tempfile
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 from oracles import (ALL_ENTRIES, exact_step, family_entries,
-                     green_blocks_reference, green_kernels,
+                     green_kernel_blocks, green_kernels,
                      interpolate_entry, key_params,
                      monolithic_step_oracle, per_key_mode_arrays,
                      series_terms, thomas_solve, tridiag_bands)
@@ -53,7 +54,7 @@ SOME_ENTRIES = st.lists(st.sampled_from(ALL_ENTRIES), min_size=1, max_size=6,
 
 # Largest relative error of closed_form_kernels against the oracle that
 # the property accepts; the worst measured on 1,470 points of the box was
-# 4.8e-12, from rounding at large S.
+# 2.2e-14, and 1.8e-14 on 1,000 random points with S from 1e-8 to 1e4.
 CLOSED_FORM_RTOL = 1e-10
 ORACLE_P = st.one_of(st.sampled_from([0.0, 1e-5, 1e-3]),
                      st.floats(0.0, 1e3),
@@ -77,34 +78,61 @@ def test_closed_form_kernels_match_oracle(points):
                                    atol=0, err_msg="P=%r S=%r" % (p, s))
 
 
-# Points for green_blocks against its expression form: P = 0 and S down
-# to 1e-8, where mu = 1 / (S lam) is large and most nodes take the closed
-# form of phi2, and large S, where every node takes its Taylor series.
+@pytest.mark.parametrize("P", [0.0, 1e-4, 3.0, 1e3])
+@pytest.mark.parametrize("S", [1e-3, 0.093, 25.0, 9e3])
+def test_b1_is_the_s_derivative_of_s_a1(P, S):
+    # beta_j + S d(beta_j)/dS = beta_j^2, so B1 = d(S A1)/dS entry by
+    # entry: a check of B1 that does not use the oracle's mirrored
+    # products.  A central difference with step 1e-30 S in 120 digits is
+    # off by about 1e-60.
+    with mp.workdps(120):
+        s = mp.mpf(S)
+        h = s * mp.mpf(10) ** -30
+        hi = green_kernel_blocks(P, s + h, dps=120)["A"]
+        lo = green_kernel_blocks(P, s - h, dps=120)["A"]
+        want = [[float(((s + h) * hi[m][l] - (s - h) * lo[m][l]) / (2 * h))
+                 for l in (0, 1)] for m in (0, 1)]
+    got = K.green_blocks(P, S)[1][:, :, 0]
+    np.testing.assert_allclose(got, want, rtol=CLOSED_FORM_RTOL, atol=0)
+
+
+# Points for green_blocks' batch invariance: P = 0 and S down to 1e-8,
+# where every rate is large, S up to 1e4, where small P takes the power
+# form, and both sides of the switch between the forms.
 GREEN_P = st.one_of(st.just(0.0), st.floats(0.0, 1e3),
                     st.floats(-5.0, 3.0).map(lambda e: 10.0 ** e))
 GREEN_S = st.one_of(st.just(1e-8), st.floats(1e-3, 1e3),
-                    st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e))
+                    st.floats(-8.0, 4.0).map(lambda e: 10.0 ** e))
+ROW_S = T.TableGrid(delta=0.2, m=100).axis()
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(points=st.lists(st.tuples(GREEN_P, GREEN_S), min_size=1,
                        max_size=12),
-       n_fill=st.integers(0, 3 * K._GREEN_CHUNK), seed=st.integers(0, 2 ** 16))
-@example(points=[(0.0, 1e-8), (0.0, 1e3), (1e3, 1e-8), (20.0, 2.5)],
-         n_fill=2 * K._GREEN_CHUNK, seed=0)
-def test_green_blocks_equal_expression_form_bitwise(points, n_fill, seed):
-    # the drawn points, then seeded ones, so that sets span several
-    # chunks whose panel counts differ
+       n_fill=st.integers(0, 10 ** 4 - 12), seed=st.integers(0, 2 ** 16))
+@example(points=[(0.0, 1e-8), (0.0, 1e4), (1e3, 1e-8), (20.0, 2.5),
+                 (1.0, 0.8), (1.1, 0.8)], n_fill=10 ** 4 - 6, seed=0)
+def test_green_blocks_are_batch_invariant(points, n_fill, seed):
+    # each point's blocks have the same bits alone, in a 100-point table
+    # row (its P with the reduced grid's S axis, one S replaced), and
+    # among up to 10^4 seeded points in one call, so that table nodes
+    # equal direct queries
     rng = np.random.default_rng(seed)
     fill_p = np.where(rng.random(n_fill) < 0.1, 0.0,
                       10.0 ** rng.uniform(-5.0, 3.0, n_fill))
-    fill_s = 10.0 ** rng.uniform(-8.0, 3.0, n_fill)
-    P = np.concatenate([np.array(points)[:, 0], fill_p])
-    S = np.concatenate([np.array(points)[:, 1], fill_s])
-    got = K.green_blocks(P, S)
-    want = green_blocks_reference(P, S)
-    for g, r in zip(got, want):
-        assert g.tobytes() == r.tobytes()
+    fill_s = 10.0 ** rng.uniform(-8.0, 4.0, n_fill)
+    at = int(rng.integers(0, n_fill + 1))
+    P, S = np.array(points).T
+    mixed = K.green_blocks(np.insert(fill_p, at, P), np.insert(fill_s, at, S))
+    for k, (p, s) in enumerate(points):
+        alone = K.green_blocks(p, s)
+        col = int(rng.integers(0, ROW_S.size))
+        row_s = ROW_S.copy()
+        row_s[col] = s
+        row = K.green_blocks(p, row_s)
+        for one, in_row, in_mixed in zip(alone, row, mixed):
+            assert one[:, :, 0].tobytes() == in_row[:, :, col].tobytes()
+            assert one[:, :, 0].tobytes() == in_mixed[:, :, at + k].tobytes()
 
 
 @SETTINGS

@@ -122,6 +122,34 @@ def test_families_other_than_a1_then_b1_rejected(tmp_path, families):
         T.load_table(path)
 
 
+@pytest.mark.parametrize("delta, m", [(float("nan"), 3), (float("inf"), 3),
+                                      (1e308, 3), (0.5, 2.5),
+                                      (0.5, float("nan"))])
+def test_grid_rejects_non_finite_or_fractional_values(delta, m):
+    # NaN passes a `delta <= 0` check and 2.5 passes `m < 2`
+    with pytest.raises(ValueError):
+        T.TableGrid(delta=delta, m=m)
+
+
+def save_with_grid(path, delta, m):
+    """A digest-valid table file whose header holds the grid (delta, m),
+    which TableGrid need not accept."""
+    table = types.SimpleNamespace(
+        grid=types.SimpleNamespace(delta=delta, m=m),
+        values={name: np.ones((4, m, m)) for name in T.TABLE_FAMILIES},
+        families=lambda: list(T.TABLE_FAMILIES))
+    T.save_table(table, path)
+
+
+@pytest.mark.parametrize("delta, m", [(float("nan"), 3), (float("inf"), 3),
+                                      (1e308, 3), (-0.5, 3), (0.5, 1)])
+def test_bad_grid_in_a_digest_valid_file_rejected(tmp_path, delta, m):
+    path = tmp_path / "kernels.bin"
+    save_with_grid(path, delta, m)
+    with pytest.raises(T.TableFormatError, match="bad grid"):
+        T.load_table(path)
+
+
 def make_synthetic_table(func, delta=0.5, m=8, family="A1"):
     grid = T.TableGrid(delta=delta, m=m)
     axis = grid.axis()

@@ -9,7 +9,11 @@ quartiles, and the per-layer metrics of the traced run.  wall_s is
 summarised over the untraced passes, setup_s over perfbench's set-ups
 and peak_rss_mb is the one value of the untraced run.  Traced runs are
 short because perfbench's post-processing of a traced run grows with
-the square of its number of passes.
+the square of its number of passes times the spans of one pass.  So
+that a full-length traced run's risk shows without making one, each
+workload also gets spans_per_pass, the spans of the short traced run's
+first pass, and projected_traced_passes, the benchmark's run_seconds
+over the median traced pass.
 
 Each workload also gets a layer split that perfbench's profile does not
 give: the inclusive time of each function of SPLIT, timed by a wrapper
@@ -38,7 +42,8 @@ TRACED_SECONDS = 3.0
 SPLIT = [("mesh_fem", "factor_tridiag"), ("mesh_fem", "solve_tridiag"),
          ("analysis", "reference_solution"),
          ("analysis", "write_solutions_csv"), ("vms_full", "step_full"),
-         ("vms_full", "init_state"), ("vms_feasible", "assemble_matrices")]
+         ("vms_full", "init_state"), ("vms_feasible", "assemble_matrices"),
+         ("kernels", "green_blocks")]
 
 
 def perfbench(workload, seconds, trace):
@@ -51,6 +56,12 @@ def perfbench(workload, seconds, trace):
                         % (workload, SEED, trace))
     with open(path) as fh:
         return json.load(fh)
+
+
+def spans_per_pass(traced):
+    """The spans of the first pass of a traced run, from its spans file."""
+    with open(os.path.join(ROOT, traced["spans_file"])) as fh:
+        return sum(span["run"] == 0 for span in json.load(fh))
 
 
 def quartiles(samples):
@@ -148,6 +159,10 @@ def record(spec):
                            for m in spec["end_to_end"]},
             "traced_seconds": TRACED_SECONDS,
             "traced_passes": len(traced["traced_wall_s"]),
+            "spans_per_pass": spans_per_pass(traced),
+            "projected_traced_passes": (
+                spec["run_seconds"]
+                / statistics.median(traced["traced_wall_s"])),
             "per_layer": {k: v["value"]
                           for k, v in traced["metrics"].items()},
             "layer_split": layer_split(split_source, name),
