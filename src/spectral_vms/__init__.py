@@ -5,9 +5,8 @@ kernel tables and experiment tooling."""
 from .analysis import (ErrorReport, ExperimentPreset, PRESETS, error_norms,
                        convergence_order, reference_solution, run_experiment,
                        run_method)
-from .baselines import cfl_bound, run_galerkin, run_stabilized, tau
-from .kernels import (ElementParams, closed_form_kernels, element_params,
-                      beta, mode_value)
+from .baselines import run_galerkin, run_stabilized, tau
+from .kernels import ElementParams, beta, element_params
 from .mesh_fem import (DirichletBC, Mesh1D, TimeGrid, TriDiag, TriDiagSystem,
                        build_uniform_mesh, solve_tridiag)
 from .table import (KernelTable, TableGrid, generate_table, interpolate,

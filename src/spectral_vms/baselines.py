@@ -12,9 +12,8 @@ from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
                        assemble_load, assemble_mass, assemble_stiffness,
                        combine, solve_tridiag)
 
-__all__ = ["tau", "cfl_bound", "assemble_stab_matrix", "step_matrices",
-           "step_galerkin", "step_stabilized", "run_galerkin",
-           "run_stabilized", "STAB_KINDS"]
+__all__ = ["tau", "assemble_stab_matrix", "step_matrices", "step_galerkin",
+           "step_stabilized", "run_galerkin", "run_stabilized", "STAB_KINDS"]
 
 STAB_KINDS = ("OneD", "Codina", "Hauke", "Franca")
 
@@ -47,14 +46,6 @@ def tau(kind, a, mu, h, dt):
             # the P branch equals h^2/(2 mu)
             out = np.where(P <= 1.0, h ** 2 / (2.0 * mu), h / a_abs)
     return out[()]
-
-
-def cfl_bound(P):
-    """Threshold P / (3 (1 - P)) below which the Galerkin CFL number
-    produces spurious temporal oscillations (valid for 0 < P < 1)."""
-    if not 0.0 < P < 1.0:
-        raise ValueError("the bound is defined for 0 < P < 1")
-    return P / (3.0 * (1.0 - P))
 
 
 def assemble_stab_matrix(mesh, coeff=1.0):

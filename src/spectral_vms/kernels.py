@@ -41,12 +41,10 @@ __all__ = [
     "distinct_element_params",
     "distinct_rows",
     "beta",
-    "mode_value",
     "sum_series_batch",
     "sum_series_multi",
     "series_blocks",
     "green_blocks",
-    "closed_form_kernels",
     "kernels_from_blocks",
     "element_mode_arrays",
     "source_mode_projection",
@@ -152,21 +150,6 @@ def beta(j, p):
     # C pow, as Python's P ** 2
     return 1.0 / (1.0 + _per_key(p.S, j.ndim) * (
         _per_key(np.float_power(p.P, 2), j.ndim) + np.pi ** 2 * j ** 2))
-
-
-def mode_value(j, p, xhat):
-    """Normalized mode times sqrt(h): sqrt(2) e^{sign P xhat} sin(j pi xhat),
-    of shape p.P.shape + the broadcast shape of j and xhat.
-
-    The exponent carries the velocity sign, so the mode is orthonormal
-    under the weight exp(-2 sign P xhat); mirroring the element instead
-    would only change each mode by a constant factor.
-    """
-    xhat = np.asarray(xhat, dtype=float)
-    if np.any(xhat < 0.0) or np.any(xhat > 1.0):
-        raise ValueError("xhat must lie in [0, 1]")
-    rate = _per_key(p.sign_a * p.P, np.broadcast(j, xhat).ndim)
-    return np.sqrt(2.0) * np.exp(rate * xhat) * np.sin(j * np.pi * xhat)
 
 
 # --- reference-element integrals --------------------------------------
@@ -429,28 +412,43 @@ _RATE_TAYLOR = np.array([[sum(c * (-1) ** (n - e) * factorial(n + 5)
                          for n in range(_SERIES_TERMS)])
 
 
-def _rate_integrals(r):
-    """The 13 integrals of _RATE_FORMS at the rates r > 0, an array
-    (13, r.size); both branches run at every point."""
+def _rate_series(r):
+    """The 13 integrals of _RATE_FORMS at the rates r by their Taylor
+    series, an array (13, r.size)."""
     series = np.repeat(_RATE_TAYLOR[-1][:, None], r.size, axis=1)
     for coef in _RATE_TAYLOR[-2::-1]:
         series *= r
         series += coef[:, None]
-    with np.errstate(all="ignore"):
-        # phi_k(-r) by upward recurrence, stable for r >= 2
-        phi0 = np.exp(-r)
-        phi1 = -np.expm1(-r) / r
-        phi2 = (1.0 - phi1) / r
-        phi3 = (0.5 - phi2) / r
-        xe = (phi1 - phi0) / r
-        g_w0 = 0.5 - phi2
-        g_e = phi1 - phi0
-        g_g = 1.0 - 2.0 * phi1 + phi0
-        closed = (phi1, phi2, xe, (2.0 * xe - phi0) / r, g_w0,
-                  0.5 - phi1 + phi2, 1.0 / 6.0 - phi3,
-                  1.0 / 3.0 - phi2 + phi3, g_e, phi2 - g_e / r, g_g,
-                  g_w0 - g_g / r, 1.0 / 6.0 - (2.0 * g_w0 - g_g / r) / r)
-    return np.where(r < _SERIES_RATE, series, closed)
+    return series
+
+
+def _rate_closed(r):
+    """The 13 integrals of _RATE_FORMS at the rates r by their closed
+    forms, an array (13, r.size); phi_k(-r) by upward recurrence, stable
+    for r >= 2."""
+    phi0 = np.exp(-r)
+    phi1 = -np.expm1(-r) / r
+    phi2 = (1.0 - phi1) / r
+    phi3 = (0.5 - phi2) / r
+    xe = (phi1 - phi0) / r
+    g_w0 = 0.5 - phi2
+    g_e = phi1 - phi0
+    g_g = 1.0 - 2.0 * phi1 + phi0
+    return np.array((phi1, phi2, xe, (2.0 * xe - phi0) / r, g_w0,
+                     0.5 - phi1 + phi2, 1.0 / 6.0 - phi3,
+                     1.0 / 3.0 - phi2 + phi3, g_e, phi2 - g_e / r, g_g,
+                     g_w0 - g_g / r, 1.0 / 6.0 - (2.0 * g_w0 - g_g / r) / r))
+
+
+def _rate_integrals(r):
+    """The 13 integrals of _RATE_FORMS at the rates r > 0, an array
+    (13, r.size): the Taylor series at the rates below _SERIES_RATE, the
+    closed forms at the others."""
+    out = np.empty((len(_RATE_FORMS), r.size))
+    low = r < _SERIES_RATE
+    for form, at in ((_rate_series, low), (_rate_closed, ~low)):
+        out[:, at] = form(r[at])
+    return out
 
 
 def _check_points(P, S):
@@ -471,7 +469,8 @@ def _layer_blocks(P, S):
     """A1 and B1 in the layer form of the comment above."""
     Q = np.sqrt(np.float_power(P, 2) + 1.0 / S)
     lam = P + Q
-    mu = 1.0 / (S * lam)
+    with np.errstate(over="ignore"):
+        mu = 1.0 / (S * lam)  # 0, its limit, where S lam overflows
     at_mu, at_lam, at_2q = np.split(
         _rate_integrals(np.concatenate([mu, lam, 2.0 * Q])), 3, axis=1)
     (phi1, phi2, xe, _, g_w0, g_w1, p_w0, p_w1, g_e, p_e, g_g, g_p,
@@ -548,20 +547,21 @@ def green_blocks(P, S):
     indexed [m, l].  A1[1, 1] = A1[0, 0] and B1[1, 1] = B1[0, 0], term
     by term of the series, so each is computed once.
 
-    Each point is integrated exactly, in the layer or the power form
-    of the comment above.  Both forms run at every point, with
-    elementwise operations only, so a point's blocks have the same bits
-    whatever other points share the call.
+    Each point is integrated exactly, in the power form where Q < 3/2
+    and in the layer form elsewhere (see the comment above); each form
+    runs on its own points only.  Every operation is elementwise, so a
+    point's blocks have the same bits whatever other points share the
+    call.
     """
     P, S = _check_points(P, S)
     power = np.float_power(P, 2) + 1.0 / S < _POWER_Q ** 2
-    # Each form may overflow where the other is kept.  Running each form
-    # on its own points only halves a 100-point call, but a faster
-    # online pass lengthens perfbench's traced run quadratically (see
-    # ROADMAP, aim 1).
-    with np.errstate(all="ignore"):
-        a1, b1 = (np.where(power, p, l) for p, l in
-                  zip(_power_blocks(P, S), _layer_blocks(P, S)))
+    a1, b1 = np.empty((2, 2, 2, P.size))
+    # Both forms run on every call, also on no points.  Skipping an empty
+    # form would make small calls cheaper with no fewer traced spans,
+    # and a faster pass of the same spans lengthens perfbench's traced
+    # run quadratically (see ROADMAP, aim 1).
+    for form, at in ((_power_blocks, power), (_layer_blocks, ~power)):
+        a1[..., at], b1[..., at] = form(P[at], S[at])
     a1[1, 1] = a1[0, 0]
     b1[1, 1] = b1[0, 0]
     return a1, b1
@@ -582,19 +582,6 @@ def kernels_from_blocks(entries, blocks):
         cells = rows if fam.side2 == "e" else rows[:, l:l + 1]
         out.append(cells.sum(axis=(0, 1)))
     return np.array(out)
-
-
-def closed_form_kernels(entries, P, S):
-    """Values of each (family name, m, l) entry at the points (P[k], S[k]),
-    as an (n_entries, n_points) array, from the element Green's function.
-
-    P and S are scalars or arrays, paired elementwise after broadcasting.
-    Against a 100-digit evaluation of the same bilinear forms, the
-    largest relative error measured was 2.2e-14 on 1,470 points over P
-    in [0, 1e3] and S in [1e-3, 1e3], and 1.8e-14 on 1,000 random points
-    with P in {0} and [1e-5, 1e3] and S in [1e-8, 1e4].
-    """
-    return kernels_from_blocks(entries, green_blocks(P, S))
 
 
 def element_mode_arrays(params, n_modes):

@@ -255,10 +255,6 @@ class TriDiag:
         y[1:] += self.sub * x[:-1]
         return y
 
-    def to_dense(self):
-        return (np.diag(self.diag) + np.diag(self.sup, 1)
-                + np.diag(self.sub, -1))
-
     def max_abs(self):
         return max(np.max(np.abs(self.diag)),
                    np.max(np.abs(self.sub), initial=0.0),

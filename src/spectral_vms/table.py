@@ -79,9 +79,10 @@ class KernelTable:
 
 
 # P rows per green_blocks call of generate_table: the call's fixed cost
-# of about 0.4 ms is shared by 10 m points, and its temporaries, about
-# 1.4 KB a point, stay proportional to m.  With one row per call the
-# grid delta = 0.2, m = 100 took 64 ms to build, with 10 rows 26 ms.
+# of about 0.35 ms is shared by 10 m points, and its temporaries, about
+# 0.4 KB a point, stay proportional to m.  With one row per call the
+# grid delta = 0.2, m = 100 took about 55 ms to build, with 10 rows
+# about 12 ms.
 _ROWS_PER_CALL = 10
 
 

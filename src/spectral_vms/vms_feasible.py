@@ -96,7 +96,6 @@ class FeasibleMatrices:
 
     pairings: dict
     row_sums: dict
-    mass: TriDiag
     lhs: TriDiag  # M + dt R - A(dt, dt), from the L-spline fluxes
 
 
@@ -154,7 +153,7 @@ def assemble_matrices(mesh, a_elem, mu, dt, provider):
     lhs = TriDiag.from_blocks(_mirror(_lspline_blocks(mesh.h, a_abs, mu, dt),
                                       a_elem))
     return FeasibleMatrices(pairings, dict(zip(PAIRINGS, blocks.sum(axis=-1))),
-                            assemble_mass(mesh), lhs)
+                            lhs)
 
 
 @dataclass
@@ -179,9 +178,10 @@ class FeasibleConfig:
             self.provider = DirectKernelProvider()
 
 
-def step_feasible(n, u, sys_new, sys_old, carry, config):
+def step_feasible(n, u, sys_new, sys_old, carry, config, mass):
     """Step n of the two-level recursion from u = u^n; returns u^{n+1}
-    and the carry of the next step.
+    and the carry of the next step.  mass is the mesh's mass matrix,
+    which run_feasible assembles once.
 
     sys_new / sys_old are the FeasibleMatrices at the new and old time
     levels (identical objects for a constant velocity).  sys_old is None
@@ -203,7 +203,7 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
     dt = config.tgrid.dt
     t1 = (n + 1) * dt
     new = sys_new.pairings
-    rhs = sys_new.mass.matvec(u)
+    rhs = mass.matvec(u)
     rhs -= new["A", "0", "dt"].matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     f_new = None if config.source is None else mesh_fem.point_values(
@@ -231,12 +231,14 @@ def step_feasible(n, u, sys_new, sys_old, carry, config):
 def run_feasible(config):
     """March the feasible method; returns the (n_steps+1, n_nodes) history.
 
-    Only the matrices of the two time levels of the current step are kept.
+    Only the matrices of the two time levels of the current step are kept;
+    the mass matrix depends on the mesh alone and is assembled once.
     """
     mesh, dt = config.mesh, config.tgrid.dt
+    mass = assemble_mass(mesh)
     history, _ = mesh_fem.march(
         mesh, config.tgrid, config.velocity, mesh.interpolate(config.initial),
         lambda a_elem: assemble_matrices(mesh, a_elem, config.mu, dt,
                                          config.provider),
-        lambda *step: step_feasible(*step, config))
+        lambda *step: step_feasible(*step, config, mass))
     return history

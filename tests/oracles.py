@@ -41,6 +41,50 @@ def composite_gauss01(panels, n=32):
     return xs, ws
 
 
+def to_dense(m):
+    """The dense matrix of a TriDiag."""
+    return np.diag(m.diag) + np.diag(m.sup, 1) + np.diag(m.sub, -1)
+
+
+def mode_value(j, p, xhat):
+    """Normalized mode times sqrt(h): sqrt(2) e^{sign P xhat} sin(j pi xhat),
+    of shape p.P.shape + the broadcast shape of j and xhat, for the
+    ElementParams p.
+
+    The exponent carries the velocity sign, so the mode is orthonormal
+    under the weight exp(-2 sign P xhat); mirroring the element instead
+    would only change each mode by a constant factor.
+    """
+    xhat = np.asarray(xhat, dtype=float)
+    if np.any(xhat < 0.0) or np.any(xhat > 1.0):
+        raise ValueError("xhat must lie in [0, 1]")
+    ndim = np.broadcast(j, xhat).ndim
+    rate = np.asarray(p.sign_a * p.P)
+    rate = rate.reshape(rate.shape + (1,) * ndim)
+    return np.sqrt(2.0) * np.exp(rate * xhat) * np.sin(j * np.pi * xhat)
+
+
+def closed_form_kernels(entries, P, S):
+    """Values of each (family name, m, l) entry at the points (P[k], S[k]),
+    as an (n_entries, n_points) array, from the package's green_blocks.
+
+    P and S are scalars or arrays, paired elementwise after broadcasting.
+    Against a 100-digit evaluation of the same bilinear forms, the
+    largest relative error measured was 2.2e-14 on 1,470 points over P
+    in [0, 1e3] and S in [1e-3, 1e3], and 1.8e-14 on 1,000 random points
+    with P in {0} and [1e-5, 1e3] and S in [1e-8, 1e4].
+    """
+    return K.kernels_from_blocks(entries, K.green_blocks(P, S))
+
+
+def cfl_bound(P):
+    """Threshold P / (3 (1 - P)) below which the Galerkin CFL number
+    produces spurious temporal oscillations (valid for 0 < P < 1)."""
+    if not 0.0 < P < 1.0:
+        raise ValueError("the bound is defined for 0 < P < 1")
+    return P / (3.0 * (1.0 - P))
+
+
 def quad_base_integrals(j, P, n=200):
     """The six reference-element integrals by quadrature; the rule grows
     with the mode index so the sine is always resolved."""
@@ -270,7 +314,7 @@ def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0):
     the two-level recursion had it.
     """
     dt = tgrid.dt
-    M = assemble_mass(mesh).to_dense()
+    M = to_dense(assemble_mass(mesh))
     history = [np.asarray(u0, dtype=float)]
     old = None
     for n in range(tgrid.n_steps):
@@ -292,7 +336,7 @@ def feasible_step_family_form(mesh, tgrid, mu, velocity, source, bc, u0):
             rhs += (B1 + dt * B2 + dt * B3 + dt * dt * B4) @ u \
                 - (B1 + dt * B3) @ u_prev \
                 - dt * fv_old["F3"] - dt * dt * fv_old["F4"]
-        lhs = M + dt * assemble_stiffness(mesh, a_elem, mu).to_dense() \
+        lhs = M + dt * to_dense(assemble_stiffness(mesh, a_elem, mu)) \
             - (A1 + dt * A2 + dt * A3 + dt * dt * A4)
         for row, value in zip((0, -1), bc.values(t1)):
             lhs[row] = 0.0
@@ -573,7 +617,7 @@ def sample_full_result(res, points_per_elem=8):
     xhat = np.linspace(0.0, 1.0, points_per_elem)
     j = np.arange(1, amps.shape[1] + 1)[:, None]
     # (n_elems, J, points)
-    modes = K.mode_value(j, params, xhat)[index]
+    modes = mode_value(j, params, xhat)[index]
     sub = np.einsum("kj,kjx->kx", amps, modes) / np.sqrt(mesh.h)[:, None]
     lin = u[:-1, None] * (1.0 - xhat) + u[1:, None] * xhat
     xs = mesh.nodes[:-1, None] + mesh.h[:, None] * xhat

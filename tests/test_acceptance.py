@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import _family_form, composite_gauss01, gauss01, \
-    monolithic_step_oracle, package_base_integrals, quad_base_integrals
+from oracles import _family_form, closed_form_kernels, composite_gauss01, \
+    gauss01, mode_value, monolithic_step_oracle, package_base_integrals, \
+    quad_base_integrals, to_dense
 
 from spectral_vms import kernels as K
 from spectral_vms import table as T
@@ -120,7 +121,7 @@ def test_criterion_2_orthonormality():
     worst = 0.0
     for P in (0.0, 1.0, 10.0):
         p = K.element_params(2.0 * P / 0.1, 0.1, 1.0, 0.01)
-        modes = np.array([K.mode_value(j, p, x) for j in range(1, 21)])
+        modes = np.array([mode_value(j, p, x) for j in range(1, 21)])
         gram = modes @ ((np.exp(-2.0 * P * x) * w)[None, :] * modes).T
         worst = max(worst, np.max(np.abs(gram - np.eye(20))))
     elapsed = time.perf_counter() - t0
@@ -310,7 +311,7 @@ def test_criterion_9_offline_online(tmp_path, reduced_table,
                 for m in (0, 1):
                     for l in (0, 1):
                         got = block[m, l]
-                        ref = K.closed_form_kernels([(name, m, l)], P, S)
+                        ref = closed_form_kernels([(name, m, l)], P, S)
                         worst_node = max(worst_node, abs(got - ref[0, 0]))
     assert worst_node <= 1e-10
     # bit-exact round trip
@@ -397,11 +398,11 @@ def test_criterion_10_reductions():
     m2, dt = pre.mesh(), pre.dt
     a_elem = project_velocity(pre.a, m2)
     fam, _ = _family_form(m2, a_elem, pre.mu, dt)
-    want = assemble_mass(m2).to_dense() \
-        + dt * assemble_stiffness(m2, a_elem, pre.mu).to_dense() \
+    want = to_dense(assemble_mass(m2)) \
+        + dt * to_dense(assemble_stiffness(m2, a_elem, pre.mu)) \
         - (fam["A1"] + dt * fam["A2"] + dt * fam["A3"] + dt * dt * fam["A4"])
-    got = assemble_matrices(m2, a_elem, pre.mu, dt,
-                            DirectKernelProvider()).lhs.to_dense()
+    got = to_dense(assemble_matrices(m2, a_elem, pre.mu, dt,
+                                     DirectKernelProvider()).lhs)
     ulps = np.max(np.abs(got - want)) / np.spacing(np.max(np.abs(want)))
     assert ulps <= 4.0
     # zero velocity kills every advective coupling
@@ -413,10 +414,10 @@ def test_criterion_10_reductions():
         DirectKernelProvider())
     pairs = mats.pairings
     for key in (("A", "0", "dt"), ("A", "dt", "0")):
-        assert pairs[key].to_dense().tobytes() \
-            == pairs["A", "0", "0"].to_dense().tobytes()
-    assert pairs["B", "dt", "dt"].to_dense().tobytes() \
-        == pairs["B", "0", "dt"].to_dense().tobytes()
+        assert to_dense(pairs[key]).tobytes() \
+            == to_dense(pairs["A", "0", "0"]).tobytes()
+    assert to_dense(pairs["B", "dt", "dt"]).tobytes() \
+        == to_dense(pairs["B", "0", "dt"]).tobytes()
     elapsed = time.perf_counter() - t0
     report(10, "reductions", "tau=0 path bitwise equals Galerkin; feasible "
            "lhs within %.0f ulps of the family form; zero-velocity "

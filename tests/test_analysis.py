@@ -61,7 +61,7 @@ def test_presets_consistent_with_parameters():
     p = A.PRESETS["test3-c"]
     assert (p.a, p.mu, p.h, p.dt) == (700.0, 1.0, 1e-2, 1e-2)
     # CFL preset: CFL / CFL_bound = 1/2
-    from spectral_vms.baselines import cfl_bound
+    from oracles import cfl_bound
     p = A.PRESETS["test2-cfl"]
     cfl = p.a * p.dt / p.h
     assert cfl == pytest.approx(0.5 * cfl_bound(p.P), rel=1e-12)

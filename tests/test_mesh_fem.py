@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import thomas_solve
+from oracles import thomas_solve, to_dense
 
 from spectral_vms import mesh_fem
 from spectral_vms.mesh_fem import (
@@ -122,10 +122,10 @@ def test_stiffness_advection_skew_and_diffusion_rowsum():
     mesh = build_uniform_mesh(0.0, 1.0, 10)
     adv = combine(np.subtract, assemble_stiffness(mesh, 3.0, 1.0),
                   assemble_stiffness(mesh, 0.0, 1.0))
-    dense = adv.to_dense()
+    dense = to_dense(adv)
     skew = dense + dense.T
     assert np.all(skew[1:-1, :] == 0.0)
-    dif = assemble_stiffness(mesh, 0.0, 2.5).to_dense()
+    dif = to_dense(assemble_stiffness(mesh, 0.0, 2.5))
     np.testing.assert_allclose(dif[1:-1].sum(axis=1), 0.0, atol=1e-14)
 
 
@@ -176,7 +176,7 @@ def test_solve_against_dense_lu():
     rhs = rng.standard_normal(n)
     m = TriDiag(sub, diag, sup)
     x = solve_tridiag(TriDiagSystem(m, rhs))
-    x_ref = np.linalg.solve(m.to_dense(), rhs)
+    x_ref = np.linalg.solve(to_dense(m), rhs)
     assert np.max(np.abs(x - x_ref)) < 1e-10
     # residual bound from the solver contract
     res = np.max(np.abs(m.matvec(x) - rhs))
@@ -235,7 +235,7 @@ def test_dirichlet_elimination_consistency():
     sys = apply_dirichlet(TriDiagSystem(m, rhs), DirichletBC(gl, gr), 0.0)
     u_full = solve_tridiag(sys)
 
-    dense = m.to_dense()
+    dense = to_dense(m)
     interior = slice(1, mesh.n_nodes - 1)
     rhs_int = rhs[interior] - dense[interior, 0] * gl \
         - dense[interior, -1] * gr
@@ -261,7 +261,7 @@ def test_from_blocks_equals_dense_scatter():
     dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
     for k, block in enumerate(blocks):
         dense[k:k + 2, k:k + 2] += block
-    np.testing.assert_array_equal(TriDiag.from_blocks(blocks).to_dense(),
+    np.testing.assert_array_equal(to_dense(TriDiag.from_blocks(blocks)),
                                   dense)
     # the stiffness matrix is the same scatter of its element blocks
     stiff = np.zeros((mesh.n_nodes, mesh.n_nodes))
@@ -270,7 +270,7 @@ def test_from_blocks_equals_dense_scatter():
             [[-1.0, 1.0], [-1.0, 1.0]]) + (0.7 / h) * np.array(
             [[1.0, -1.0], [-1.0, 1.0]])
     np.testing.assert_allclose(
-        assemble_stiffness(mesh, a_elem, 0.7).to_dense(), stiff,
+        to_dense(assemble_stiffness(mesh, a_elem, 0.7)), stiff,
         rtol=1e-14, atol=0.0)
 
 

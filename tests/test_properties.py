@@ -22,11 +22,11 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from oracles import (ALL_ENTRIES, exact_step, family_entries,
-                     green_kernel_blocks, green_kernels,
+from oracles import (ALL_ENTRIES, closed_form_kernels, exact_step,
+                     family_entries, green_kernel_blocks, green_kernels,
                      interpolate_entry, key_params,
                      monolithic_step_oracle, per_key_mode_arrays,
-                     series_terms, thomas_solve, tridiag_bands)
+                     series_terms, thomas_solve, to_dense, tridiag_bands)
 
 from spectral_vms import baselines as B
 from spectral_vms import kernels as K
@@ -70,7 +70,7 @@ def test_closed_form_kernels_match_oracle(points):
     # every P value in {0, 1e-5, 1e-3} is always among the points
     points = points + [(p, points[0][1]) for p in (0.0, 1e-5, 1e-3)]
     P, S = np.array(points).T
-    got = K.closed_form_kernels(ALL_ENTRIES, P, S)
+    got = closed_form_kernels(ALL_ENTRIES, P, S)
     for k, (p, s) in enumerate(points):
         want = green_kernels(ALL_ENTRIES, p, s)
         assert np.all(want > 0.0)
@@ -112,6 +112,13 @@ ROW_S = T.TableGrid(delta=0.2, m=100).axis()
        n_fill=st.integers(0, 10 ** 4 - 12), seed=st.integers(0, 2 ** 16))
 @example(points=[(0.0, 1e-8), (0.0, 1e4), (1e3, 1e-8), (20.0, 2.5),
                  (1.0, 0.8), (1.1, 0.8)], n_fill=10 ** 4 - 6, seed=0)
+# Q^2 = P^2 + 1/S = 9/4 and lam = P + Q = 2 exactly: both switches on
+# their boundary, in a mixed call
+@example(points=[(0.5, 0.5)], n_fill=100, seed=1)
+# calls with no point of one form (n_fill = 0): all power, all layer
+@example(points=[(0.0, 1e4), (0.3, 2.0), (1.0, 1.0)], n_fill=0, seed=2)
+@example(points=[(0.0, 1e-8), (1e3, 1e-8), (20.0, 2.5), (0.5, 0.5)],
+         n_fill=0, seed=3)
 def test_green_blocks_are_batch_invariant(points, n_fill, seed):
     # each point's blocks have the same bits alone, in a 100-point table
     # row (its P with the reduced grid's S axis, one S replaced), and
@@ -133,6 +140,26 @@ def test_green_blocks_are_batch_invariant(points, n_fill, seed):
         for one, in_row, in_mixed in zip(alone, row, mixed):
             assert one[:, :, 0].tobytes() == in_row[:, :, col].tobytes()
             assert one[:, :, 0].tobytes() == in_mixed[:, :, at + k].tobytes()
+
+
+def test_each_form_switch_takes_the_upper_form_on_its_boundary():
+    # (P, S) = (0.5, 0.5) has Q^2 = P^2 + 1/S = 9/4 and lam = P + Q = 2
+    # exactly: the layer form, with the closed forms at rate 2.  With S
+    # one ulp higher (Q just below 3/2), the power form; with the rate
+    # one ulp lower, the Taylor series.  Both forms are accurate there,
+    # but their bits differ.
+    for s, form in ((0.5, K._layer_blocks),
+                    (np.nextafter(0.5, 1.0), K._power_blocks)):
+        got = K.green_blocks(0.5, s)
+        want = form(np.array([0.5]), np.array([s]))
+        for g, w in zip(got, want):
+            # [1, 1] is a copy of [0, 0]
+            assert g[[0, 0, 1], [0, 1, 0]].tobytes() \
+                == w[[0, 0, 1], [0, 1, 0]].tobytes()
+    for r, form in ((2.0, K._rate_closed),
+                    (np.nextafter(2.0, 0.0), K._rate_series)):
+        r = np.array([r])
+        assert K._rate_integrals(r).tobytes() == form(r).tobytes()
 
 
 @SETTINGS
@@ -389,7 +416,7 @@ def _check_against_dense(m, rhs):
     """solve_tridiag either raises on a pivot below its tolerance or meets
     the residual bound and agrees with a dense solve."""
     l, d = _thomas_factors(m)
-    dense = m.to_dense()
+    dense = to_dense(m)
     try:
         x = solve_tridiag(TriDiagSystem(m, rhs))
     except SingularSystemError:
@@ -424,11 +451,11 @@ def test_tridiag_solve_matches_dense_without_dominance(data, n):
     diag = np.array(data.draw(st.lists(BAND, min_size=n, max_size=n),
                               label="diag"))
     m = TriDiag(sub, diag, sup)
-    off = np.abs(m.to_dense()).sum(axis=1) - np.abs(diag)
+    off = np.abs(to_dense(m)).sum(axis=1) - np.abs(diag)
     assume(np.any(np.abs(diag) < off))
     assume(m.max_abs() > 0.0)
     with np.errstate(divide="ignore"):  # singular: cond is inf
-        assume(np.linalg.cond(m.to_dense()) < 1e12)
+        assume(np.linalg.cond(to_dense(m)) < 1e12)
     rhs = np.array(data.draw(st.lists(BAND, min_size=n, max_size=n),
                              label="rhs"))
     _check_against_dense(m, rhs)
@@ -441,7 +468,7 @@ def test_tridiag_solve_with_subnormal_multiplier():
     m = TriDiag([1.0, 2.225073858507203e-309], [0.0625, 0.0, 1.0],
                 [1.0, 0.0])
     rhs = np.array([1.0, 0.0, 0.0])
-    assert np.linalg.cond(m.to_dense()) < 1.1
+    assert np.linalg.cond(to_dense(m)) < 1.1
     l, d = _thomas_factors(m)
     assert 0.0 < abs(l[1]) < np.finfo(float).tiny
     _check_against_dense(m, rhs)
@@ -474,7 +501,7 @@ def test_tridiag_exactly_zero_pivot_raises():
     # meets the pivot 1 - 1 * 1 = 0 in row 1
     m = TriDiag([1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0])
     rhs = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(m.matvec(np.linalg.solve(m.to_dense(), rhs)),
+    np.testing.assert_allclose(m.matvec(np.linalg.solve(to_dense(m), rhs)),
                                rhs)
     with pytest.raises(SingularSystemError, match="pivot 1"):
         solve_tridiag(TriDiagSystem(m, rhs))
@@ -623,7 +650,7 @@ def test_blocked_solve_meets_the_normwise_residual_bound(data, n, kind):
     if not isinstance(m.factors(), mesh_fem.DoublingFactors):
         assert x.tobytes() == want.tobytes()
         return
-    dense = m.to_dense()
+    dense = to_dense(m)
     norm_a = np.linalg.norm(dense, np.inf)
     bound = (doubled_residual_ulps(n) * EPS * norm_a * np.max(np.abs(x))
              + DOUBLED_UNDERFLOW_UNITS * TINY)
@@ -677,12 +704,12 @@ def _full_lhs_amplification(config):
     trial = np.abs(arr["mass_phi_pz"]) + dt * np.abs(arr["adv_phi_pz"])
     test = np.abs(arr["mass_z_phi"]) + dt * np.abs(arr["adv_z_phi"])
     closure = np.einsum("kj,kmj,klj->klm", np.abs(ctx.beta), trial, test)
-    terms = (assemble_mass(mesh).to_dense()
-             + dt * np.abs(assemble_stiffness(mesh, ctx.a_elem,
-                                              config.mu).to_dense())
-             + TriDiag.from_blocks(closure).to_dense())
+    terms = (to_dense(assemble_mass(mesh))
+             + dt * np.abs(to_dense(assemble_stiffness(mesh, ctx.a_elem,
+                                                       config.mu)))
+             + to_dense(TriDiag.from_blocks(closure)))
     terms[[0, -1]] = 0.0  # identity boundary rows are exact
-    lhs = ctx.matrices[0].dirichlet_rows()[0].to_dense()
+    lhs = to_dense(ctx.matrices[0].dirichlet_rows()[0])
     return np.max(np.abs(np.linalg.inv(lhs)) @ terms.sum(axis=1))
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from spectral_vms import table as T
-from spectral_vms.kernels import closed_form_kernels
 
-from oracles import ALL_ENTRIES
+from oracles import ALL_ENTRIES, closed_form_kernels
 
 
 def small_table(delta=0.5, m=6):

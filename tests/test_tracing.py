@@ -78,6 +78,9 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
         lambda: vms_full.run_full(vms_full.FullVmsConfig(
             mesh=mesh, tgrid=tgrid, mu=1.0, velocity=5.0, initial=np.sin,
             n_modes=4, project_initial_subgrid=True)),
+        lambda: vms_feasible.run_feasible(vms_feasible.FeasibleConfig(
+            mesh=mesh, tgrid=tgrid, mu=1.0,
+            velocity=lambda x, t: 5.0 + np.sin(x + 20.0 * t), initial=hat)),
     ]
     tracer = tracing.Tracer()
     tracer.install()
@@ -91,7 +94,8 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
                 "baselines.step_stabilized.calls",
                 "vms_full.step_full.calls",
                 "vms_feasible.step_feasible.calls",
-                "vms_full.step_full.calls"]
+                "vms_full.step_full.calls",
+                "vms_feasible.step_feasible.calls"]
     for counts, name in zip(per_run, expected):
         assert counts[name] == tgrid.n_steps, name
         assert counts["mesh_fem.solve_tridiag.calls"] == tgrid.n_steps
@@ -106,3 +110,8 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
     assert per_run[4]["vms_full.init_state.calls"] == 1
     assert per_run[4]["kernels.element_mode_arrays.calls"] == 1
     assert per_run[4]["kernels.source_mode_projection.calls"] == 1
+    # a velocity that moves every step is assembled every step, but the
+    # mass matrix depends on the mesh alone: one assemble_mass per run
+    assert per_run[5]["vms_feasible.assemble_matrices.calls"] \
+        == tgrid.n_steps
+    assert per_run[5]["mesh_fem.assemble_mass.calls"] == 1

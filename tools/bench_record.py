@@ -12,8 +12,9 @@ short because perfbench's post-processing of a traced run grows with
 the square of its number of passes times the spans of one pass.  So
 that a full-length traced run's risk shows without making one, each
 workload also gets spans_per_pass, the spans of the short traced run's
-first pass, and projected_traced_passes, the benchmark's run_seconds
-over the median traced pass.
+first pass, projected_traced_passes, the benchmark's run_seconds over
+the median traced pass, and projected_trace_load, the square of the
+second times the first, which that post-processing grows with.
 
 Each workload also gets a layer split that perfbench's profile does not
 give: the inclusive time of each function of SPLIT, timed by a wrapper
@@ -146,6 +147,9 @@ def record(spec):
         untraced = perfbench(name, spec["run_seconds"], 0)
         traced = perfbench(name, TRACED_SECONDS, 1)
         env = untraced["environment"]
+        spans = spans_per_pass(traced)
+        passes = (spec["run_seconds"]
+                  / statistics.median(traced["traced_wall_s"]))
         samples = {"wall_s": untraced["wall_s"]["all"],
                    "setup_s": untraced["setup_s"]["samples"],
                    "peak_rss_mb": [untraced["peak_rss_mb"]]}
@@ -159,10 +163,9 @@ def record(spec):
                            for m in spec["end_to_end"]},
             "traced_seconds": TRACED_SECONDS,
             "traced_passes": len(traced["traced_wall_s"]),
-            "spans_per_pass": spans_per_pass(traced),
-            "projected_traced_passes": (
-                spec["run_seconds"]
-                / statistics.median(traced["traced_wall_s"])),
+            "spans_per_pass": spans,
+            "projected_traced_passes": passes,
+            "projected_trace_load": passes ** 2 * spans,
             "per_layer": {k: v["value"]
                           for k, v in traced["metrics"].items()},
             "layer_split": layer_split(split_source, name),
