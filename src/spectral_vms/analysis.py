@@ -15,10 +15,9 @@ import numpy as np
 
 from .baselines import run_galerkin, run_stabilized
 from .kernels import element_params
-from .mesh_fem import (DirichletBC, TimeGrid, assemble_mass,
-                       assemble_stiffness, build_uniform_mesh)
-from .vms_feasible import (DirectKernelProvider, FeasibleConfig,
-                           run_feasible)
+from .mesh_fem import (DirichletBC, TimeGrid, assemble_stiffness,
+                       build_uniform_mesh)
+from .vms_feasible import FeasibleConfig, run_feasible
 from .vms_full import FullVmsConfig, run_full
 
 __all__ = ["ErrorReport", "ExperimentPreset", "PRESETS", "METHODS",
@@ -62,8 +61,7 @@ def error_norms(history, reference, mesh, dt):
         raise ValueError("history and reference shapes differ")
     if history.shape[1] != mesh.n_nodes:
         raise ValueError("history does not match the mesh")
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, 0.0, 1.0)
+    mass, stiff = mesh.mass, assemble_stiffness(mesh, 0.0, 1.0)
     err = history - reference
     l2 = np.empty(history.shape[0] - 1)
     h1 = np.empty_like(l2)
@@ -170,7 +168,6 @@ def run_method(method, mesh, tgrid, a, mu, initial=None, bc=None,
                                n_modes=n_modes)
         return run_full(config).history
     if method == "spectral-feasible":
-        provider = provider or DirectKernelProvider()
         config = FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                                 bc=bc, source=source, initial=initial,
                                 provider=provider)

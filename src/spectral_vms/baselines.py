@@ -9,8 +9,8 @@ import numpy as np
 
 from . import mesh_fem
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
-                       assemble_load, assemble_mass, assemble_stiffness,
-                       combine, solve_tridiag)
+                       assemble_load, assemble_stiffness, combine,
+                       solve_tridiag)
 
 __all__ = ["tau", "assemble_stab_matrix", "step_matrices", "step_galerkin",
            "step_stabilized", "run_galerkin", "run_stabilized", "STAB_KINDS"]
@@ -57,31 +57,28 @@ def assemble_stab_matrix(mesh, coeff=1.0):
 
 
 def step_matrices(mesh, a_elem, mu, dt, kind=None):
-    """(lhs, mass) of one implicit-Euler step: lhs = M + dt R, plus
+    """The left-hand side of one implicit-Euler step: M + dt R, plus
     dt a^2 tau M_s when a stabilization kind is given."""
-    m = assemble_mass(mesh)
     r = assemble_stiffness(mesh, a_elem, mu)
     if kind is None:
-        return combine(lambda m, r: m + dt * r, m, r), m
+        return combine(lambda m, r: m + dt * r, mesh.mass, r)
     coeff = a_elem * a_elem * tau(kind, a_elem, mu, mesh.h, dt)
-    return combine(lambda m, r, s: m + dt * r + dt * s, m, r,
-                   assemble_stab_matrix(mesh, coeff)), m
+    return combine(lambda m, r, s: m + dt * r + dt * s, mesh.mass, r,
+                   assemble_stab_matrix(mesh, coeff))
 
 
-def _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new):
-    lhs, m = matrices
+def _solve_step(lhs, u_prev, mesh, dt, f, bc, t_new):
     bc = bc or DirichletBC.homogeneous()
     t_new = dt if t_new is None else t_new
-    rhs = m.matvec(u_prev) + dt * assemble_load(mesh, f, t_new)
+    rhs = mesh.mass.matvec(u_prev) + dt * assemble_load(mesh, f, t_new)
     return solve_tridiag(apply_dirichlet(TriDiagSystem(lhs, rhs), bc, t_new))
 
 
 def step_galerkin(u_prev, matrices, mesh, dt, f=None, bc=None, t_new=None):
     """(M + dt R) u = M u_prev + dt F with Dirichlet values at t_new.
 
-    matrices is the step_matrices pair of the step's velocity; passing
-    the same one to every step reuses the left-hand side and its
-    factorisation.
+    matrices is the step_matrices left-hand side of the step's velocity;
+    passing the same one to every step reuses it and its factorisation.
     """
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
@@ -90,8 +87,8 @@ def step_stabilized(u_prev, matrices, mesh, dt, f=None, bc=None,
                     t_new=None):
     """Stabilized step (M + dt R + dt a^2 tau M_s) u = M u_prev + dt F.
 
-    matrices is the step_matrices pair of the step's velocity and
-    stabilization kind, as in step_galerkin.
+    matrices is the step_matrices left-hand side of the step's velocity
+    and stabilization kind, as in step_galerkin.
     """
     return _solve_step(matrices, u_prev, mesh, dt, f, bc, t_new)
 
@@ -108,6 +105,6 @@ def run_stabilized(kind, mesh, tgrid, velocity, mu, initial=None, f=None,
     history, _ = mesh_fem.march(
         mesh, tgrid, velocity, mesh.interpolate(initial),
         lambda a_elem: step_matrices(mesh, a_elem, mu, dt, kind),
-        lambda n, u, matrices, _old, _carry: (
-            step(u, matrices, mesh, dt, f, bc, (n + 1) * dt), None))
+        lambda n, u, lhs, _old, _carry: (
+            step(u, lhs, mesh, dt, f, bc, (n + 1) * dt), None))
     return history

@@ -124,7 +124,6 @@ def build_parser():
                       help="output directory (report.csv, solutions.csv)")
 
     conv = sub.add_parser("convergence", help="test1 refinement studies")
-    conv.add_argument("--preset", choices=("test1",), default="test1")
     conv.add_argument("--out",
                       help="output directory (dt_study.csv, h_study.csv)")
 
@@ -164,8 +163,7 @@ def _make_ic(args, mesh):
     if vals.size != mesh.n_nodes:
         raise ValidationError(
             "ic file has %d values for %d nodes" % (vals.size, mesh.n_nodes))
-    nodes = mesh.nodes.copy()
-    return lambda x: np.interp(x, nodes, vals)
+    return lambda x: np.interp(x, mesh.nodes, vals)
 
 
 def _make_provider(args):

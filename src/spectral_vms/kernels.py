@@ -16,11 +16,12 @@ The feasible method's kernels, the eight families below and the five
 pairings vms_feasible assembles, are sums of the entries of two 2x2
 blocks, A1 and B1, at the element's (P, S).  green_blocks
 integrates them exactly, as bilinear forms of the element Green's
-function, in phi-functions or in power series (no quadrature);
-series_blocks sums exactly n modes of their series.  No solver
-path uses the epsilon-truncated series (sum_series_multi,
-sum_series_batch, TruncationPolicy); they stay while perfbench names
-them, in the benchmark's tracer and online workload.
+function, in phi-functions or in power series (no quadrature); the
+direct provider and the offline table both take the blocks from it.
+No solver path sums a mode series for them: the epsilon-truncated
+series (sum_series_multi, sum_series_batch, TruncationPolicy) stay
+only while perfbench names them, in the benchmark's tracer and online
+workload.
 """
 
 import warnings
@@ -43,7 +44,6 @@ __all__ = [
     "beta",
     "sum_series_batch",
     "sum_series_multi",
-    "series_blocks",
     "green_blocks",
     "kernels_from_blocks",
     "element_mode_arrays",
@@ -321,24 +321,6 @@ def sum_series_batch(family, m, l, P, s_values, policy):
     vals, counts, over = sum_series_multi([(fam, m, l)], P, s_values,
                                           policy)
     return vals[key], counts[key], over[key]
-
-
-def series_blocks(P, S, n_modes):
-    """The A1 and B1 kernel blocks summed over exactly n_modes modes.
-
-    P and S are scalars or arrays, paired elementwise after
-    broadcasting.  Returns (A1, B1), each an array (2, 2, n_points)
-    indexed [m, l]: sum_j beta_j a_m c_l and sum_j beta_j^2 a_m c_l.
-    """
-    P, S = _check_points(P, S)
-    j = np.arange(1, n_modes + 1)
-    a0s, a1s, _, c0s, c1s, _ = shifted_sides(j, P[:, None])
-    # C pow, as Python's P ** 2
-    w = 1.0 / (1.0 + S[:, None] * (np.float_power(P, 2)[:, None]
-                                   + np.pi ** 2 * j ** 2))
-    a1, b1 = np.einsum("wpj,mpj,lpj->wmlp", np.stack([w, w * w]),
-                       np.stack([a0s, a1s]), np.stack([c0s, c1s]))
-    return a1, b1
 
 
 # --- closed forms from the element Green's function ------------------

@@ -24,7 +24,7 @@ loop computes it again and decides.
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,7 +74,11 @@ def check_positive(name, value):
 
 
 class Mesh1D:
-    """Ordered partition of an interval into elements K_l = [x_l, x_{l+1}]."""
+    """Ordered partition of an interval into elements K_l = [x_l, x_{l+1}].
+
+    nodes and h are read-only copies, so the mass matrix, assembled at
+    its first use and kept, cannot go stale.
+    """
 
     def __init__(self, nodes):
         nodes = np.asarray(nodes, dtype=float)
@@ -83,8 +87,13 @@ class Mesh1D:
         h = np.diff(nodes)
         if not (np.all(h > 0.0) and np.all(np.isfinite(nodes))):
             raise ValueError("mesh nodes must be finite, strictly increasing")
-        self.nodes = nodes
-        self.h = h
+        self.nodes = _read_only_copy(nodes)
+        self.h = _read_only_copy(h)
+
+    @cached_property
+    def mass(self):
+        """The P1 mass matrix M, shared by every method run on the mesh."""
+        return assemble_mass(self)
 
     @property
     def n_nodes(self):
@@ -293,10 +302,10 @@ class TriDiag:
         return self._dirichlet
 
 
-def _read_only_copy(band):
-    band = np.array(band, dtype=float)
-    band.flags.writeable = False
-    return band
+def _read_only_copy(values):
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 class TriDiagSystem:

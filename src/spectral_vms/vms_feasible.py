@@ -10,11 +10,10 @@ dt b(z_j, phi_l) or its plain part, weighted by w = beta or beta^2: five
 pairings in all.  On an element these depend only on the parameters
 (P, S), as sums of entries of the dimensionless A1 (beta) and B1
 (beta^2) blocks, which come from a provider: closed forms from the
-element Green's function, series over a fixed number of modes, or
-interpolation of an offline table.  The left-hand side needs no
-provider: it is the Galerkin form of the step at the element L-splines
-(Hughes, CMAME 127, 1995), whose boundary fluxes _lspline_blocks gives
-exactly at every Courant number.
+element Green's function, or interpolation of an offline table.  The
+left-hand side needs no provider: it is the Galerkin form of the step
+at the element L-splines (Hughes, CMAME 127, 1995), whose boundary
+fluxes _lspline_blocks gives exactly at every Courant number.
 """
 
 from dataclasses import dataclass
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import kernels, mesh_fem, table as table_mod
 from .mesh_fem import (DirichletBC, TriDiag, TriDiagSystem, apply_dirichlet,
-                       assemble_load, assemble_mass, solve_tridiag,
-                       sum_element_vectors)
+                       assemble_load, solve_tridiag, sum_element_vectors)
 
 __all__ = ["DirectKernelProvider", "TableKernelProvider", "FeasibleConfig",
            "FeasibleMatrices", "assemble_matrices", "step_feasible",
@@ -39,24 +37,19 @@ def _kernel_entry(provider, family, m, l, P, S):
 
 
 class DirectKernelProvider:
-    """Kernels evaluated directly: closed forms from the element Green's
-    function, or series summed over exactly n_modes modes.
+    """Kernels evaluated directly, in closed form from the element
+    Green's function.
 
-    policy is accepted and unused, but not together with n_modes: the
-    benchmark's online workload still passes a TruncationPolicy; it stays
-    while perfbench names it.
+    policy is accepted and unused: the benchmark's online workload still
+    passes a TruncationPolicy; it stays while perfbench names it.
     """
 
-    def __init__(self, policy=None, n_modes=None):
-        if policy is not None and n_modes is not None:
-            raise ValueError("give at most one of policy or n_modes")
-        self.n_modes = n_modes
+    def __init__(self, policy=None):
+        pass
 
     def blocks(self, P, S):
         """The A1 and B1 blocks at the points (P[k], S[k]), each an
         array (2, 2, n_points) indexed [m, l]."""
-        if self.n_modes is not None:
-            return kernels.series_blocks(P, S, self.n_modes)
         return kernels.green_blocks(P, S)
 
     kernel = _kernel_entry
@@ -178,10 +171,9 @@ class FeasibleConfig:
             self.provider = DirectKernelProvider()
 
 
-def step_feasible(n, u, sys_new, sys_old, carry, config, mass):
+def step_feasible(n, u, sys_new, sys_old, carry, config):
     """Step n of the two-level recursion from u = u^n; returns u^{n+1}
-    and the carry of the next step.  mass is the mesh's mass matrix,
-    which run_feasible assembles once.
+    and the carry of the next step.
 
     sys_new / sys_old are the FeasibleMatrices at the new and old time
     levels (identical objects for a constant velocity).  sys_old is None
@@ -203,7 +195,7 @@ def step_feasible(n, u, sys_new, sys_old, carry, config, mass):
     dt = config.tgrid.dt
     t1 = (n + 1) * dt
     new = sys_new.pairings
-    rhs = mass.matvec(u)
+    rhs = config.mesh.mass.matvec(u)
     rhs -= new["A", "0", "dt"].matvec(u)
     rhs += dt * assemble_load(config.mesh, config.source, t1)
     f_new = None if config.source is None else mesh_fem.point_values(
@@ -231,14 +223,12 @@ def step_feasible(n, u, sys_new, sys_old, carry, config, mass):
 def run_feasible(config):
     """March the feasible method; returns the (n_steps+1, n_nodes) history.
 
-    Only the matrices of the two time levels of the current step are kept;
-    the mass matrix depends on the mesh alone and is assembled once.
+    Only the matrices of the two time levels of the current step are kept.
     """
     mesh, dt = config.mesh, config.tgrid.dt
-    mass = assemble_mass(mesh)
     history, _ = mesh_fem.march(
         mesh, config.tgrid, config.velocity, mesh.interpolate(config.initial),
         lambda a_elem: assemble_matrices(mesh, a_elem, config.mu, dt,
                                          config.provider),
-        lambda *step: step_feasible(*step, config, mass))
+        lambda *step: step_feasible(*step, config))
     return history

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import kernels, mesh_fem
 from .mesh_fem import (DirichletBC, TriDiagSystem, apply_dirichlet,
-                       assemble_load, assemble_mass, assemble_stiffness,
-                       combine, solve_tridiag, sum_element_vectors,
+                       assemble_load, assemble_stiffness, combine,
+                       solve_tridiag, sum_element_vectors,
                        tridiags_from_blocks)
 
 __all__ = ["FullVmsConfig", "FullVmsResult", "init_state", "step_full",
@@ -99,12 +99,11 @@ class _Snapshot:
         """(lhs, rhs_matrix): M + dt R minus the closure blocks, and M
         minus the right-hand side blocks."""
         mesh, dt = self.config.mesh, self.config.tgrid.dt
-        mass = assemble_mass(mesh)
         closure, block = tridiags_from_blocks(self._blocks[:, self.index])
-        lhs = combine(lambda m, r, c: m + dt * r - c, mass,
+        lhs = combine(lambda m, r, c: m + dt * r - c, mesh.mass,
                       assemble_stiffness(mesh, self.a_elem, self.config.mu),
                       closure)
-        return lhs, combine(np.subtract, mass, block)
+        return lhs, combine(np.subtract, mesh.mass, block)
 
     def source_modes(self, t):
         """(n_elems, J) source projections <f, p z_j>."""

@@ -136,6 +136,37 @@ def sum_series_fixed(family, m, l, P, S, n_modes):
     return float(out) if out.ndim == 0 else out
 
 
+def series_blocks(P, S, n_modes):
+    """The A1 and B1 kernel blocks summed over exactly n_modes modes.
+
+    P and S are scalars or arrays, paired elementwise after
+    broadcasting.  Returns (A1, B1), each an array (2, 2, n_points)
+    indexed [m, l]: sum_j beta_j a_m c_l and sum_j beta_j^2 a_m c_l.
+    """
+    P, S = K._check_points(P, S)
+    j = np.arange(1, n_modes + 1)
+    a0s, a1s, _, c0s, c1s, _ = K.shifted_sides(j, P[:, None])
+    # C pow, as Python's P ** 2
+    w = 1.0 / (1.0 + S[:, None] * (np.float_power(P, 2)[:, None]
+                                   + np.pi ** 2 * j ** 2))
+    a1, b1 = np.einsum("wpj,mpj,lpj->wmlp", np.stack([w, w * w]),
+                       np.stack([a0s, a1s]), np.stack([c0s, c1s]))
+    return a1, b1
+
+
+class SeriesProvider:
+    """Kernel provider whose blocks are series_blocks over n_modes modes,
+    the feasible method's counterpart of spectral-full with as many
+    modes.  It fails silently where the truncated series is far from its
+    limit: past P of a few tens for 50 modes."""
+
+    def __init__(self, n_modes):
+        self.n_modes = n_modes
+
+    def blocks(self, P, S):
+        return series_blocks(P, S, self.n_modes)
+
+
 def brute_series(family, m, l, P, S, n_terms=600):
     """Kernel series summed term by term from quadrature integrals."""
     fam = FAMILIES[family]

@@ -350,7 +350,11 @@ def test_convergence_writes_studies(tmp_path, capsys, monkeypatch):
         lambda: [{"h": h, "linf_l2": 1.0, "l2_h1": 2.0}
                  for h in (0.0125, 0.00625)])
     out = tmp_path / "studies"
-    assert main(["convergence", "--preset", "test1", "--out", str(out)]) == 0
+    # the studies are test1's alone: there is no preset to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--preset", "test1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert main(["convergence", "--out", str(out)]) == 0
     dt_lines = (out / "dt_study.csv").read_text().strip().splitlines()
     assert dt_lines[0] == "dt,linf_l2,l2_h1"
     assert len(dt_lines) == 4

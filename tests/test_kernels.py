@@ -15,7 +15,7 @@ from oracles import (ALL_ENTRIES, closed_form_kernels, composite_gauss01,
                      key_params, mode_value, nsum_kernel,
                      package_base_integrals, per_element_projection,
                      per_key_mode_arrays, quad_base_integrals,
-                     reconstruct_subgrid, sum_series_fixed)
+                     reconstruct_subgrid, series_blocks, sum_series_fixed)
 
 
 def test_element_params_known_values():
@@ -482,7 +482,7 @@ def test_series_block_symmetry():
     P = np.concatenate([[0.0, 1e-5, 1e-3], rng.uniform(0.0, 10.0, 20)])
     S = rng.uniform(0.01, 100.0, P.size)
     for n_modes in (1, 2, 7, 60):
-        for block in K.series_blocks(P, S, n_modes):
+        for block in series_blocks(P, S, n_modes):
             np.testing.assert_allclose(block[0, 0], block[1, 1], rtol=1e-12,
                                        atol=0)
 

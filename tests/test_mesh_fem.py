@@ -33,6 +33,22 @@ def test_mesh_validation():
         Mesh1D([0.0, 0.5, 0.5, 1.0])
 
 
+def test_mesh_keeps_its_own_read_only_nodes():
+    # the mesh validated its nodes and assembles M from its widths, so a
+    # later write to the caller's array must reach neither
+    x = np.linspace(0.0, 1.0, 5)
+    mesh = Mesh1D(x)
+    x[2] = 0.9
+    np.testing.assert_array_equal(mesh.nodes, np.linspace(0.0, 1.0, 5))
+    np.testing.assert_array_equal(mesh.h, np.full(4, 0.25))
+    for values in (mesh.nodes, mesh.h):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    assert mesh.mass is mesh.mass
+    assert mesh.mass.diag.tobytes() == assemble_mass(mesh).diag.tobytes()
+
+
 @pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
                                    [-np.inf, 0.0, 1.0]])
 def test_mesh_rejects_non_finite_nodes(nodes):
@@ -425,9 +441,9 @@ def test_blocked_solve_of_the_fine_reference_is_as_accurate_as_the_loop(
     p = PRESETS[preset]
     mesh = p.mesh()
     fine = build_uniform_mesh(0.0, 1.0, 64 * p.n_elems)
-    lhs, mass = step_matrices(fine, np.full(fine.n_elems, p.a), p.mu, p.dt)
+    lhs = step_matrices(fine, np.full(fine.n_elems, p.a), p.mu, p.dt)
     u0 = np.interp(fine.nodes, mesh.nodes, mesh.interpolate(p.initial()))
-    system = _dirichlet_step_system(lhs, mass.matvec(u0), p.dirichlet(),
+    system = _dirichlet_step_system(lhs, fine.mass.matvec(u0), p.dirichlet(),
                                     p.dt)
     exact = thomas_solve(system, np.longdouble)
     scale = float(np.max(np.abs(exact)))

@@ -26,7 +26,8 @@ from oracles import (ALL_ENTRIES, closed_form_kernels, exact_step,
                      family_entries, green_kernel_blocks, green_kernels,
                      interpolate_entry, key_params,
                      monolithic_step_oracle, per_key_mode_arrays,
-                     series_terms, thomas_solve, to_dense, tridiag_bands)
+                     series_blocks, series_terms, thomas_solve, to_dense,
+                     tridiag_bands)
 
 from spectral_vms import baselines as B
 from spectral_vms import kernels as K
@@ -179,17 +180,6 @@ def test_array_series_equals_per_point_calls(points, entries):
                 assert over[key][k] == o1[key][0]
 
 
-@SETTINGS
-@given(points=POINTS, n_modes=st.integers(1, 200))
-def test_series_blocks_array_equals_per_point_calls(points, n_modes):
-    P, S = np.array(points).T
-    got = K.series_blocks(P, S, n_modes)
-    for k, (p, s) in enumerate(points):
-        for block, one in zip(got, K.series_blocks(p, s, n_modes)):
-            assert one.shape == (2, 2, 1)
-            assert block[:, :, k].tobytes() == one[:, :, 0].tobytes()
-
-
 # Families from series_blocks differ from the term-by-term sums of their
 # own series by roundoff only: the summation order changes, and a d or e
 # side is summed over block entries after the mode sum instead of before.
@@ -205,7 +195,7 @@ SERIES_ROUNDOFF = 32.0
 @given(points=POINTS, n_modes=st.integers(1, 200))
 def test_series_blocks_families_match_term_sums(points, n_modes):
     P, S = np.array(points).T
-    got = K.kernels_from_blocks(ALL_ENTRIES, K.series_blocks(P, S, n_modes))
+    got = K.kernels_from_blocks(ALL_ENTRIES, series_blocks(P, S, n_modes))
     for row, entry in enumerate(ALL_ENTRIES):
         terms = series_terms(*entry, P, S, n_modes)
         bound = SERIES_ROUNDOFF * np.finfo(float).eps * np.abs(terms).sum(-1)
@@ -592,7 +582,7 @@ def _step_system(kind, n, sign, P, S, rng):
     h, mu = mesh.h[0], 1.0
     dt, a = S * h * h / mu, sign * 2.0 * mu * P / h
     if kind == "galerkin":
-        lhs, _ = B.step_matrices(mesh, np.full(mesh.n_elems, a), mu, dt)
+        lhs = B.step_matrices(mesh, np.full(mesh.n_elems, a), mu, dt)
     elif kind == "spectral-feasible":
         lhs = F.assemble_matrices(mesh, np.full(mesh.n_elems, a), mu, dt,
                                   F.DirectKernelProvider()).lhs

@@ -14,7 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from spectral_vms import baselines, vms_feasible, vms_full
+from spectral_vms import analysis, baselines, vms_feasible, vms_full
 from spectral_vms.mesh_fem import TimeGrid, build_uniform_mesh
 
 TRACING = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -111,7 +111,23 @@ def test_traced_runs_count_one_step_call_per_step(tracing):
     assert per_run[4]["kernels.element_mode_arrays.calls"] == 1
     assert per_run[4]["kernels.source_mode_projection.calls"] == 1
     # a velocity that moves every step is assembled every step, but the
-    # mass matrix depends on the mesh alone: one assemble_mass per run
+    # mass matrix depends on the mesh alone: the six runs share one mesh,
+    # so they share one assemble_mass
     assert per_run[5]["vms_feasible.assemble_matrices.calls"] \
         == tgrid.n_steps
-    assert per_run[5]["mesh_fem.assemble_mass.calls"] == 1
+    assert sum(counts.get("mesh_fem.assemble_mass.calls", 0)
+               for counts in per_run) == 1
+
+
+def test_traced_experiment_assembles_one_mass_matrix_per_mesh(tracing):
+    # every method of the preset runs on its mesh and the reference on a
+    # finer one: two meshes, two mass matrices
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run(0, lambda: analysis.run_experiment(
+            analysis.PRESETS["test3-a"]))
+    finally:
+        tracer.uninstall()
+    counts = tracer.run_counts(0)
+    assert counts["mesh_fem.assemble_mass.calls"] == 2

@@ -4,10 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (approximate_subgrid_state, brute_series,
-                     feasible_step_family_form, lspline_fluxes, to_dense)
+from oracles import (SeriesProvider, approximate_subgrid_state,
+                     brute_series, feasible_step_family_form,
+                     lspline_fluxes, to_dense)
 
-from spectral_vms import kernels as K
 from spectral_vms import table as T
 from spectral_vms import vms_feasible as F
 from spectral_vms import vms_full as V
@@ -41,11 +41,6 @@ def test_zero_velocity_kills_advective_families():
     assert _bands(pairs["B", "dt", "dt"]) == _bands(pairs["B", "0", "dt"])
     assert pairs["A", "0", "0"].max_abs() > 0.0
     assert pairs["B", "0", "dt"].max_abs() > 0.0
-
-
-def test_direct_provider_rejects_policy_with_n_modes():
-    with pytest.raises(ValueError, match="at most one"):
-        F.DirectKernelProvider(policy=K.TruncationPolicy(), n_modes=10)
 
 
 def test_entry_level_equivalence_brute_force():
@@ -125,7 +120,7 @@ def test_lhs_does_not_depend_on_the_provider():
     table = T.generate_table(T.TableGrid(delta=0.5, m=8))
     bands = [_bands(F.assemble_matrices(mesh, a_elem, 0.3, 0.02, p).lhs)
              for p in (F.DirectKernelProvider(),
-                       F.DirectKernelProvider(n_modes=8),
+                       SeriesProvider(8),
                        F.TableKernelProvider(table))]
     assert bands[1] == bands[0]
     assert bands[2] == bands[0]
@@ -172,7 +167,7 @@ def test_one_level_history_matches_full_method(a, rate):
 
     fcfg = F.FeasibleConfig(
         mesh=mesh, tgrid=tgrid, mu=mu, velocity=a, bc=bc, source=f,
-        initial=ic, provider=F.DirectKernelProvider(n_modes=J))
+        initial=ic, provider=SeriesProvider(J))
     hist = F.run_feasible(fcfg)
 
     vcfg = _full_equiv_config(mesh, tgrid, a, mu, f, bc, J)
@@ -203,7 +198,7 @@ def test_first_step_matches_full_method():
 
     fcfg = F.FeasibleConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                             initial=hat,
-                            provider=F.DirectKernelProvider(n_modes=J))
+                            provider=SeriesProvider(J))
     hist = F.run_feasible(fcfg)
     vcfg = V.FullVmsConfig(mesh=mesh, tgrid=tgrid, mu=mu, velocity=a,
                            initial=hat, n_modes=J)
@@ -239,7 +234,7 @@ def test_matrices_cached_for_constant_velocity(monkeypatch):
     cfg = F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.05, 5), mu=1.0,
                            velocity=10.0,
                            initial=lambda x: x * (1 - x),
-                           provider=F.DirectKernelProvider(n_modes=10))
+                           provider=F.DirectKernelProvider())
     F.run_feasible(cfg)
     assert calls["n"] == 1
 
@@ -266,7 +261,7 @@ def test_run_keeps_only_the_current_snapshots(monkeypatch):
     cfg = F.FeasibleConfig(mesh=mesh, tgrid=TimeGrid(0.03, n_steps),
                            mu=1.0, velocity=lambda x, t: 10.0 + 100.0 * t,
                            initial=lambda x: x * (1 - x),
-                           provider=F.DirectKernelProvider(n_modes=10))
+                           provider=F.DirectKernelProvider())
     F.run_feasible(cfg)
     assert len(snapshots) == n_steps
     assert max(alive_before) == 1
@@ -310,13 +305,13 @@ def test_source_evaluated_once_per_time_level(monkeypatch):
     original = F.step_feasible
     checked = []
 
-    def checking(n, u, sys_new, sys_old, carry, config, mass):
+    def checking(n, u, sys_new, sys_old, carry, config):
         if sys_old is not None:
             fresh = point_values(config.source, config.mesh.midpoints,
                                  n * config.tgrid.dt, name="source")
             assert carry[1].tobytes() == fresh.tobytes()
             checked.append(n)
-        return original(n, u, sys_new, sys_old, carry, config, mass)
+        return original(n, u, sys_new, sys_old, carry, config)
 
     monkeypatch.setattr(F, "step_feasible", checking)
     F.run_feasible(cfg)
