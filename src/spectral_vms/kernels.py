@@ -344,8 +344,8 @@ def sum_series_batch(family, m, l, P, s_values, policy):
 # for m = 1, and N_m makes u_m(1) = 0.  A1 then needs the integrals of
 # x, g, p and L against 1 - x and x, and B1 their mirrored products
 # int f(1 - x) h(x).  Two of the exponentials multiply to a constant or
-# to e^{-2Q x}, so each of these is built from _rate_integrals at the
-# rates mu, lam and 2Q; int g e^{-lam x} and int p e^{-lam x} are
+# to e^{-2Q x}, so each of these is built from the rate integrals below
+# at the rates mu, lam and 2Q; int g e^{-lam x} and int p e^{-lam x} are
 # written as sums of positive terms.  No exponential exceeds 1.
 #
 # Power form, for Q < _POWER_Q, where u_m = O(1/S) is a difference of
@@ -372,19 +372,22 @@ _POWER_TERMS = 26
 
 # The rows of _rate_integrals, integrals over [0, 1] where E = e^{-r x},
 # g = 1 - E and p = x - g / r:
-#   phi1 = int E,  phi2 = int (1 - x) E,  xe = int x E,  xxe = int x^2 E,
+#   phi1 = int E,  g_g = int g(1 - x) g,
+#   phi2 = int (1 - x) E,  xe = int x E,  xxe = int x^2 E,
 #   g_w0, g_w1 = int (1 - x) g, int x g,  p_w0, p_w1 = the same for p,
 #   g_e, p_e = int g(1 - x) E, int p(1 - x) E,
-#   g_g, g_p, p_p = int g(1 - x) g, int g(1 - x) p, int p(1 - x) p;
+#   g_p, p_p = int g(1 - x) p, int p(1 - x) p;
 # each for small r as terms (coef, e, k), meaning coef r^e phi_k(-r) with
-# phi_k(-r) = sum_n (-r)^n / (n + k)!.
+# phi_k(-r) = sum_n (-r)^n / (n + k)!.  The layer form reads the first 2
+# rows at rate 2Q, the first 5 at lam and all 13 at mu, in that order.
 _RATE_FORMS = (
-    ((1, 0, 1),), ((1, 0, 2),), ((1, 0, 1), (-1, 0, 2)),
+    ((1, 0, 1),), ((1, 2, 2), (-2, 2, 3)),
+    ((1, 0, 2),), ((1, 0, 1), (-1, 0, 2)),
     ((1, 0, 1), (-2, 0, 2), (2, 0, 3)), ((1, 1, 3),),
     ((1, 1, 2), (-1, 1, 3)), ((1, 1, 4),), ((1, 1, 3), (-1, 1, 4)),
     ((1, 1, 1), (-1, 1, 2)), ((1, 1, 2), (-2, 1, 3)),
-    ((1, 2, 2), (-2, 2, 3)), ((1, 2, 3), (-3, 2, 4)),
-    ((1, 2, 4), (-4, 2, 5)))
+    ((1, 2, 3), (-3, 2, 4)), ((1, 2, 4), (-4, 2, 5)))
+_RATE_ROWS = len(_RATE_FORMS)
 # their Taylor coefficients, one row per power n of r, each summed
 # exactly over the common denominator (n + 5)! and rounded once
 _RATE_TAYLOR = np.array([[sum(c * (-1) ** (n - e) * factorial(n + 5)
@@ -394,46 +397,74 @@ _RATE_TAYLOR = np.array([[sum(c * (-1) ** (n - e) * factorial(n + 5)
                          for n in range(_SERIES_TERMS)])
 
 
-def _rate_series(r):
-    """The 13 integrals of _RATE_FORMS at the rates r by their Taylor
-    series, an array (13, r.size)."""
-    series = np.repeat(_RATE_TAYLOR[-1][:, None], r.size, axis=1)
-    for coef in _RATE_TAYLOR[-2::-1]:
+def _rate_series(r, rows=_RATE_ROWS):
+    """The first rows integrals of _RATE_FORMS at the rates r by their
+    Taylor series, an array (rows, r.size)."""
+    taylor = _RATE_TAYLOR[:, :rows, None]
+    series = np.repeat(taylor[-1], r.size, axis=1)
+    # r laid out in the shape of series: numpy multiplies equal shapes
+    # about twice as fast as it broadcasts r over the rows
+    r = np.broadcast_to(r, series.shape).copy()
+    for coef in taylor[-2::-1]:
         series *= r
-        series += coef[:, None]
+        series += coef
     return series
 
 
-def _rate_closed(r):
-    """The 13 integrals of _RATE_FORMS at the rates r by their closed
-    forms, an array (13, r.size); phi_k(-r) by upward recurrence, stable
-    for r >= 2."""
+def _rate_closed(r, rows=_RATE_ROWS):
+    """The first rows integrals of _RATE_FORMS at the rates r by their
+    closed forms, an array (rows, r.size); phi_k(-r) by upward
+    recurrence, stable for r >= 2.  They are formed in groups of 2, 3
+    and 8 rows, up to the group holding the last row asked for."""
     phi0 = np.exp(-r)
     phi1 = -np.expm1(-r) / r
-    phi2 = (1.0 - phi1) / r
-    phi3 = (0.5 - phi2) / r
-    xe = (phi1 - phi0) / r
-    g_w0 = 0.5 - phi2
-    g_e = phi1 - phi0
     g_g = 1.0 - 2.0 * phi1 + phi0
-    return np.array((phi1, phi2, xe, (2.0 * xe - phi0) / r, g_w0,
-                     0.5 - phi1 + phi2, 1.0 / 6.0 - phi3,
-                     1.0 / 3.0 - phi2 + phi3, g_e, phi2 - g_e / r, g_g,
-                     g_w0 - g_g / r, 1.0 / 6.0 - (2.0 * g_w0 - g_g / r) / r))
+    out = [phi1, g_g]
+    if rows > len(out):
+        phi2 = (1.0 - phi1) / r
+        xe = (phi1 - phi0) / r
+        out += [phi2, xe, (2.0 * xe - phi0) / r]
+    if rows > len(out):
+        phi3 = (0.5 - phi2) / r
+        g_w0 = 0.5 - phi2
+        g_e = phi1 - phi0
+        out += [g_w0, 0.5 - phi1 + phi2, 1.0 / 6.0 - phi3,
+                1.0 / 3.0 - phi2 + phi3, g_e, phi2 - g_e / r,
+                g_w0 - g_g / r, 1.0 / 6.0 - (2.0 * g_w0 - g_g / r) / r]
+    return np.array(out[:rows])
 
 
-def _rate_integrals(r):
-    """The 13 integrals of _RATE_FORMS at the rates r > 0, an array
-    (13, r.size): the Taylor series at the rates below _SERIES_RATE, the
+def _put_columns(out, at, values):
+    """out[:, at] = values.  A mask over the whole of out is several
+    times faster than one over its columns alone."""
+    out[np.broadcast_to(at, out.shape)] = values.ravel()
+
+
+def _rate_integrals(rates, rows):
+    """The first rows[i] integrals of _RATE_FORMS at the rates rates[i]
+    > 0, a list of arrays (rows[i], rates[i].size): the Taylor series at
+    the rates below _SERIES_RATE, in one evaluation for every array, the
     closed forms at the others."""
-    out = np.empty((len(_RATE_FORMS), r.size))
-    low = r < _SERIES_RATE
-    for form, at in ((_rate_series, low), (_rate_closed, ~low)):
-        out[:, at] = form(r[at])
+    lows = [r < _SERIES_RATE for r in rates]
+    series = _rate_series(np.concatenate(
+        [r[low] for r, low in zip(rates, lows)]), max(rows))
+    out, start = [], 0
+    for low, count in zip(lows, rows):
+        stop = start + np.count_nonzero(low)
+        at_r = np.empty((count, low.size))
+        _put_columns(at_r, low, series[:count, start:stop])
+        out.append(at_r)
+        start = stop
+    del series  # freed before the closed forms: a lower peak per chunk
+    for at_r, r, low in zip(out, rates, lows):
+        high = ~low
+        _put_columns(at_r, high, _rate_closed(r[high], len(at_r)))
     return out
 
 
 def _check_points(P, S):
+    """P and S as flat float arrays of one length, checked, with
+    Q^2 = P^2 + 1/S."""
     P, S = np.broadcast_arrays(np.asarray(P, dtype=float),
                                np.asarray(S, dtype=float))
     P, S = P.ravel(), S.ravel()
@@ -442,48 +473,61 @@ def _check_points(P, S):
     if (P < 0.0).any() or (S <= 0.0).any():
         raise ValueError("need P >= 0 and S > 0")
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.float_power(P, 2) + 1.0 / S).all():
-            raise ValueError("P^2 + 1/S must be finite")
-    return P, S
+        q2 = np.float_power(P, 2) + 1.0 / S
+    if not np.isfinite(q2).all():
+        raise ValueError("P^2 + 1/S must be finite")
+    return P, S, q2
 
 
-def _layer_blocks(P, S):
-    """A1 and B1 in the layer form of the comment above."""
-    Q = np.sqrt(np.float_power(P, 2) + 1.0 / S)
+def _layer_integrals(P, S, q2):
+    """mu, mu / lam, rho, the rate integrals at mu and the integrals of
+    the layer term L against 1 - x, x, g, p and L, in the layer form of
+    the comment above, with q2 = Q^2.  The rates at lam and 2Q and the
+    other temporaries are freed on return, before the pieces are formed,
+    which lowers the peak of a table chunk."""
+    Q = np.sqrt(q2)
     lam = P + Q
     with np.errstate(over="ignore"):
         mu = 1.0 / (S * lam)  # 0, its limit, where S lam overflows
-    at_mu, at_lam, at_2q = np.split(
-        _rate_integrals(np.concatenate([mu, lam, 2.0 * Q])), 3, axis=1)
-    (phi1, phi2, xe, _, g_w0, g_w1, p_w0, p_w1, g_e, p_e, g_g, g_p,
-     p_p) = at_mu
-    lam_phi2, lam_xe, lam_xxe = at_lam[1:4]
+    at_mu, at_lam = _rate_integrals((mu, lam), (_RATE_ROWS, 5))
+    _, _, phi2, xe, _, g_w0, _, _, _, g_e, p_e, _, _ = at_mu
+    lam_phi2, lam_xe, lam_xxe = at_lam[2:]
+    # Q >= 3/2 here, so 2Q lies above _SERIES_RATE
+    two_q = 2.0 * Q
+    q_phi1, q_g_g = _rate_closed(two_q, 2)
     e_lam = np.exp(-lam)
-    c = 1.0 / (2.0 * Q * at_2q[0])  # 1 / (1 - e^{-2Q})
-    mu_lam, rho = mu / lam, 2.0 * P / lam
-    g_lam = mu * (lam * lam_xe + mu * e_lam * phi2) / (2.0 * Q)
-    p_lam = mu * (0.5 * lam * lam_xxe + e_lam * g_w0) / (2.0 * Q)
-    l_w0 = c * (lam_xe - e_lam * phi2)
-    g_l = c * (g_lam - e_lam * g_e)
-    p_l = c * (p_lam - e_lam * p_e)
+    c = 1.0 / (two_q * q_phi1)  # 1 / (1 - e^{-2Q})
+    g_lam = mu * (lam * lam_xe + mu * e_lam * phi2) / two_q
+    p_lam = mu * (0.5 * lam * lam_xxe + e_lam * g_w0) / two_q
+    # int L(1 - x) L(x) = c^2 e^{-lam} times int g(1 - x) g at rate 2Q
+    l_terms = (c * (lam_xe - e_lam * phi2), c * (lam_phi2 - e_lam * xe),
+               c * (g_lam - e_lam * g_e), c * (p_lam - e_lam * p_e),
+               c * c * e_lam * q_g_g)
+    return mu, mu / lam, 2.0 * P / lam, at_mu, l_terms
+
+
+def _layer_blocks(P, S, q2, a1, b1, at):
+    """A1 and B1 in the layer form of the comment above, with q2 = Q^2,
+    written to a1[m, l][at] and b1[m, l][at] for [m, l] other than
+    [1, 1]."""
+    mu, mu_lam, rho, at_mu, (l_w0, l_w1, g_l, p_l, l_l) = \
+        _layer_integrals(P, S, q2)
+    (phi1, g_g, phi2, _, _, g_w0, g_w1, p_w0, p_w1, _, _, g_p,
+     p_p) = at_mu
     # u_0 and u_1 over the pieces (x, g, p, L): N_1 cancels the rest of
     # u_1 at x = 1, and N_0 = -g(1) - N_1 because u_0 + u_1 = K^{-1} 1 =
     # g - g(1) L.  w holds the pieces' integrals against 1 - x and x,
     # pair their mirrored products.
     n1 = -(mu_lam + rho * mu * phi2)
     u = ((-mu_lam, 1.0, -rho, -mu * phi1 - n1), (mu_lam, 0.0, rho, n1))
-    w = ((1.0 / 6.0, g_w0, p_w0, l_w0),
-         (1.0 / 3.0, g_w1, p_w1, c * (lam_phi2 - e_lam * xe)))
-    # int L(1 - x) L(x) = c^2 e^{-lam} times int g(1 - x) g at rate 2Q
+    w = ((1.0 / 6.0, g_w0, p_w0, l_w0), (1.0 / 3.0, g_w1, p_w1, l_w1))
     pair = ((1.0 / 6.0, g_w0, p_w0, l_w0), (g_w0, g_g, g_p, g_l),
-            (p_w0, g_p, p_p, p_l), (l_w0, g_l, p_l, c * c * e_lam * at_2q[10]))
-    pair_u = [[sum(a * b for a, b in zip(row, um)) for row in pair]
-              for um in u]
-    a1 = [[0.5 * sum(a * b for a, b in zip(um, wl)) for wl in w]
-          for um in u]
-    b1 = [[0.5 * sum(a * b for a, b in zip(u[1 - l], pair_u[m]))
-           for l in (0, 1)] for m in (0, 1)]
-    return np.array(a1), np.array(b1)
+            (p_w0, g_p, p_p, p_l), (l_w0, g_l, p_l, l_l))
+    for m, um in enumerate(u):
+        pair_u = [sum(a * b for a, b in zip(row, um)) for row in pair]
+        for l in range(2 - m):  # [1, 1] is a copy of [0, 0]
+            a1[m, l][at] = 0.5 * sum(a * b for a, b in zip(um, w[l]))
+            b1[m, l][at] = 0.5 * sum(a * b for a, b in zip(u[1 - l], pair_u))
 
 
 # Per term k of sum_k c_k x^k / k!: its value at x = 1 and its integrals
@@ -496,8 +540,9 @@ _POWER_PHI = np.zeros((_POWER_TERMS, 3))
 _POWER_PHI[:2, :2] = ((1.0, 0.0), (-1.0, 1.0))
 
 
-def _power_blocks(P, S):
-    """A1 and B1 in the power form of the comment above."""
+def _power_blocks(P, S, a1, b1, at):
+    """A1 and B1 in the power form of the comment above, written to
+    a1[..., at] and b1[..., at]."""
     two_p, inv_s = 2.0 * P, 1.0 / S
     # c_k and c_{k+1} of six series: K^{-1} phi_0, K^{-1} phi_1 and the
     # homogeneous series H, then K^{-1} of each of the three
@@ -516,9 +561,10 @@ def _power_blocks(P, S):
     # vanish at x = 1
     alpha = -at_1[:2] / at_1[2]
     beta = -(at_1[3:5] + alpha * at_1[5]) / at_1[2]
-    a1 = [0.5 * (w[:2] + alpha * w[2]) for w in (w0, w1)]
-    b1 = [0.5 * (w[3:5] + alpha * w[5] + beta * w[2]) for w in (w0, w1)]
-    return np.stack(a1, axis=1), np.stack(b1, axis=1)
+    for l, w in enumerate((w0, w1)):
+        _put_columns(a1[:, l], at, 0.5 * (w[:2] + alpha * w[2]))
+        _put_columns(b1[:, l], at,
+                     0.5 * (w[3:5] + alpha * w[5] + beta * w[2]))
 
 
 def green_blocks(P, S):
@@ -533,17 +579,20 @@ def green_blocks(P, S):
     and in the layer form elsewhere (see the comment above); each form
     runs on its own points only.  Every operation is elementwise, so a
     point's blocks have the same bits whatever other points share the
-    call.
+    call.  A call costs about 0.35 ms plus 0.4 us a layer-form point and
+    0.7 us a power-form point, and its peak memory, the result included,
+    is about 0.4 KB a point (2-core Xeon VM, numpy 2.4.6).
     """
-    P, S = _check_points(P, S)
-    power = np.float_power(P, 2) + 1.0 / S < _POWER_Q ** 2
+    P, S, q2 = _check_points(P, S)
+    power = q2 < _POWER_Q ** 2
+    layer = ~power
     a1, b1 = np.empty((2, 2, 2, P.size))
     # Both forms run on every call, also on no points.  Skipping an empty
     # form would make small calls cheaper with no fewer traced spans,
     # and a faster pass of the same spans lengthens perfbench's traced
     # run quadratically (see ROADMAP, aim 1).
-    for form, at in ((_power_blocks, power), (_layer_blocks, ~power)):
-        a1[..., at], b1[..., at] = form(P[at], S[at])
+    _power_blocks(P[power], S[power], a1, b1, power)
+    _layer_blocks(P[layer], S[layer], q2[layer], a1, b1, layer)
     a1[1, 1] = a1[0, 0]
     b1[1, 1] = b1[0, 0]
     return a1, b1

@@ -78,45 +78,57 @@ class KernelTable:
         return [name for name in TABLE_FAMILIES if name in self.values]
 
 
-# P rows per green_blocks call of generate_table: the call's fixed cost
-# of about 0.35 ms is shared by 10 m points, and its temporaries, about
-# 0.4 KB a point, stay proportional to m.  With one row per call the
-# grid delta = 0.2, m = 100 took about 55 ms to build, with 10 rows
-# about 12 ms.
-_ROWS_PER_CALL = 10
+# Points per green_blocks call of generate_table, taken in order from
+# the P-major list of grid nodes.  A call costs about 0.35 ms plus 0.4
+# to 0.7 us a point, and peaks at about 0.41 KB a point, its result
+# included.  With 2,048 points the reduced grid (delta = 0.2, m = 100)
+# takes five calls, builds in about 6.5 ms and peaks at 1.49 MB under
+# tracemalloc, its 0.64 MB of values included; ten P rows per call (1.0
+# KB a point) took about 10.5 ms and 1.64 MB.  3,072 points peaked at
+# 1.9 MB and were no faster.  (2-core Intel Xeon VM, Python 3.11.7,
+# numpy 2.4.6.)
+_CHUNK_POINTS = 2048
 
 
-def _compute_rows(args):
-    """A1 and B1 entries, (4, rows, m) each, for a block of P rows; a
-    pure function for worker pools."""
-    p_rows, s_axis = args
-    a1, b1 = green_blocks(p_rows[:, None], s_axis)
-    return a1.reshape(4, p_rows.size, -1), b1.reshape(4, p_rows.size, -1)
+def _compute_chunk(args):
+    """A1 and B1 entries, (4, stop - start) each, at the nodes start to
+    stop of the P-major node list of the axis; a pure function for
+    worker pools."""
+    axis, start, stop = args
+    node = np.arange(start, stop)
+    a1, b1 = green_blocks(axis[node // axis.size], axis[node % axis.size])
+    return a1.reshape(4, -1), b1.reshape(4, -1)
 
 
 def generate_table(grid, workers=1):
     """Tabulate the A1 and B1 kernels over the whole (P, S) grid.
 
-    Blocks of _ROWS_PER_CALL rows (fixed P) are evaluated one at a time;
-    with workers > 1 they are computed in a process pool, assembled in
-    order.  A point's blocks have the same bits in any call, so the
-    output depends neither on the blocks nor on the worker count.
+    The m^2 nodes, P-major, are evaluated in chunks of _CHUNK_POINTS
+    points; with workers > 1 the chunks are computed in a process pool
+    of at most one worker per chunk and assembled in order.  A point's
+    blocks have the same bits in any call, so the output depends neither
+    on the chunks nor on the worker count.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1, got %r" % (workers,))
     axis = grid.axis()
-    values = {name: np.empty((4, grid.m, grid.m)) for name in TABLE_FAMILIES}
-    starts = range(0, grid.m, _ROWS_PER_CALL)
-    tasks = [(axis[i:i + _ROWS_PER_CALL], axis) for i in starts]
+    nodes = grid.m * grid.m
+    flat = {name: np.empty((4, nodes)) for name in TABLE_FAMILIES}
+    starts = range(0, nodes, _CHUNK_POINTS)
+    tasks = [(axis, i, min(i + _CHUNK_POINTS, nodes)) for i in starts]
+    workers = min(workers, len(tasks))
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_compute_rows, tasks)
+            results = iter(pool.map(_compute_chunk, tasks))
     else:
-        results = map(_compute_rows, tasks)
-    for i, (a1, b1) in zip(starts, results):
-        values["A1"][:, i:i + _ROWS_PER_CALL] = a1
-        values["B1"][:, i:i + _ROWS_PER_CALL] = b1
+        results = map(_compute_chunk, tasks)
+    for _, start, stop in tasks:
+        a1, b1 = next(results)
+        flat["A1"][:, start:stop] = a1
+        flat["B1"][:, start:stop] = b1
+        del a1, b1  # freed before the next chunk is computed
+    values = {name: v.reshape(4, grid.m, grid.m) for name, v in flat.items()}
     return KernelTable(grid=grid, values=values)
 
 

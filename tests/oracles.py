@@ -143,7 +143,7 @@ def series_blocks(P, S, n_modes):
     broadcasting.  Returns (A1, B1), each an array (2, 2, n_points)
     indexed [m, l]: sum_j beta_j a_m c_l and sum_j beta_j^2 a_m c_l.
     """
-    P, S = K._check_points(P, S)
+    P, S, _ = K._check_points(P, S)
     j = np.arange(1, n_modes + 1)
     a0s, a1s, _, c0s, c1s, _ = K.shifted_sides(j, P[:, None])
     # C pow, as Python's P ** 2

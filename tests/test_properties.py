@@ -149,18 +149,35 @@ def test_each_form_switch_takes_the_upper_form_on_its_boundary():
     # one ulp higher (Q just below 3/2), the power form; with the rate
     # one ulp lower, the Taylor series.  Both forms are accurate there,
     # but their bits differ.
+    at = np.array([True])
     for s, form in ((0.5, K._layer_blocks),
                     (np.nextafter(0.5, 1.0), K._power_blocks)):
         got = K.green_blocks(0.5, s)
-        want = form(np.array([0.5]), np.array([s]))
+        want = np.zeros((2, 2, 2, 1))
+        P, S, q2 = K._check_points(0.5, s)
+        args = (P, S, q2) if form is K._layer_blocks else (P, S)
+        form(*args, want[0], want[1], at)
         for g, w in zip(got, want):
             # [1, 1] is a copy of [0, 0]
             assert g[[0, 0, 1], [0, 1, 0]].tobytes() \
                 == w[[0, 0, 1], [0, 1, 0]].tobytes()
+    # each side of the rate switch, and a call with rates on both sides
+    other = np.array([0.3, 2.0, 7.5])
     for r, form in ((2.0, K._rate_closed),
                     (np.nextafter(2.0, 0.0), K._rate_series)):
         r = np.array([r])
-        assert K._rate_integrals(r).tobytes() == form(r).tobytes()
+        full = form(r)
+        assert full.shape == (len(K._RATE_FORMS), 1)
+        for rows in range(1, len(K._RATE_FORMS) + 1):
+            # the first rows integrals have the bits of the full 13 rows,
+            # alone, next to the full rows at other rates, and from
+            # either form on its own
+            assert form(r, rows).tobytes() == full[:rows].tobytes()
+            alone, = K._rate_integrals((r,), (rows,))
+            mixed = K._rate_integrals((other, r, other), (13, rows, 5))
+            assert alone.tobytes() == full[:rows].tobytes()
+            assert mixed[1].tobytes() == full[:rows].tobytes()
+            assert mixed[0][:5].tobytes() == mixed[2].tobytes()
 
 
 @SETTINGS

@@ -29,12 +29,85 @@ def test_generate_all_families_shapes():
         assert np.all(np.isfinite(table.values[name]))
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    # 16 nodes in 4 chunks, so that two workers share them
+    monkeypatch.setattr(T, "_CHUNK_POINTS", 4)
     grid = T.TableGrid(delta=2.0, m=4)
     t1 = T.generate_table(grid)
     t2 = T.generate_table(grid, workers=2)
     for name in ("A1", "B1"):
         np.testing.assert_array_equal(t1.values[name], t2.values[name])
+
+
+@pytest.mark.parametrize("chunk", [64, 2048])
+def test_table_is_one_green_blocks_call_over_the_node_list(monkeypatch,
+                                                           chunk):
+    # the grid takes both forms; 900 nodes make 15 chunks of 64 (the last
+    # one short) or one of 2048
+    from spectral_vms.kernels import green_blocks
+
+    monkeypatch.setattr(T, "_CHUNK_POINTS", chunk)
+    grid = T.TableGrid(delta=0.2, m=30)
+    table = T.generate_table(grid)
+    P, S = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    for name, block in zip(T.TABLE_FAMILIES, green_blocks(P, S)):
+        assert table.values[name].tobytes() \
+            == block.reshape(4, grid.m, grid.m).tobytes()
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the requested size
+    and maps in this process, so no process starts."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        return list(map(func, tasks))
+
+
+def test_worker_pool_is_capped_at_the_number_of_chunks(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    grid = T.TableGrid(delta=1.0, m=3)  # 9 nodes
+    serial = T.generate_table(grid)
+    monkeypatch.setattr(T, "_CHUNK_POINTS", 4)  # 3 chunks
+    pooled = T.generate_table(grid, workers=8)
+    monkeypatch.setattr(T, "_CHUNK_POINTS", 9)  # 1 chunk: no pool
+    single = T.generate_table(grid, workers=8)
+    assert _RecordingPool.sizes == [3]
+    for name in T.TABLE_FAMILIES:
+        assert pooled.values[name].tobytes() == serial.values[name].tobytes()
+        assert single.values[name].tobytes() == serial.values[name].tobytes()
+
+
+# tracemalloc peak of the reduced grid's build, at most 1.64 MB (the
+# peak with ten P rows per green_blocks call): measured 1,489,301 bytes
+# with 2,048-point chunks (numpy 2.4.6), 1,644,952 with ten P rows
+REDUCED_BUILD_PEAK_BYTES = 1_640_000
+
+
+def test_reduced_table_build_stays_within_its_memory_bound():
+    import tracemalloc
+
+    grid = T.TableGrid(delta=0.2, m=100)
+    tracemalloc.start()
+    try:
+        T.generate_table(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= REDUCED_BUILD_PEAK_BYTES
 
 
 def test_save_load_roundtrip(tmp_path):

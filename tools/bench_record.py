@@ -14,7 +14,16 @@ that a full-length traced run's risk shows without making one, each
 workload also gets spans_per_pass, the spans of the short traced run's
 first pass, projected_traced_passes, the benchmark's run_seconds over
 the median traced pass, and projected_trace_load, the square of the
-second times the first, which that post-processing grows with.
+second times the first, which that post-processing grows with, and
+projected_trace_seconds, an estimate in seconds of that post-processing
+in a full-length traced run: the short traced run's elapsed time, less
+its set-ups and timed passes (traced_post_s), times (projected passes /
+traced passes)^2.  A full-length traced run adds twice the run seconds
+and the set-ups.  The estimate runs high where per-pass work, such as a
+workload's checks, outweighs the tracer's quadratic walk: scaled to
+the traced passes of a full-length run, a 3 s run's post-processing
+projected 89 s for offline (3 spans a pass) where the full run took
+23.5 s, and 76 s for online where it took about 81 s.
 
 Each workload also gets a layer split that perfbench's profile does not
 give: the inclusive time of each function of SPLIT, timed by a wrapper
@@ -44,19 +53,23 @@ SPLIT = [("mesh_fem", "factor_tridiag"), ("mesh_fem", "solve_tridiag"),
          ("analysis", "reference_solution"),
          ("analysis", "write_solutions_csv"), ("vms_full", "step_full"),
          ("vms_full", "init_state"), ("vms_feasible", "assemble_matrices"),
-         ("kernels", "green_blocks")]
+         ("kernels", "green_blocks"), ("table", "generate_table"),
+         ("table", "save_table")]
 
 
 def perfbench(workload, seconds, trace):
-    """The full record of one perfbench/run.py run."""
+    """The full record of one perfbench/run.py run, and its elapsed
+    seconds."""
+    start = time.perf_counter()
     subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                     "--workload", workload, "--seed", str(SEED),
                     "--seconds", str(seconds), "--trace", str(trace)],
                    cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    elapsed = time.perf_counter() - start
     path = os.path.join(ROOT, ".perfbench", "%s-seed%d-trace%d.json"
                         % (workload, SEED, trace))
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh), elapsed
 
 
 def spans_per_pass(traced):
@@ -144,12 +157,16 @@ def record(spec):
     split_source = load_workloads()
     for w in spec["workloads"]:
         name = w["name"]
-        untraced = perfbench(name, spec["run_seconds"], 0)
-        traced = perfbench(name, TRACED_SECONDS, 1)
+        untraced, _ = perfbench(name, spec["run_seconds"], 0)
+        traced, traced_elapsed = perfbench(name, TRACED_SECONDS, 1)
         env = untraced["environment"]
         spans = spans_per_pass(traced)
         passes = (spec["run_seconds"]
                   / statistics.median(traced["traced_wall_s"]))
+        traced_passes = len(traced["traced_wall_s"])
+        # a traced run also makes untraced passes and set-ups first
+        post_s = traced_elapsed - sum(traced["setup_s"]["samples"]) \
+            - sum(traced["wall_s"]["all"]) - sum(traced["traced_wall_s"])
         samples = {"wall_s": untraced["wall_s"]["all"],
                    "setup_s": untraced["setup_s"]["samples"],
                    "peak_rss_mb": [untraced["peak_rss_mb"]]}
@@ -162,10 +179,12 @@ def record(spec):
                                            unit=m["unit"])
                            for m in spec["end_to_end"]},
             "traced_seconds": TRACED_SECONDS,
-            "traced_passes": len(traced["traced_wall_s"]),
+            "traced_passes": traced_passes,
             "spans_per_pass": spans,
             "projected_traced_passes": passes,
             "projected_trace_load": passes ** 2 * spans,
+            "traced_post_s": post_s,
+            "projected_trace_seconds": post_s * (passes / traced_passes) ** 2,
             "per_layer": {k: v["value"]
                           for k, v in traced["metrics"].items()},
             "layer_split": layer_split(split_source, name),
